@@ -2,9 +2,9 @@
 
 Produces complete traces (embeddings, likelihood windows, manipulation
 variants, continuations) from raw sentences so the full pipeline runs
-with no external model. The deleted/swapped variants retrain the n-gram
-counts on the manipulated story, so removing a sentence removes its
-n-gram evidence for the following window.
+with no external model. The deleted/swapped variants are small deltas on
+one set of running n-gram counts, so removing a sentence removes its n-gram
+evidence for the following window at a cost linear in story length.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import hashlib
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +25,14 @@ from .model import (ContinuationSample, ContinuationSet, SentenceRecord,
 
 def tokenize(text: str) -> list[str]:
     return text.lower().split()
+
+
+@lru_cache(maxsize=1 << 16)  # bounded memo: a story reuses a small vocabulary
+def _token_slot(seed: int, dim: int, token: str) -> tuple[int, float]:
+    digest = hashlib.sha256(f"{seed}|{token}".encode("utf-8")).digest()
+    index = int.from_bytes(digest[:8], "big") % dim
+    sign = 1.0 if digest[8] % 2 == 0 else -1.0
+    return index, sign
 
 
 @dataclass(frozen=True)
@@ -36,24 +46,18 @@ class HashEmbedder:
         if self.dim < 2:
             raise ValidationError("embedder dimension must be >= 2")
 
-    def _token_slot(self, token: str) -> tuple[int, float]:
-        digest = hashlib.sha256(f"{self.seed}|{token}".encode("utf-8")).digest()
-        index = int.from_bytes(digest[:8], "big") % self.dim
-        sign = 1.0 if digest[8] % 2 == 0 else -1.0
-        return index, sign
-
     def embed(self, text: str) -> np.ndarray:
         tokens = tokenize(text)
         if not tokens:
             raise ValidationError("cannot embed empty text")
         vec = np.zeros(self.dim)
         for token in tokens:
-            index, sign = self._token_slot(token)
+            index, sign = _token_slot(self.seed, self.dim, token)
             vec[index] += sign
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             # opposing tokens cancelled out; fall back to the first token's slot
-            index, _ = self._token_slot(tokens[0])
+            index, _ = _token_slot(self.seed, self.dim, tokens[0])
             vec[index] = 1.0
             norm = 1.0
         return vec / norm
@@ -82,18 +86,24 @@ class NgramLM:
     def train(self, sentences: Sequence[Sequence[str]]) -> None:
         prev: Optional[str] = None
         for tokens in sentences:
-            for token in tokens:
-                if self._explicit_vocab and token not in self.vocabulary:
-                    prev = None
-                    continue
-                if not self._explicit_vocab:
-                    self.vocabulary.add(token)
-                self.unigram_counts[token] += 1
-                self.total += 1
-                if self.order == 2 and prev is not None:
-                    self.bigram_counts[prev][token] += 1
-                    self.context_counts[prev] += 1
-                prev = token
+            prev = self.add(tokens, prev)
+
+    def add(self, tokens: Sequence[str], prev: Optional[str]) -> Optional[str]:
+        """Count one more sentence whose first token follows `prev`;
+        returns the token the next sentence follows."""
+        for token in tokens:
+            if self._explicit_vocab and token not in self.vocabulary:
+                prev = None
+                continue
+            if not self._explicit_vocab:
+                self.vocabulary.add(token)
+            self.unigram_counts[token] += 1
+            self.total += 1
+            if self.order == 2 and prev is not None:
+                self.bigram_counts[prev][token] += 1
+                self.context_counts[prev] += 1
+            prev = token
+        return prev
 
     @property
     def vocab_size(self) -> int:
@@ -107,13 +117,14 @@ class NgramLM:
             if self.order == 1 or prev is None:
                 c, n = self.unigram_counts[token], self.total
             else:
-                c, n = self.bigram_counts[prev][token], self.context_counts[prev]
+                c, n = self.bigram_counts.get(prev, {}).get(token, 0), self.context_counts[prev]
             if c == 0 or n == 0:
                 raise ValidationError(f"zero probability for token {token!r} without smoothing")
             return math.log(c / n)
         if self.order == 1 or prev is None or self._oov(prev):
             return math.log((self.unigram_counts[token] + 1) / (self.total + v))
-        return math.log((self.bigram_counts[prev][token] + 1)
+        # .get: indexing the defaultdict would insert a key for an unseen prev
+        return math.log((self.bigram_counts.get(prev, {}).get(token, 0) + 1)
                         / (self.context_counts[prev] + v))
 
     def _oov(self, token: str) -> bool:
@@ -139,13 +150,6 @@ def _pseudo_sentiment(text: str, seed: int) -> float:
     return (raw - 1000) / 1000.0
 
 
-def _train_lm(token_sents: Sequence[Sequence[str]], order: int,
-              vocabulary: set[str]) -> NgramLM:
-    lm = NgramLM(order=order, vocabulary=vocabulary)
-    lm.train(token_sents)
-    return lm
-
-
 def build_trace(sentences: Sequence[str], embedder: HashEmbedder,
                 window_tokens: int = 128, n_continuations: int = 4,
                 seed: int = 0, story_id: str = "synthetic") -> StoryTrace:
@@ -154,8 +158,11 @@ def build_trace(sentences: Sequence[str], embedder: HashEmbedder,
     The reader model is incremental: the window after sentence t is scored
     under an n-gram LM whose counts come from the prefix through t (base),
     the prefix with t removed (deleted) or swapped with its predecessor
-    (swapped), or a unigram prefix model (no_knowledge). All variants share
-    the full-story vocabulary so smoothing denominators stay comparable.
+    (swapped), or the unigram view of the base counts (no_knowledge). All
+    variants share the full-story vocabulary so smoothing denominators stay
+    comparable. One running count store is the deleted model before t is
+    added and the base model after; the swapped model differs from the base
+    only in the boundary bigrams around t-1 and t, changed then restored.
     """
     if len(sentences) < 2:
         raise ValidationError("variant windows need at least 2 sentences")
@@ -163,36 +170,45 @@ def build_trace(sentences: Sequence[str], embedder: HashEmbedder,
     if any(not t for t in token_sents):
         raise ValidationError("sentences must be non-empty")
     n = len(sentences)
-    vocab = {tok for sent in token_sents for tok in sent}
+    flat = [tok for sent in token_sents for tok in sent]
+    ends = list(accumulate(len(sent) for sent in token_sents))
+    first = [sent[0] for sent in token_sents]
+    last = [sent[-1] for sent in token_sents]
     rng = np.random.default_rng(seed)
     embeddings = [embedder.embed(s) for s in sentences]
+    lm = NgramLM(order=2, vocabulary=set(flat))
+
+    def shift_bigrams(delta, sign: int) -> None:
+        for prev, token, step in delta:
+            lm.bigram_counts[prev][token] += sign * step
+            lm.context_counts[prev] += sign * step
 
     records = []
     for t in range(n):
-        window = [tok for sent in token_sents[t + 1:] for tok in sent][:window_tokens]
+        window = flat[ends[t]:ends[t] + window_tokens]
         sent_tokens = token_sents[t]
-        prev_of_sentence = token_sents[t - 1][-1] if t > 0 else None
-        context_lm = _train_lm(token_sents[:t], order=2, vocabulary=vocab)
-        avg_ll = float(np.mean(lm_loglik(sent_tokens, context_lm, prev=prev_of_sentence)))
+        prev_of_sentence = last[t - 1] if t > 0 else None
+        avg_ll = float(np.mean(lm_loglik(sent_tokens, lm, prev=prev_of_sentence)))
+        deleted = tuple(lm_loglik(window, lm, prev=prev_of_sentence)) if window else None
+        lm.add(sent_tokens, prev_of_sentence)
 
-        win_ll = None
-        win_emb = None
+        win_ll = win_emb = None
         if window:
-            prefix = token_sents[:t + 1]
-            base_lm = _train_lm(prefix, order=2, vocabulary=vocab)
-            deleted_lm = _train_lm(token_sents[:t], order=2, vocabulary=vocab)
+            base = tuple(lm_loglik(window, lm, prev=last[t]))
+            swapped = base
             if t > 0:
-                swapped_prefix = prefix[:t - 1] + [prefix[t], prefix[t - 1]]
-            else:
-                swapped_prefix = prefix
-            swapped_lm = _train_lm(swapped_prefix, order=2, vocabulary=vocab)
-            unigram_lm = _train_lm(prefix, order=1, vocabulary=vocab)
+                # ... S(t-2) S(t-1) S(t) becomes ... S(t-2) S(t) S(t-1)
+                delta = [(last[t - 1], first[t], -1), (last[t], first[t - 1], 1)]
+                if t > 1:
+                    delta += [(last[t - 2], first[t - 1], -1), (last[t - 2], first[t], 1)]
+                shift_bigrams(delta, 1)
+                swapped = tuple(lm_loglik(window, lm, prev=last[t - 1]))
+                shift_bigrams(delta, -1)
             win_ll = {
-                "base": tuple(lm_loglik(window, base_lm, prev=sent_tokens[-1])),
-                "deleted": tuple(lm_loglik(window, deleted_lm, prev=prev_of_sentence)),
-                "swapped": tuple(lm_loglik(window, swapped_lm,
-                                           prev=swapped_prefix[-1][-1])),
-                "no_knowledge": tuple(lm_loglik(window, unigram_lm, prev=None)),
+                "base": base,
+                "deleted": deleted,
+                "swapped": swapped,
+                "no_knowledge": tuple(lm.token_logprob(tok) for tok in window),
             }
             window_text = " ".join(window)
             win_emb = {
@@ -203,9 +219,9 @@ def build_trace(sentences: Sequence[str], embedder: HashEmbedder,
         continuations = None
         if t + 1 < n:
             sample_embs = [embeddings[t + 1]]
-            others = [i for i in range(n) if i != t + 1]
             for _ in range(max(0, n_continuations - 1)):
-                sample_embs.append(embeddings[others[int(rng.integers(0, len(others)))]])
+                k = int(rng.integers(0, n - 1))  # an index other than t + 1
+                sample_embs.append(embeddings[k if k < t + 1 else k + 1])
             continuations = ContinuationSet(
                 horizon=1,
                 samples=tuple(ContinuationSample(embedding=e) for e in sample_embs),

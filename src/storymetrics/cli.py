@@ -65,7 +65,10 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValidationError(f"{path} line {ln_no}: wrong column count")
-        rows.append([float(p) for p in parts[1:]])
+        try:
+            rows.append([float(p) for p in parts[1:]])
+        except ValueError as exc:
+            raise ValidationError(f"{path} line {ln_no}: {exc}") from exc
     data = np.asarray(rows, float)
     return {name: data[:, j] for j, name in enumerate(names)}
 

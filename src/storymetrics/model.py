@@ -359,7 +359,9 @@ def read_trace(path) -> StoryTrace:
                 sentiment=obj.get("sentiment"),
                 continuations=_parse_continuations(cont, line_no) if cont is not None else None,
             )
-        except (KeyError, TypeError) as exc:
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"line {line_no}: malformed record: {exc}") from exc
         records.append(rec)
     if not records:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from storymetrics.baseline import (HashEmbedder, NgramLM, build_trace,
                                    lm_loglik, tokenize)
@@ -84,6 +86,18 @@ def test_conditional_probabilities_sum_to_one():
     for prev in (None, "a", "b", "c"):
         total = sum(math.exp(lm.token_logprob(tok, prev)) for tok in sorted(lm.vocabulary))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_scoring_does_not_mutate_counts():
+    lm = NgramLM(order=2)
+    lm.train([tokenize("a b a b")])
+    bigrams = {k: dict(v) for k, v in lm.bigram_counts.items()}
+    contexts = dict(lm.context_counts)
+    for prev in ("a", "b", "unseen"):
+        for token in ("a", "b", "other"):
+            lm.token_logprob(token, prev)
+    assert {k: dict(v) for k, v in lm.bigram_counts.items()} == bigrams
+    assert dict(lm.context_counts) == contexts
 
 
 def test_lm_loglik_threads_context():
@@ -176,3 +190,81 @@ def test_build_trace_continuations_include_true_next():
     np.testing.assert_array_equal(cont.samples[0].embedding, trace.sentences[1].embedding)
     assert len(cont.samples) == 3
     assert trace.sentences[2].continuations is None
+
+
+def _retrained_trace(sentences, embedder, window_tokens, n_continuations, seed):
+    """Reference: retrain every variant's LM from scratch on its prefix."""
+    token_sents = [tokenize(s) for s in sentences]
+    n = len(sentences)
+    vocab = {tok for sent in token_sents for tok in sent}
+    rng = np.random.default_rng(seed)
+    embeddings = [embedder.embed(s) for s in sentences]
+
+    def trained(prefix, order=2):
+        lm = NgramLM(order=order, vocabulary=vocab)
+        lm.train(prefix)
+        return lm
+
+    out = []
+    for t in range(n):
+        window = [tok for sent in token_sents[t + 1:] for tok in sent][:window_tokens]
+        prev = token_sents[t - 1][-1] if t > 0 else None
+        avg_ll = float(np.mean(lm_loglik(token_sents[t], trained(token_sents[:t]), prev=prev)))
+        win_ll = win_emb = None
+        if window:
+            prefix = token_sents[:t + 1]
+            swapped = prefix[:t - 1] + [prefix[t], prefix[t - 1]] if t > 0 else prefix
+            win_ll = {
+                "base": tuple(lm_loglik(window, trained(prefix), prev=token_sents[t][-1])),
+                "deleted": tuple(lm_loglik(window, trained(token_sents[:t]), prev=prev)),
+                "swapped": tuple(lm_loglik(window, trained(swapped), prev=swapped[-1][-1])),
+                "no_knowledge": tuple(lm_loglik(window, trained(prefix, order=1))),
+            }
+            text = " ".join(window)
+            win_emb = {"base": embedder.embed(sentences[t] + " " + text),
+                       "deleted": embedder.embed(text)}
+        conts = None
+        if t + 1 < n:
+            others = [i for i in range(n) if i != t + 1]
+            conts = [embeddings[t + 1]] + [
+                embeddings[others[int(rng.integers(0, len(others)))]]
+                for _ in range(max(0, n_continuations - 1))]
+        out.append((avg_ll, win_ll, win_emb, conts))
+    return out
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "storm", "door"])
+_SENTENCES = st.lists(st.lists(_WORDS, min_size=1, max_size=4).map(" ".join),
+                      min_size=2, max_size=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sentences=_SENTENCES, window_tokens=st.integers(1, 12),
+       n_continuations=st.integers(1, 4), seed=st.integers(0, 3))
+@example(sentences=["a", "b"], window_tokens=1, n_continuations=2, seed=0)
+@example(sentences=["a a", "a a", "a"], window_tokens=4, n_continuations=3, seed=0)
+@example(sentences=["a b", "b a", "a b", "b a"], window_tokens=8, n_continuations=4, seed=1)
+@example(sentences=["storm", "door", "storm", "door", "storm"], window_tokens=2,
+         n_continuations=4, seed=2)
+@example(sentences=["a b c storm", "c b a door", "a"], window_tokens=2,
+         n_continuations=1, seed=3)
+def test_build_trace_matches_retrained_reference(sentences, window_tokens,
+                                                 n_continuations, seed):
+    embedder = HashEmbedder(dim=6, seed=seed)
+    trace = build_trace(sentences, embedder, window_tokens=window_tokens,
+                        n_continuations=n_continuations, seed=seed)
+    reference = _retrained_trace(sentences, embedder, window_tokens, n_continuations, seed)
+    for rec, (avg_ll, win_ll, win_emb, conts) in zip(trace.sentences, reference):
+        assert rec.avg_log_likelihood == avg_ll
+        assert rec.window_token_loglikes == win_ll
+        if win_emb is None:
+            assert rec.window_embedding is None
+        else:
+            assert set(rec.window_embedding) == set(win_emb)
+            for key, vec in win_emb.items():
+                np.testing.assert_array_equal(rec.window_embedding[key], vec)
+        if conts is None:
+            assert rec.continuations is None
+        else:
+            np.testing.assert_array_equal(rec.continuations.sample_embeddings(),
+                                          np.asarray(conts))

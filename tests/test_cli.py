@@ -1,5 +1,7 @@
 """Command-line pipelines: exit codes, determinism, and file round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,25 @@ def test_missing_trace_exit_3(tmp_path):
     code = main(["analyze", "--trace", str(tmp_path / "absent.trace"),
                  "--out", str(tmp_path / "x")])
     assert code == 3
+
+
+@pytest.mark.parametrize("case", ["index_not_int", "win_ll_list", "csv_not_numeric"])
+def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
+    if case == "csv_not_numeric":
+        csv = tmp_path / "story.csv"
+        csv.write_text("sentence,ely_surprise\n0,0.5\n1,abc\n")
+        argv = ["plot", str(csv), "--out", str(tmp_path / "plots")]
+    else:
+        field, value = {"index_not_int": ("index", "abc"),
+                        "win_ll_list": ("win_ll", [1, 2])}[case]
+        lines = demo_trace.read_text().splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record)
+        demo_trace.write_text("\n".join(lines) + "\n")
+        argv = ["analyze", "--trace", str(demo_trace), "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_evaluate_suspense_perfect_prediction(tmp_path, demo_trace):
