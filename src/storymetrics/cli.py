@@ -28,13 +28,14 @@ DEFAULT_METRICS = ("ely_surprise", "ely_suspense", "alpha_ely_suspense",
 DEFAULT_MEASURES = ("like", "swap", "know_diff", "emb_surp", "emb_sal", "clus")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("NARR_THREADS", "")
+def _thread_map(fn, items) -> list:
+    """fn over items on NARR_THREADS worker threads (default 4), in order."""
     try:
-        n = int(raw)
+        workers = int(os.environ.get("NARR_THREADS", ""))
     except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else 4
+        workers = 0
+    with ThreadPoolExecutor(max_workers=workers if workers > 0 else 4) as pool:
+        return list(pool.map(fn, items))
 
 
 def _fmt_value(v: float) -> str:
@@ -73,40 +74,38 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def _metric_config(args) -> suspense.MetricConfig:
-    kind = {"l1": suspense.DistanceKind.L1, "l2": suspense.DistanceKind.L2,
-            "sql2": suspense.DistanceKind.SQUARED_L2,
-            "cosine": suspense.DistanceKind.COSINE}[args.distance]
-    return suspense.MetricConfig(distance=kind, horizon=args.horizon)
+def analyze(traces: Sequence[StoryTrace], out_dir, metrics: Sequence[str],
+            measures: Sequence[str], cfg: suspense.MetricConfig, seed: int,
+            zscore: bool) -> list[dict[str, np.ndarray]]:
+    """Write `<story_id>.csv` per trace into out_dir: one column per metric,
+    then one per salience measure (seeded by `seed`), all z-scored if
+    asked. Returns the columns, in trace order."""
+    def columns(trace: StoryTrace) -> dict[str, np.ndarray]:
+        cols = {name: suspense.metric_series(trace, name, cfg).values for name in metrics}
+        for measure in measures:
+            scfg = salience.SalienceConfig(measure=measure, rng_seed=seed)
+            cols[measure] = salience.salience_series(trace, scfg).values
+        if zscore:
+            cols = {name: annotation.zscore(MetricSeries(name, vals)).values
+                    for name, vals in cols.items()}
+        return cols
 
-
-def _analyze_one(trace: StoryTrace, metrics, measures, args) -> dict[str, np.ndarray]:
-    cfg = _metric_config(args)
-    columns: dict[str, np.ndarray] = {}
-    for name in metrics:
-        columns[name] = suspense.metric_series(trace, name, cfg).values
-    for measure in measures:
-        scfg = salience.SalienceConfig(window_tokens=args.window_tokens,
-                                       measure=measure, rng_seed=args.seed)
-        columns[measure] = salience.salience_series(trace, scfg).values
-    if args.zscore:
-        columns = {name: annotation.zscore(MetricSeries(name, vals)).values
-                   for name, vals in columns.items()}
-    return columns
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = _thread_map(columns, traces)
+    for trace, cols in zip(traces, results):
+        _write_series_csv(out_dir / f"{trace.story_id}.csv", cols)
+    return results
 
 
 def cmd_analyze(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics = [m for m in (args.metrics.split(",") if args.metrics else []) if m]
-    measures = [m for m in (args.measures.split(",") if args.measures else []) if m]
+    metrics = [m for m in args.metrics.split(",") if m]
+    measures = [m for m in args.measures.split(",") if m]
     if not metrics and not measures:
         metrics = list(DEFAULT_METRICS)
-    traces = [read_trace(p) for p in args.trace]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(lambda tr: _analyze_one(tr, metrics, measures, args), traces))
-    for trace, columns in zip(traces, results):
-        _write_series_csv(out_dir / f"{trace.story_id}.csv", columns)
+    cfg = suspense.MetricConfig(distance=suspense.DistanceKind(args.distance))
+    analyze([read_trace(p) for p in args.trace], args.out, metrics, measures, cfg,
+            args.seed, args.zscore)
     return 0
 
 
@@ -133,7 +132,7 @@ def _fisher_bounds(r: float, n: int) -> tuple[str, str]:
 
 
 def _eval_suspense(story_id: str, pred: dict[str, np.ndarray],
-                   annotations: AnnotationSet) -> list[dict]:
+                   annotations: AnnotationSet, *_) -> list[dict]:
     rows = []
     n = annotations.length
     for name, values in pred.items():
@@ -160,7 +159,7 @@ def _derive_windows(gold: GoldLabels, n: int) -> list[tuple[int, int]]:
 
 
 def _eval_turning_points(story_id: str, pred: dict[str, np.ndarray],
-                         gold: GoldLabels) -> list[dict]:
+                         gold: GoldLabels, *_) -> list[dict]:
     rows = []
     for name, values in pred.items():
         n = values.shape[0]
@@ -214,52 +213,56 @@ def _aggregate_rows(rows: list[dict]) -> list[dict]:
     return agg
 
 
-def cmd_evaluate(args) -> int:
-    preds = [read_series_csv(p) for p in args.pred]
-    rows: list[dict] = []
-    if args.mode == "suspense":
-        if not args.annotations or len(args.annotations) != len(args.pred):
-            raise ValidationError("one --annotations file per prediction CSV required")
-        jobs = list(zip(args.pred, preds, [read_annotations(p) for p in args.annotations]))
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            per_story = list(pool.map(
-                lambda job: _eval_suspense(Path(job[0]).stem, job[1], job[2]), jobs))
-    elif args.mode == "turning-points":
-        if not args.gold or len(args.gold) != len(args.pred):
-            raise ValidationError("one --gold file per prediction CSV required")
-        golds = [read_gold(p) for p in args.gold]
-        for g in golds:
-            if g.kind != "turning_points":
-                raise ValidationError("turning-points mode needs turning_points gold labels")
-        jobs = list(zip(args.pred, preds, golds))
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            per_story = list(pool.map(
-                lambda job: _eval_turning_points(Path(job[0]).stem, job[1], job[2]), jobs))
-    else:  # salience
-        if not args.gold or len(args.gold) != len(args.pred):
-            raise ValidationError("one --gold file per prediction CSV required")
-        golds = [read_gold(p) for p in args.gold]
-        for g in golds:
-            if g.kind != "salience":
-                raise ValidationError("salience mode needs salience gold labels")
-        traces = ([read_trace(p) for p in args.trace]
-                  if args.trace else [None] * len(preds))
-        if len(traces) != len(preds):
-            raise ValidationError("one --trace per prediction CSV required when given")
-        jobs = list(zip(args.pred, preds, golds, traces))
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            per_story = list(pool.map(
-                lambda job: _eval_salience(Path(job[0]).stem, job[1], job[2],
-                                           job[3], args.k), jobs))
-    for story_rows in per_story:
-        rows.extend(story_rows)
+def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = None,
+             gold: Optional[Sequence] = None, traces: Optional[Sequence] = None,
+             k: Optional[int] = None) -> None:
+    """Score each prediction CSV against its reference file and write one
+    row per story and measure, then the per-measure means, to `out`."""
+    # mode -> (reference files, loader, required gold kind, per-story scorer);
+    # built per call, so the readers are looked up when the command runs.
+    refs, load, gold_kind, score = {
+        "suspense": (annotations, read_annotations, None, _eval_suspense),
+        "turning-points": (gold, read_gold, "turning_points", _eval_turning_points),
+        "salience": (gold, read_gold, "salience", _eval_salience),
+    }[mode]
+    if not refs or len(refs) != len(preds):
+        option = "--annotations" if gold_kind is None else "--gold"
+        raise ValidationError(f"one {option} file per prediction CSV required")
+    if traces and mode != "salience":
+        raise ValidationError("--trace is read only by --mode salience")
+    if traces and len(traces) != len(preds):
+        raise ValidationError("one --trace per prediction CSV required when given")
+    jobs = []
+    for pred_path, ref_path, trace_path in zip(preds, refs, traces or [None] * len(preds)):
+        pred = read_series_csv(pred_path)
+        ref = load(ref_path)
+        if gold_kind is not None and ref.kind != gold_kind:
+            raise ValidationError(f"{mode} mode needs {gold_kind} gold labels")
+        trace = None
+        if trace_path is not None:
+            trace = read_trace(trace_path)
+            n_rows = len(next(iter(pred.values())))
+            if n_rows != len(trace):
+                raise ValidationError(f"{pred_path} has {n_rows} rows but {trace_path} "
+                                      f"has {len(trace)} sentences")
+            if max(ref.salient_indices, default=-1) >= len(trace):
+                raise ValidationError(f"{ref_path}: gold index {max(ref.salient_indices)} "
+                                      f"is beyond the {len(trace)} sentences of {trace_path}")
+        jobs.append((Path(pred_path).stem, pred, ref, trace))
+    rows = [row for story_rows in _thread_map(lambda job: score(*job, k), jobs)
+            for row in story_rows]
     rows.extend(_aggregate_rows(rows))
-    out_path = Path(args.out)
+    out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RESULT_HEADER + "\n")
         for row in rows:
             fh.write(_row_line(row) + "\n")
+
+
+def cmd_evaluate(args) -> int:
+    evaluate(args.mode, args.pred, args.out, annotations=args.annotations,
+             gold=args.gold, traces=args.trace, k=args.k)
     return 0
 
 
@@ -284,15 +287,17 @@ def cmd_align(args) -> int:
     return 0
 
 
-def cmd_plot(args) -> int:
-    out_dir = Path(args.out)
+def plot(preds: Sequence, out, gold_path=None) -> None:
+    """One SVG per series CSV, marking the gold positions and the peaks of
+    the first series in name order."""
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     gold_indices: list[int] = []
-    if args.gold:
-        gold = read_gold(args.gold[0])
+    if gold_path is not None:
+        gold = read_gold(gold_path)
         gold_indices = (sorted(gold.salient_indices) if gold.kind == "salience"
                         else list(gold.tp_positions))
-    for path in args.pred:
+    for path in preds:
         columns = read_series_csv(path)
         first = columns[sorted(columns)[0]]
         peaks = [p.index for p in evaluation.find_peaks(first)]
@@ -300,6 +305,10 @@ def cmd_plot(args) -> int:
         out_path = out_dir / (Path(path).stem + ".svg")
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
+
+
+def cmd_plot(args) -> int:
+    plot(args.pred, args.out, args.gold[0] if args.gold else None)
     return 0
 
 
@@ -370,8 +379,7 @@ def cmd_demo(args) -> int:
     traces_dir = out_dir / "traces"
     curves_dir = out_dir / "curves"
     eval_dir = out_dir / "eval"
-    plots_dir = out_dir / "plots"
-    for d in (traces_dir, curves_dir, eval_dir, plots_dir):
+    for d in (traces_dir, eval_dir):
         d.mkdir(parents=True, exist_ok=True)
 
     embedder = baseline.HashEmbedder(dim=16, seed=seed)
@@ -383,31 +391,17 @@ def cmd_demo(args) -> int:
         traces[story_id] = trace
         write_trace(trace, traces_dir / f"{story_id}.trace")
 
-    cfg = suspense.MetricConfig()
-    metric_columns: dict[str, dict[str, np.ndarray]] = {}
-    for story_id, trace in traces.items():
-        columns: dict[str, np.ndarray] = {}
-        for name in DEFAULT_METRICS:
-            columns[name] = suspense.metric_series(trace, name, cfg).values
-        for measure in DEFAULT_MEASURES:
-            scfg = salience.SalienceConfig(window_tokens=32, measure=measure, rng_seed=seed)
-            columns[measure] = salience.salience_series(trace, scfg).values
-        metric_columns[story_id] = columns
-        _write_series_csv(curves_dir / f"{story_id}.csv", columns)
+    columns = analyze(list(traces.values()), curves_dir, DEFAULT_METRICS, DEFAULT_MEASURES,
+                      suspense.MetricConfig(), seed, zscore=False)
 
     # suspense evaluation against synthetic annotators
-    ann_paths, pred_paths = [], []
-    for story_id, trace in traces.items():
-        curve = metric_columns[story_id]["ely_suspense"]
-        annotations = _synth_annotations(story_id, curve, 3, seed + 1)
+    ann_paths = []
+    for story_id, cols in zip(traces, columns):
         path = eval_dir / f"{story_id}.ann"
-        write_annotations(annotations, path)
-        ann_paths.append(str(path))
-        pred_paths.append(str(curves_dir / f"{story_id}.csv"))
-    eval_args = argparse.Namespace(pred=pred_paths, annotations=ann_paths, gold=None,
-                                   trace=None, mode="suspense", k=None,
-                                   out=str(eval_dir / "suspense_results.csv"))
-    cmd_evaluate(eval_args)
+        write_annotations(_synth_annotations(story_id, cols["ely_suspense"], 3, seed + 1), path)
+        ann_paths.append(path)
+    evaluate("suspense", [curves_dir / f"{sid}.csv" for sid in traces],
+             eval_dir / "suspense_results.csv", annotations=ann_paths)
 
     # salience evaluation with alignment-derived silver labels on the pivot story
     pivot = traces["pivot"]
@@ -418,12 +412,8 @@ def cmd_demo(args) -> int:
                              alignment.AlignConfig())
     gold_path = eval_dir / "pivot_gold.txt"
     write_gold(result.labels, gold_path)
-    sal_args = argparse.Namespace(pred=[str(curves_dir / "pivot.csv")],
-                                  gold=[str(gold_path)],
-                                  trace=[str(traces_dir / "pivot.trace")],
-                                  annotations=None, mode="salience", k=None,
-                                  out=str(eval_dir / "salience_results.csv"))
-    cmd_evaluate(sal_args)
+    evaluate("salience", [curves_dir / "pivot.csv"], eval_dir / "salience_results.csv",
+             gold=[gold_path], traces=[traces_dir / "pivot.trace"])
 
     # turning-point evaluation on the longest story
     tp_story = "wp_002"
@@ -434,17 +424,10 @@ def cmd_demo(args) -> int:
                          tp_windows=tuple(windows))
     tp_path = eval_dir / f"{tp_story}_tp.txt"
     write_gold(tp_gold, tp_path)
-    tp_args = argparse.Namespace(pred=[str(curves_dir / f"{tp_story}.csv")],
-                                 gold=[str(tp_path)], trace=None, annotations=None,
-                                 mode="turning-points", k=None,
-                                 out=str(eval_dir / "tp_results.csv"))
-    cmd_evaluate(tp_args)
+    evaluate("turning-points", [curves_dir / f"{tp_story}.csv"], eval_dir / "tp_results.csv",
+             gold=[tp_path])
 
-    # plots
-    plot_args = argparse.Namespace(pred=[str(curves_dir / f"{sid}.csv")
-                                         for sid in sorted(traces)],
-                                   gold=None, out=str(plots_dir))
-    cmd_plot(plot_args)
+    plot([curves_dir / f"{sid}.csv" for sid in sorted(traces)], out_dir / "plots")
     return 0
 
 
@@ -452,18 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="storymetrics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="compute metric curves from traces")
-    analyze.add_argument("--trace", action="append", required=True)
-    analyze.add_argument("--metrics", default="")
-    analyze.add_argument("--measures", default="")
-    analyze.add_argument("--distance", choices=("l1", "l2", "sql2", "cosine"),
-                         default="sql2")
-    analyze.add_argument("--horizon", type=int, default=1)
-    analyze.add_argument("--window-tokens", type=int, default=128)
-    analyze.add_argument("--zscore", action="store_true")
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--out", required=True)
-    analyze.set_defaults(func=cmd_analyze)
+    an = sub.add_parser("analyze", help="compute metric curves from traces")
+    an.add_argument("--trace", action="append", required=True)
+    an.add_argument("--metrics", default="")
+    an.add_argument("--measures", default="")
+    an.add_argument("--distance", choices=[kind.value for kind in suspense.DistanceKind],
+                    default="sql2")
+    an.add_argument("--zscore", action="store_true")
+    an.add_argument("--seed", type=int, default=0)
+    an.add_argument("--out", required=True)
+    an.set_defaults(func=cmd_analyze)
 
     ev = sub.add_parser("evaluate", help="score prediction CSVs against references")
     ev.add_argument("pred", nargs="+")

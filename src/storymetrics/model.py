@@ -115,6 +115,8 @@ class SentenceRecord:
     def __post_init__(self):
         if self.index < 0:
             raise ValidationError("sentence index must be >= 0")
+        if self.text is not None and not isinstance(self.text, str):
+            raise ValidationError(f"sentence text must be a string, got {self.text!r}")
         object.__setattr__(self, "embedding", _as_vector(self.embedding, "embedding"))
         if self.avg_log_likelihood is not None and not math.isfinite(self.avg_log_likelihood):
             raise ValidationError("avg_log_likelihood must be finite")
@@ -294,7 +296,7 @@ def write_trace(trace: StoryTrace, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_continuations(obj, line_no: int) -> ContinuationSet:
+def _parse_continuations(obj) -> ContinuationSet:
     try:
         samples = tuple(
             ContinuationSample(embedding=np.asarray(s["e"], float),
@@ -306,14 +308,13 @@ def _parse_continuations(obj, line_no: int) -> ContinuationSet:
             probs = np.asarray(probs, float)
             total = float(probs.sum())
             if abs(total - 1.0) > PROB_RENORM_TOL:
-                raise ValidationError(
-                    f"line {line_no}: continuation probabilities sum to {total}, "
-                    f"outside renormalization tolerance")
+                raise ValidationError(f"continuation probabilities sum to {total}, "
+                                      f"outside renormalization tolerance")
             if total != 1.0 and total > 0:
                 probs = probs / total
         return ContinuationSet(horizon=int(obj["n"]), samples=samples, probabilities=probs)
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"line {line_no}: malformed continuation set: {exc}") from exc
+        raise ParseError(f"malformed continuation set: {exc}") from exc
 
 
 def read_trace(path) -> StoryTrace:
@@ -357,10 +358,10 @@ def read_trace(path) -> StoryTrace:
                     {k: np.asarray(v, float) for k, v in obj["win_emb"].items()}
                     if "win_emb" in obj else None),
                 sentiment=obj.get("sentiment"),
-                continuations=_parse_continuations(cont, line_no) if cont is not None else None,
+                continuations=_parse_continuations(cont) if cont is not None else None,
             )
-        except ValidationError:
-            raise
+        except ValidationError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from exc
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"line {line_no}: malformed record: {exc}") from exc
         records.append(rec)
@@ -430,6 +431,8 @@ def read_gold(path) -> GoldLabels:
         kind = json.loads(raw_lines[0])["kind"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"line 1: malformed gold header: {exc}") from exc
+    if kind not in ("salience", "turning_points"):
+        raise ParseError(f"line 1: unknown gold label kind {kind!r}")
     body = raw_lines[1:]
     if kind == "salience":
         indices = set()

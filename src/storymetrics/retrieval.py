@@ -69,11 +69,7 @@ class PassageStore:
         return iter(self._passages)
 
     def top_k(self, query, k: int) -> list[tuple[Passage, float]]:
-        if k < 1:
-            raise ValidationError("k must be >= 1")
-        hits = [(p, score(query, p.key)) for p in self._passages]
-        hits.sort(key=lambda ps: (-ps[1], ps[0].id))
-        return hits[:k]
+        return _top_k(self._passages, query, k)
 
 
 class MemoryCache:
@@ -129,11 +125,7 @@ class MemoryCache:
         self._entries.clear()
 
     def top_k(self, query, k: int) -> list[tuple[Passage, float]]:
-        if k < 1:
-            raise ValidationError("k must be >= 1")
-        hits = [(p, score(query, p.key)) for p in self._entries.values()]
-        hits.sort(key=lambda ps: (-ps[1], ps[0].id))
-        return hits[:k]
+        return _top_k(self._entries.values(), query, k)
 
 
 def score(query, key) -> float:
@@ -143,6 +135,15 @@ def score(query, key) -> float:
     if q.shape != k.shape:
         raise ValidationError("query/key dimension mismatch")
     return float(np.dot(q, k))
+
+
+def _top_k(passages, query, k: int) -> list[tuple[Passage, float]]:
+    """Exact scan: the k highest-scoring passages, ties in id order."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    hits = [(p, score(query, p.key)) for p in passages]
+    hits.sort(key=lambda ps: (-ps[1], ps[0].id))
+    return hits[:k]
 
 
 _SOURCE_RANK = {"kb": 0, "memory": 1}

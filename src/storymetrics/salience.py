@@ -24,7 +24,6 @@ _VARIANT_FOR_MEASURE = {"like": "deleted", "swap": "swapped", "know_diff": "no_k
 
 @dataclass(frozen=True)
 class SalienceConfig:
-    window_tokens: int = 128
     measure: str = "like"
     imp_adjust: bool = False
     combine_like_clus: bool = False
@@ -32,8 +31,6 @@ class SalienceConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.window_tokens < 1:
-            raise ValidationError("window_tokens must be >= 1")
         if self.clus_per < 1:
             raise ValidationError("clus_per must be >= 1")
         if self.measure not in MEASURES:

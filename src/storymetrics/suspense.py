@@ -27,9 +27,6 @@ class DistanceKind(Enum):
 @dataclass(frozen=True)
 class MetricConfig:
     distance: DistanceKind = DistanceKind.SQUARED_L2
-    similarity_for_probs: str = "cosine"  # "cosine" | "dot"
-    horizon: int = 1
-    alpha_enabled: bool = False
     alpha_pos_weight: float = 1.0
     alpha_neg_weight: float = 2.0
     # Additive floor so neutral sentences keep base weight; 0 matches the
@@ -37,12 +34,8 @@ class MetricConfig:
     alpha_floor: float = 0.0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
         if self.alpha_pos_weight < 0 or self.alpha_neg_weight < 0 or self.alpha_floor < 0:
             raise ValidationError("alpha weights must be non-negative")
-        if self.similarity_for_probs not in ("cosine", "dot"):
-            raise ValidationError("similarity_for_probs must be 'cosine' or 'dot'")
 
 
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -100,18 +93,13 @@ def hale_uncertainty_reduction(h_prev: float, h_curr: float) -> float:
 
 
 def continuation_distribution(e_t, continuations: Sequence, sim: str = "cosine") -> np.ndarray:
-    """Softmax over similarity scores between the current embedding and
+    """Softmax over cosine similarities between the current embedding and
     each imagined continuation."""
     if len(continuations) == 0:
         raise ValidationError("continuation set is empty")
-    if sim == "cosine":
-        scores = np.array([cosine_similarity(e_t, c) for c in continuations])
-    elif sim == "dot":
-        e = np.asarray(e_t, float)
-        scores = np.array([float(np.dot(e, np.asarray(c, float))) for c in continuations])
-    else:
+    if sim != "cosine":
         raise ValidationError(f"unknown similarity {sim!r}")
-    return softmax(scores)
+    return softmax(np.array([cosine_similarity(e_t, c) for c in continuations]))
 
 
 def softmax(scores) -> np.ndarray:
@@ -136,10 +124,9 @@ def _continuation_probs(e_t, cont: ContinuationSet, sim: Optional[str]) -> np.nd
 
 def ely_suspense(e_t, cont: ContinuationSet, kind: DistanceKind,
                  sim: Optional[str] = None) -> float:
-    """Probability-weighted expected distance to the imagined next states."""
-    probs = _continuation_probs(e_t, cont, sim)
-    dists = np.array([distance(e_t, s.embedding, kind) for s in cont.samples])
-    return float(np.sum(probs * dists))
+    """Probability-weighted expected distance to the imagined next states:
+    weighted_suspense with unit weights (probs * 1.0 == probs, bit for bit)."""
+    return weighted_suspense(e_t, cont, np.ones(len(cont.samples)), kind, sim)
 
 
 def alpha_weight(sentiment: float, cfg: MetricConfig) -> float:
@@ -222,18 +209,14 @@ def _tokens(text: str) -> set[str]:
     return set(text.lower().split())
 
 
-def _realized_probability(prev_rec, e_t, cfg: MetricConfig) -> Optional[float]:
+def _realized_probability(prev_rec, e_t) -> Optional[float]:
     """Probability assigned to the realized sentence: the weight of the
     previous continuation sample most similar to it."""
     cont = prev_rec.continuations
     if cont is None:
         return None
-    probs = _continuation_probs(prev_rec.embedding, cont, cfg.similarity_for_probs)
-    embs = cont.sample_embeddings()
-    if cfg.similarity_for_probs == "cosine":
-        sims = [cosine_similarity(e_t, emb) for emb in embs]
-    else:
-        sims = [float(np.dot(np.asarray(e_t, float), emb)) for emb in embs]
+    probs = _continuation_probs(prev_rec.embedding, cont, "cosine")
+    sims = [cosine_similarity(e_t, emb) for emb in cont.sample_embeddings()]
     best = int(np.argmax(sims))
     p = float(probs[best])
     return p if p > 0 else None
@@ -262,25 +245,25 @@ def metric_series(trace: StoryTrace, name: str, cfg: MetricConfig) -> MetricSeri
             if rec.continuations is not None:
                 if name == "ely_suspense":
                     v = ely_suspense(rec.embedding, rec.continuations, cfg.distance,
-                                     cfg.similarity_for_probs)
+                                     "cosine")
                 else:
                     # Sample sentiments are not carried in the trace; the
                     # current sentence's weight applies to every sample.
                     alpha = alpha_weight(rec.sentiment, cfg) if rec.sentiment is not None else 0.0
                     alphas = np.full(len(rec.continuations.samples), alpha)
                     v = weighted_suspense(rec.embedding, rec.continuations, alphas,
-                                          cfg.distance, cfg.similarity_for_probs)
+                                          cfg.distance, "cosine")
         elif name == "hale_surprise":
             if prev is not None:
-                p = _realized_probability(prev, rec.embedding, cfg)
+                p = _realized_probability(prev, rec.embedding)
                 if p is not None:
                     v = hale_surprise(p)
         elif name == "hale_uncertainty_reduction":
             if prev is not None and prev.continuations is not None and rec.continuations is not None:
                 h_prev = entropy(_continuation_probs(prev.embedding, prev.continuations,
-                                                     cfg.similarity_for_probs))
+                                                     "cosine"))
                 h_curr = entropy(_continuation_probs(rec.embedding, rec.continuations,
-                                                     cfg.similarity_for_probs))
+                                                     "cosine"))
                 v = hale_uncertainty_reduction(h_prev, h_curr)
         elif name == "sample_ely_surprise":
             if prev is not None and prev.continuations is not None:

@@ -176,7 +176,7 @@ def test_build_trace_pivot_sentence_dominates_like_salience():
         "rain fell on the river",
     ]
     trace = build_trace(sentences, embedder, window_tokens=24)
-    values = salience_series(trace, SalienceConfig(window_tokens=24, measure="like")).values
+    values = salience_series(trace, SalienceConfig(measure="like")).values
     assert int(np.argmax(values)) == 2
     assert values[2] > 0.0
     assert values[2] > max(v for i, v in enumerate(values) if i != 2)

@@ -1,12 +1,15 @@
 """Command-line pipelines: exit codes, determinism, and file round-trips."""
 
+import argparse
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from storymetrics import baseline
-from storymetrics.cli import main, read_series_csv
+from storymetrics.cli import build_parser, main, read_series_csv
 from storymetrics.model import (AnnotationSet, GoldLabels, Judgment,
                                 read_gold, write_annotations, write_gold,
                                 write_trace)
@@ -70,15 +73,29 @@ def test_missing_trace_exit_3(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("case", ["index_not_int", "win_ll_list", "csv_not_numeric"])
+_BAD_RECORDS = {"index_not_int": ("index", "abc"),
+                "win_ll_list": ("win_ll", [1, 2]),
+                "sentiment_out_of_range": ("sentiment", 2.0),
+                "win_ll_base_empty": ("win_ll", {"base": [], "deleted": [-1.0]}),
+                "index_negative": ("index", -1),
+                "text_not_str": ("text", 5)}
+
+
+@pytest.mark.parametrize("case", [*_BAD_RECORDS, "csv_not_numeric", "gold_kind_unknown"])
 def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
-    if case == "csv_not_numeric":
+    line = "line 3"
+    if case in ("csv_not_numeric", "gold_kind_unknown"):
         csv = tmp_path / "story.csv"
-        csv.write_text("sentence,ely_surprise\n0,0.5\n1,abc\n")
+        cell = "abc" if case == "csv_not_numeric" else "0.25"
+        csv.write_text(f"sentence,ely_surprise\n0,0.5\n1,{cell}\n")
         argv = ["plot", str(csv), "--out", str(tmp_path / "plots")]
+        if case == "gold_kind_unknown":
+            gold = tmp_path / "gold.txt"
+            gold.write_text('{"kind": 5}\n1\n')
+            argv += ["--gold", str(gold)]
+            line = "line 1"
     else:
-        field, value = {"index_not_int": ("index", "abc"),
-                        "win_ll_list": ("win_ll", [1, 2])}[case]
+        field, value = _BAD_RECORDS[case]
         lines = demo_trace.read_text().splitlines()
         record = json.loads(lines[2])
         record[field] = value
@@ -86,7 +103,7 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
         demo_trace.write_text("\n".join(lines) + "\n")
         argv = ["analyze", "--trace", str(demo_trace), "--out", str(tmp_path / "x")]
     assert main(argv) == 2
-    assert "line 3" in capsys.readouterr().err
+    assert line in capsys.readouterr().err
 
 
 def test_evaluate_suspense_perfect_prediction(tmp_path, demo_trace):
@@ -166,6 +183,33 @@ def test_evaluate_salience_with_rouge(tmp_path, demo_trace):
     assert 0.0 <= float(row[11]) <= 1.0  # rouge_l
 
 
+@pytest.mark.parametrize("gold_indices, csv_rows", [({1, 6}, 6), ({1, 3}, 7)])
+def test_evaluate_salience_trace_shorter_than_inputs_exit_2(tmp_path, demo_trace, capsys,
+                                                           gold_indices, csv_rows):
+    csv = tmp_path / "story.csv"
+    csv.write_text("sentence,like\n" + "".join(f"{i},{i}.5\n" for i in range(csv_rows)))
+    gold_path = tmp_path / "gold.txt"
+    write_gold(GoldLabels(kind="salience", salient_indices=frozenset(gold_indices)), gold_path)
+    code = main(["evaluate", str(csv), "--mode", "salience", "--gold", str(gold_path),
+                 "--trace", str(demo_trace), "--out", str(tmp_path / "sal.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(demo_trace) in err
+    assert str(gold_path if csv_rows == 6 else csv) in err
+    assert not (tmp_path / "sal.csv").exists()
+
+
+def test_evaluate_trace_outside_salience_mode_exit_2(tmp_path, demo_trace):
+    out = tmp_path / "curves"
+    main(["analyze", "--trace", str(demo_trace), "--out", str(out)])
+    gold = GoldLabels(kind="turning_points", tp_positions=(0, 1, 2, 3, 5))
+    write_gold(gold, tmp_path / "tp.txt")
+    code = main(["evaluate", str(out / "story.csv"), "--mode", "turning-points",
+                 "--gold", str(tmp_path / "tp.txt"), "--trace", str(demo_trace),
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+
+
 def test_align_and_plot(tmp_path, demo_trace):
     embedder = baseline.HashEmbedder(dim=8, seed=1)
     summary = baseline.build_trace(
@@ -212,3 +256,72 @@ def test_worker_count_does_not_change_results(tmp_path, demo_trace, monkeypatch)
         assert main(["analyze", "--trace", str(demo_trace), "--out", str(out)]) == 0
         outs.append((out / "story.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_every_analyze_flag_changes_the_output(tmp_path, demo_trace):
+    base = {"--metrics": "ely_surprise", "--measures": "random"}
+    changed = {"--metrics": "ely_suspense", "--measures": "like", "--distance": "l1",
+               "--zscore": None, "--seed": "1"}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["analyze"]
+    options = {a.option_strings[-1] for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "trace", "out")}
+    assert options == set(changed)
+
+    def run(name, opts):
+        argv = ["analyze", "--trace", str(demo_trace), "--out", str(tmp_path / name)]
+        for opt, value in opts.items():
+            argv += [opt] if value is None else [opt, value]
+        assert main(argv) == 0
+        return (tmp_path / name / "story.csv").read_bytes()
+
+    reference = run("base", base)
+    for opt, value in changed.items():
+        assert run(opt.strip("-"), {**base, opt: value}) != reference, opt
+
+
+@pytest.fixture()
+def perfbench_modules(monkeypatch):
+    """perfbench's instrument and spans modules, imported without writing
+    bytecode next to them and removed from sys.modules afterwards."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import instrument
+    import spans
+    yield instrument, spans
+    for name in ("instrument", "spans"):
+        sys.modules.pop(name, None)
+
+
+def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modules):
+    """The traced benchmark wraps functions by name; a rename fails here."""
+    from storymetrics import cli, retrieval
+    instrument, spans = perfbench_modules
+    originals = (cli.cmd_evaluate, cli.ThreadPoolExecutor, retrieval.score,
+                 retrieval.PassageStore.top_k)
+    rec = spans.Recorder()
+    patcher = instrument.instrument(rec)
+    try:
+        curves, gold = tmp_path / "curves", tmp_path / "gold.txt"
+        write_gold(GoldLabels(kind="salience", salient_indices=frozenset({1, 3})), gold)
+        assert main(["analyze", "--trace", str(demo_trace), "--measures", "like",
+                     "--metrics", "ely_surprise", "--out", str(curves)]) == 0
+        assert main(["evaluate", str(curves / "story.csv"), "--mode", "salience",
+                     "--gold", str(gold), "--trace", str(demo_trace),
+                     "--out", str(tmp_path / "sal.csv")]) == 0
+        kb = retrieval.PassageStore(2, [retrieval.Passage("a", [1.0, 0.0], "", "kb"),
+                                        retrieval.Passage("b", [0.0, 1.0], "", "kb")])
+        cache = retrieval.MemoryCache(2)
+        cache.add(retrieval.Passage("m", [1.0, 1.0], "", "memory"))
+        retrieval.retrieve([1.0, 0.5], kb, cache, 1, 1, 1)
+    finally:
+        patcher.restore()
+    assert (cli.cmd_evaluate, cli.ThreadPoolExecutor, retrieval.score,
+            retrieval.PassageStore.top_k) == originals
+    names = {s.name for s in rec.spans}
+    assert {"cli.cmd_analyze", "cli.cmd_evaluate.salience", "cli.read_series_csv",
+            "model.read_trace", "model.read_gold", "suspense.metric_series.ely_surprise",
+            "salience.salience_series.like", "evaluation.rouge_l",
+            "retrieval.PassageStore.top_k", "retrieval.MemoryCache.top_k",
+            "retrieval.MemoryCache.add"} <= names
+    assert rec.counts["retrieval.score.calls"] == 3
