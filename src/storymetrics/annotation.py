@@ -4,7 +4,6 @@ inter-annotator agreement."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -143,14 +142,20 @@ class CorrelationResult:
     skipped: int
 
 
-def _rank_pair(pred: np.ndarray, curve: np.ndarray) -> Optional[tuple[float, float]]:
-    """(tau, rho) for one prediction/annotator pair, or None if either
-    side is constant."""
-    if float(pred.std()) == 0.0 or float(curve.std()) == 0.0:
-        return None
-    tau = evaluation.kendall_tau(pred, curve)
-    rho = evaluation.spearman_rho(pred, curve)
-    return tau, rho
+def _mean_correlation(pairs, degenerate: str) -> CorrelationResult:
+    """Mean (tau, rho) over (x, y) curve pairs. A pair with a constant side
+    is skipped and counted; if every pair is, that is an error."""
+    taus, rhos, skipped = [], [], 0
+    for x, y in pairs:
+        if float(x.std()) == 0.0 or float(y.std()) == 0.0:
+            skipped += 1
+            continue
+        taus.append(evaluation.kendall_tau(x, y))
+        rhos.append(evaluation.spearman_rho(x, y))
+    if not taus:
+        raise DegenerateStatisticsError(degenerate)
+    return CorrelationResult(tau=float(np.mean(taus)), rho=float(np.mean(rhos)),
+                             pairs=len(taus), skipped=skipped)
 
 
 def pairwise_correlation(pred: MetricSeries, annotations: AnnotationSet,
@@ -160,20 +165,10 @@ def pairwise_correlation(pred: MetricSeries, annotations: AnnotationSet,
     if annotations.length != len(pred):
         raise ValidationError(
             f"prediction length {len(pred)} differs from annotation length {annotations.length}")
-    pred_values = pred.values
-    taus, rhos, skipped = [], [], 0
-    for aid in sorted(annotations.annotators):
-        curve = absolute_curve(annotations.annotators[aid], mapping).values
-        result = _rank_pair(pred_values, curve)
-        if result is None:
-            skipped += 1
-            continue
-        taus.append(result[0])
-        rhos.append(result[1])
-    if not taus:
-        raise DegenerateStatisticsError("every prediction/annotator pair was degenerate")
-    return CorrelationResult(tau=float(np.mean(taus)), rho=float(np.mean(rhos)),
-                             pairs=len(taus), skipped=skipped)
+    return _mean_correlation(
+        ((pred.values, absolute_curve(annotations.annotators[aid], mapping).values)
+         for aid in sorted(annotations.annotators)),
+        "every prediction/annotator pair was degenerate")
 
 
 def human_upper_bound(annotations: AnnotationSet,
@@ -183,15 +178,5 @@ def human_upper_bound(annotations: AnnotationSet,
     if len(ids) < 2:
         raise ValidationError("upper bound needs at least two annotators")
     curves = {aid: absolute_curve(annotations.annotators[aid], mapping).values for aid in ids}
-    taus, rhos, skipped = [], [], 0
-    for a, b in itertools.combinations(ids, 2):
-        result = _rank_pair(curves[a], curves[b])
-        if result is None:
-            skipped += 1
-            continue
-        taus.append(result[0])
-        rhos.append(result[1])
-    if not taus:
-        raise DegenerateStatisticsError("every annotator pair was degenerate")
-    return CorrelationResult(tau=float(np.mean(taus)), rho=float(np.mean(rhos)),
-                             pairs=len(taus), skipped=skipped)
+    return _mean_correlation(((curves[a], curves[b]) for a, b in itertools.combinations(ids, 2)),
+                             "every annotator pair was degenerate")

@@ -184,7 +184,7 @@ def _eval_salience(story_id: str, pred: dict[str, np.ndarray], gold: GoldLabels,
         row["recall_at_k"] = _fmt_value(evaluation.recall_at_k(series, gold, k))
         if trace is not None and all(rec.text is not None for rec in trace.sentences):
             top_k = k if k is not None else len(gold.salient_indices)
-            order = sorted(range(len(values)), key=lambda i: (-values[i], i))[:top_k]
+            order = evaluation._descending_ranking(values)[:top_k]
             pred_tokens = [tok for i in sorted(order)
                            for tok in baseline.tokenize(trace.sentences[i].text)]
             gold_tokens = [tok for i in sorted(gold.salient_indices)
@@ -218,18 +218,24 @@ def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = 
              k: Optional[int] = None) -> None:
     """Score each prediction CSV against its reference file and write one
     row per story and measure, then the per-measure means, to `out`."""
-    # mode -> (reference files, loader, required gold kind, per-story scorer);
-    # built per call, so the readers are looked up when the command runs.
-    refs, load, gold_kind, score = {
-        "suspense": (annotations, read_annotations, None, _eval_suspense),
-        "turning-points": (gold, read_gold, "turning_points", _eval_turning_points),
-        "salience": (gold, read_gold, "salience", _eval_salience),
+    given = {"--annotations": annotations, "--gold": gold, "--trace": traces, "--k": k}
+    # mode -> (options it reads, the reference-file option first; loader;
+    # required gold kind; per-story scorer). Built per call, so the readers
+    # are looked up when the command runs.
+    reads, load, gold_kind, score = {
+        "suspense": (("--annotations",), read_annotations, None, _eval_suspense),
+        "turning-points": (("--gold",), read_gold, "turning_points", _eval_turning_points),
+        "salience": (("--gold", "--trace", "--k"), read_gold, "salience", _eval_salience),
     }[mode]
+    stray = [option for option, value in given.items()
+             if value is not None and option not in reads]
+    if stray:
+        raise ValidationError(f"--mode {mode} does not read {', '.join(stray)}")
+    if k is not None and k < 1:
+        raise ValidationError(f"--k must be >= 1, got {k}")
+    refs = given[reads[0]]
     if not refs or len(refs) != len(preds):
-        option = "--annotations" if gold_kind is None else "--gold"
-        raise ValidationError(f"one {option} file per prediction CSV required")
-    if traces and mode != "salience":
-        raise ValidationError("--trace is read only by --mode salience")
+        raise ValidationError(f"one {reads[0]} file per prediction CSV required")
     if traces and len(traces) != len(preds):
         raise ValidationError("one --trace per prediction CSV required when given")
     jobs = []
@@ -308,6 +314,8 @@ def plot(preds: Sequence, out, gold_path=None) -> None:
 
 
 def cmd_plot(args) -> int:
+    if args.gold and len(args.gold) > 1:
+        raise ValidationError("plot reads one --gold file")
     plot(args.pred, args.out, args.gold[0] if args.gold else None)
     return 0
 

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -191,6 +191,29 @@ class MetricSeries:
         return int(self.values.shape[0])
 
 
+def per_sentence_series(
+        what: str, name: str, trace: StoryTrace,
+        value: Callable[[SentenceRecord, Optional[SentenceRecord]], Optional[float]],
+) -> MetricSeries:
+    """The curve `name` scored sentence by sentence as value(rec, prev),
+    where prev is the preceding record (None for the first). A sentence
+    for which value returns None lacks the inputs and scores 0; a curve
+    that no sentence can compute is an error."""
+    values = np.zeros(len(trace))
+    available = 0
+    prev = None
+    for t, rec in enumerate(trace.sentences):
+        v = value(rec, prev)
+        if v is not None:
+            values[t] = v
+            available += 1
+        prev = rec
+    if available == 0:
+        raise ValidationError(
+            f"{what} {name!r}: required inputs absent for every sentence of {trace.story_id!r}")
+    return MetricSeries(name=name, values=values)
+
+
 @dataclass(frozen=True)
 class AnnotationSet:
     story_id: str
@@ -364,6 +387,9 @@ def read_trace(path) -> StoryTrace:
             raise ParseError(f"line {line_no}: {exc}") from exc
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"line {line_no}: malformed record: {exc}") from exc
+        if rec.index != len(records):
+            raise ParseError(f"line {line_no}: sentence index {rec.index}, expected "
+                             f"{len(records)}; indices must be contiguous from 0")
         records.append(rec)
     if not records:
         raise ValidationError(f"{path}: trace has no sentences")

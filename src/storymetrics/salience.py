@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MetricSeries, SentenceRecord, StoryTrace, ValidationError
-from .suspense import cosine_similarity
-
-MEASURES = ("like", "swap", "know_diff", "emb_surp", "emb_sal", "clus",
-            "random", "ascending", "descending")
-
-_VARIANT_FOR_MEASURE = {"like": "deleted", "swap": "swapped", "know_diff": "no_knowledge"}
+from .model import (MetricSeries, SentenceRecord, StoryTrace, ValidationError,
+                    per_sentence_series)
+from .suspense import DistanceKind, distance
 
 
 @dataclass(frozen=True)
@@ -53,29 +49,14 @@ def bcf_salience(c_base: float, c_variant: float) -> float:
     return c_base - c_variant
 
 
-def _variant_salience(rec: SentenceRecord, variant: str) -> float:
+def variant_salience(rec: SentenceRecord, variant: str) -> float:
+    """BCF salience of the window after `variant` (deleted, swapped or
+    no_knowledge) is applied to the sentence."""
     win = rec.window_token_loglikes
     if win is None or "base" not in win or variant not in win:
         raise ValidationError(
             f"sentence {rec.index}: window log-likelihoods for 'base' and {variant!r} required")
     return bcf_salience(coherence(win["base"]), coherence(win[variant]))
-
-
-def like_salience(rec: SentenceRecord) -> float:
-    return _variant_salience(rec, "deleted")
-
-
-def swap_salience(rec: SentenceRecord) -> float:
-    return _variant_salience(rec, "swapped")
-
-
-def knowledge_salience(rec: SentenceRecord) -> float:
-    return _variant_salience(rec, "no_knowledge")
-
-
-def emb_surprise(e_t, e_prev) -> float:
-    """Cosine distance between consecutive sentence embeddings."""
-    return max(0.0, 1.0 - cosine_similarity(e_t, e_prev))
 
 
 def emb_salience(rec: SentenceRecord) -> float:
@@ -84,7 +65,7 @@ def emb_salience(rec: SentenceRecord) -> float:
     if win is None or "base" not in win or "deleted" not in win:
         raise ValidationError(
             f"sentence {rec.index}: window embeddings for 'base' and 'deleted' required")
-    return max(0.0, 1.0 - cosine_similarity(win["base"], win["deleted"]))
+    return distance(win["base"], win["deleted"], DistanceKind.COSINE)
 
 
 def imp_adjust(salience: float, sentiment: float) -> float:
@@ -181,53 +162,55 @@ def positional_baseline(n: int, kind: str, seed: int = 0) -> MetricSeries:
     return MetricSeries(name=kind, values=values)
 
 
+def _each_sentence(value):
+    """A measure scored by value(rec, prev), None where the sentence lacks
+    the inputs (see model.per_sentence_series)."""
+    return lambda trace, cfg: per_sentence_series("measure", cfg.measure, trace, value)
+
+
+def _window_variant(variant: str):
+    # The last sentence has no following window.
+    return _each_sentence(lambda rec, prev: None if rec.window_token_loglikes is None else
+                          variant_salience(rec, variant))
+
+
+def _positional(kind: str):
+    return lambda trace, cfg: positional_baseline(len(trace), kind, cfg.rng_seed)
+
+
+def _clus(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
+    # clus_salience is looked up when called, so a wrapped one is used.
+    return clus_salience([rec.embedding for rec in trace.sentences], cfg)
+
+
+# measure -> series(trace, cfg)
+_MEASURES = {
+    "like": _window_variant("deleted"),
+    "swap": _window_variant("swapped"),
+    "know_diff": _window_variant("no_knowledge"),
+    # cosine distance between consecutive sentence embeddings
+    "emb_surp": _each_sentence(lambda rec, prev: None if prev is None else
+                               distance(rec.embedding, prev.embedding, DistanceKind.COSINE)),
+    "emb_sal": _each_sentence(lambda rec, prev: None if rec.window_embedding is None else
+                              emb_salience(rec)),
+    "clus": _clus,
+    "random": _positional("random"),
+    "ascending": _positional("ascending"),
+    "descending": _positional("descending"),
+}
+MEASURES = tuple(_MEASURES)
+
+
 def salience_series(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
     """Per-sentence salience under cfg.measure, with optional importance
     adjustment and Clus combination."""
-    n = len(trace)
-    measure = cfg.measure
-    if measure in _VARIANT_FOR_MEASURE:
-        variant = _VARIANT_FOR_MEASURE[measure]
-        values = np.zeros(n)
-        available = 0
-        for t, rec in enumerate(trace.sentences):
-            if rec.window_token_loglikes is None:
-                continue  # no following window (e.g. last sentence)
-            values[t] = _variant_salience(rec, variant)
-            available += 1
-        if available == 0:
-            raise ValidationError(
-                f"measure {measure!r}: no sentence carries the required windows")
-        series = MetricSeries(name=measure, values=values)
-    elif measure == "emb_surp":
-        values = np.zeros(n)
-        for t in range(1, n):
-            values[t] = emb_surprise(trace.sentences[t].embedding,
-                                     trace.sentences[t - 1].embedding)
-        series = MetricSeries(name=measure, values=values)
-    elif measure == "emb_sal":
-        values = np.zeros(n)
-        available = 0
-        for t, rec in enumerate(trace.sentences):
-            if rec.window_embedding is None:
-                continue
-            values[t] = emb_salience(rec)
-            available += 1
-        if available == 0:
-            raise ValidationError("measure 'emb_sal': no sentence carries window embeddings")
-        series = MetricSeries(name=measure, values=values)
-    elif measure == "clus":
-        series = clus_salience([rec.embedding for rec in trace.sentences], cfg)
-    else:
-        series = positional_baseline(n, measure, cfg.rng_seed)
-
+    series = _MEASURES[cfg.measure](trace, cfg)
     if cfg.imp_adjust:
         adjusted = np.array([
             imp_adjust(v, rec.sentiment if rec.sentiment is not None else 0.0)
             for v, rec in zip(series.values, trace.sentences)
         ])
         series = MetricSeries(name=series.name + "_imp", values=adjusted)
-    if cfg.combine_like_clus and measure != "clus":
-        clus = clus_salience([rec.embedding for rec in trace.sentences], cfg)
-        series = combine_like_clus(series, clus)
+    if cfg.combine_like_clus and cfg.measure != "clus":
+        series = combine_like_clus(series, _clus(trace, cfg))
     return series

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ContinuationSet, MetricSeries, StoryTrace, ValidationError
+from .model import (ContinuationSet, MetricSeries, SentenceRecord, StoryTrace,
+                    ValidationError, per_sentence_series)
 
 
 class DistanceKind(Enum):
@@ -92,13 +93,11 @@ def hale_uncertainty_reduction(h_prev: float, h_curr: float) -> float:
     return h_prev - h_curr
 
 
-def continuation_distribution(e_t, continuations: Sequence, sim: str = "cosine") -> np.ndarray:
+def continuation_distribution(e_t, continuations: Sequence) -> np.ndarray:
     """Softmax over cosine similarities between the current embedding and
     each imagined continuation."""
     if len(continuations) == 0:
         raise ValidationError("continuation set is empty")
-    if sim != "cosine":
-        raise ValidationError(f"unknown similarity {sim!r}")
     return softmax(np.array([cosine_similarity(e_t, c) for c in continuations]))
 
 
@@ -114,19 +113,17 @@ def ely_surprise(e_t, e_prev, kind: DistanceKind) -> float:
     return distance(e_t, e_prev, kind)
 
 
-def _continuation_probs(e_t, cont: ContinuationSet, sim: Optional[str]) -> np.ndarray:
+def _continuation_probs(e_t, cont: ContinuationSet) -> np.ndarray:
+    """The stored probabilities, or else the cosine softmax over the samples."""
     if cont.probabilities is not None:
         return cont.probabilities
-    if sim is None:
-        raise ValidationError("continuation set has no probabilities and no similarity configured")
-    return continuation_distribution(e_t, cont.sample_embeddings(), sim)
+    return continuation_distribution(e_t, cont.sample_embeddings())
 
 
-def ely_suspense(e_t, cont: ContinuationSet, kind: DistanceKind,
-                 sim: Optional[str] = None) -> float:
+def ely_suspense(e_t, cont: ContinuationSet, kind: DistanceKind) -> float:
     """Probability-weighted expected distance to the imagined next states:
     weighted_suspense with unit weights (probs * 1.0 == probs, bit for bit)."""
-    return weighted_suspense(e_t, cont, np.ones(len(cont.samples)), kind, sim)
+    return weighted_suspense(e_t, cont, np.ones(len(cont.samples)), kind)
 
 
 def alpha_weight(sentiment: float, cfg: MetricConfig) -> float:
@@ -144,14 +141,13 @@ def weighted_surprise(alpha: float, surprise: float) -> float:
     return alpha * surprise
 
 
-def weighted_suspense(e_t, cont: ContinuationSet, alphas, kind: DistanceKind,
-                      sim: Optional[str] = None) -> float:
+def weighted_suspense(e_t, cont: ContinuationSet, alphas, kind: DistanceKind) -> float:
     alphas = np.asarray(alphas, float)
     if alphas.shape[0] != len(cont.samples):
         raise ValidationError("one alpha per continuation sample required")
     if np.any(alphas < 0):
         raise ValidationError("alphas must be non-negative")
-    probs = _continuation_probs(e_t, cont, sim)
+    probs = _continuation_probs(e_t, cont)
     dists = np.array([distance(e_t, s.embedding, kind) for s in cont.samples])
     return float(np.sum(probs * alphas * dists))
 
@@ -178,10 +174,6 @@ def jaccard_similarity(a_tokens, b_tokens) -> float:
     return len(a & b) / len(a | b)
 
 
-def embedding_cosine_baseline(a, b) -> float:
-    return cosine_similarity(a, b)
-
-
 def perplexity(avg_nll: float) -> float:
     """exp of the average negative log-likelihood in nats per token."""
     if not math.isfinite(avg_nll):
@@ -189,108 +181,73 @@ def perplexity(avg_nll: float) -> float:
     return math.exp(avg_nll)
 
 
-METRIC_NAMES = (
-    "ely_surprise",
-    "ely_suspense",
-    "alpha_ely_surprise",
-    "alpha_ely_suspense",
-    "hale_surprise",
-    "hale_uncertainty_reduction",
-    "sample_ely_surprise",
-    "sample_ely_suspense",
-    "word_overlap",
-    "embedding_similarity",
-    "alpha_sentiment",
-    "perplexity",
-)
+def _alpha(rec: SentenceRecord, cfg: MetricConfig) -> float:
+    # Sample sentiments are not carried in the trace, so a sentence's weight
+    # also applies to each of its continuation samples.
+    return alpha_weight(rec.sentiment, cfg) if rec.sentiment is not None else 0.0
 
 
-def _tokens(text: str) -> set[str]:
-    return set(text.lower().split())
-
-
-def _realized_probability(prev_rec, e_t) -> Optional[float]:
-    """Probability assigned to the realized sentence: the weight of the
-    previous continuation sample most similar to it."""
-    cont = prev_rec.continuations
-    if cont is None:
+def _hale_surprise(rec: SentenceRecord, prev: Optional[SentenceRecord], cfg) -> Optional[float]:
+    """Surprisal of the realized sentence, whose probability is the weight of
+    the previous continuation sample most similar to it."""
+    if prev is None or prev.continuations is None:
         return None
-    probs = _continuation_probs(prev_rec.embedding, cont, "cosine")
-    sims = [cosine_similarity(e_t, emb) for emb in cont.sample_embeddings()]
-    best = int(np.argmax(sims))
-    p = float(probs[best])
-    return p if p > 0 else None
+    cont = prev.continuations
+    probs = _continuation_probs(prev.embedding, cont)
+    sims = [cosine_similarity(rec.embedding, emb) for emb in cont.sample_embeddings()]
+    p = float(probs[int(np.argmax(sims))])
+    return hale_surprise(p) if p > 0 else None
+
+
+def _word_overlap(rec: SentenceRecord, prev: Optional[SentenceRecord], cfg) -> Optional[float]:
+    if prev is None or rec.text is None or prev.text is None:
+        return None
+    a, b = set(rec.text.lower().split()), set(prev.text.lower().split())
+    return jaccard_similarity(a, b) if a or b else None
+
+
+# name -> value(rec, prev, cfg): the metric at one sentence, None where the
+# sentence lacks the inputs (see model.per_sentence_series).
+_METRICS = {
+    "ely_surprise": lambda rec, prev, cfg: None if prev is None else
+        ely_surprise(rec.embedding, prev.embedding, cfg.distance),
+    "ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
+        ely_suspense(rec.embedding, rec.continuations, cfg.distance),
+    "alpha_ely_surprise": lambda rec, prev, cfg: None if prev is None else
+        weighted_surprise(_alpha(rec, cfg),
+                          ely_surprise(rec.embedding, prev.embedding, cfg.distance)),
+    "alpha_ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
+        weighted_suspense(rec.embedding, rec.continuations,
+                          np.full(len(rec.continuations.samples), _alpha(rec, cfg)),
+                          cfg.distance),
+    "hale_surprise": _hale_surprise,
+    "hale_uncertainty_reduction": lambda rec, prev, cfg:
+        None if prev is None or prev.continuations is None or rec.continuations is None else
+        hale_uncertainty_reduction(
+            entropy(_continuation_probs(prev.embedding, prev.continuations)),
+            entropy(_continuation_probs(rec.embedding, rec.continuations))),
+    "sample_ely_surprise": lambda rec, prev, cfg:
+        None if prev is None or prev.continuations is None else
+        sample_ely_surprise(rec.embedding, prev.continuations.sample_embeddings(),
+                            cfg.distance),
+    "sample_ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
+        sample_ely_suspense(rec.embedding, rec.continuations.sample_embeddings(),
+                            cfg.distance),
+    "word_overlap": _word_overlap,
+    "embedding_similarity": lambda rec, prev, cfg: None if prev is None else
+        cosine_similarity(rec.embedding, prev.embedding),
+    "alpha_sentiment": lambda rec, prev, cfg: None if rec.sentiment is None else
+        alpha_weight(rec.sentiment, cfg),
+    "perplexity": lambda rec, prev, cfg: None if rec.avg_log_likelihood is None else
+        perplexity(-rec.avg_log_likelihood),
+}
+METRIC_NAMES = tuple(_METRICS)
 
 
 def metric_series(trace: StoryTrace, name: str, cfg: MetricConfig) -> MetricSeries:
     """Per-sentence curve for a named metric. Sentences lacking the needed
     inputs contribute 0; if no sentence has them, that is an error."""
-    if name not in METRIC_NAMES:
+    if name not in _METRICS:
         raise ValidationError(f"unknown metric {name!r}")
-    n = len(trace)
-    values = np.zeros(n)
-    available = 0
-    recs = trace.sentences
-
-    for t, rec in enumerate(recs):
-        prev = recs[t - 1] if t > 0 else None
-        v = None
-        if name in ("ely_surprise", "alpha_ely_surprise"):
-            if prev is not None:
-                v = ely_surprise(rec.embedding, prev.embedding, cfg.distance)
-                if name == "alpha_ely_surprise":
-                    alpha = alpha_weight(rec.sentiment, cfg) if rec.sentiment is not None else 0.0
-                    v = weighted_surprise(alpha, v)
-        elif name in ("ely_suspense", "alpha_ely_suspense"):
-            if rec.continuations is not None:
-                if name == "ely_suspense":
-                    v = ely_suspense(rec.embedding, rec.continuations, cfg.distance,
-                                     "cosine")
-                else:
-                    # Sample sentiments are not carried in the trace; the
-                    # current sentence's weight applies to every sample.
-                    alpha = alpha_weight(rec.sentiment, cfg) if rec.sentiment is not None else 0.0
-                    alphas = np.full(len(rec.continuations.samples), alpha)
-                    v = weighted_suspense(rec.embedding, rec.continuations, alphas,
-                                          cfg.distance, "cosine")
-        elif name == "hale_surprise":
-            if prev is not None:
-                p = _realized_probability(prev, rec.embedding)
-                if p is not None:
-                    v = hale_surprise(p)
-        elif name == "hale_uncertainty_reduction":
-            if prev is not None and prev.continuations is not None and rec.continuations is not None:
-                h_prev = entropy(_continuation_probs(prev.embedding, prev.continuations,
-                                                     "cosine"))
-                h_curr = entropy(_continuation_probs(rec.embedding, rec.continuations,
-                                                     "cosine"))
-                v = hale_uncertainty_reduction(h_prev, h_curr)
-        elif name == "sample_ely_surprise":
-            if prev is not None and prev.continuations is not None:
-                v = sample_ely_surprise(rec.embedding,
-                                        prev.continuations.sample_embeddings(), cfg.distance)
-        elif name == "sample_ely_suspense":
-            if rec.continuations is not None:
-                v = sample_ely_suspense(rec.embedding,
-                                        rec.continuations.sample_embeddings(), cfg.distance)
-        elif name == "word_overlap":
-            if prev is not None and rec.text is not None and prev.text is not None:
-                a, b = _tokens(rec.text), _tokens(prev.text)
-                if a or b:
-                    v = jaccard_similarity(a, b)
-        elif name == "embedding_similarity":
-            if prev is not None:
-                v = embedding_cosine_baseline(rec.embedding, prev.embedding)
-        elif name == "alpha_sentiment":
-            if rec.sentiment is not None:
-                v = alpha_weight(rec.sentiment, cfg)
-        elif name == "perplexity":
-            if rec.avg_log_likelihood is not None:
-                v = perplexity(-rec.avg_log_likelihood)
-        if v is not None:
-            values[t] = v
-            available += 1
-    if available == 0:
-        raise ValidationError(
-            f"metric {name!r}: required inputs absent for every sentence of {trace.story_id!r}")
-    return MetricSeries(name=name, values=values)
+    value = _METRICS[name]
+    return per_sentence_series("metric", name, trace, lambda rec, prev: value(rec, prev, cfg))

@@ -78,7 +78,8 @@ _BAD_RECORDS = {"index_not_int": ("index", "abc"),
                 "sentiment_out_of_range": ("sentiment", 2.0),
                 "win_ll_base_empty": ("win_ll", {"base": [], "deleted": [-1.0]}),
                 "index_negative": ("index", -1),
-                "text_not_str": ("text", 5)}
+                "text_not_str": ("text", 5),
+                "index_not_contiguous": ("index", 5)}
 
 
 @pytest.mark.parametrize("case", [*_BAD_RECORDS, "csv_not_numeric", "gold_kind_unknown"])
@@ -199,15 +200,49 @@ def test_evaluate_salience_trace_shorter_than_inputs_exit_2(tmp_path, demo_trace
     assert not (tmp_path / "sal.csv").exists()
 
 
-def test_evaluate_trace_outside_salience_mode_exit_2(tmp_path, demo_trace):
+@pytest.mark.parametrize("mode, option", [
+    ("suspense", "--gold"), ("suspense", "--trace"), ("suspense", "--k"),
+    ("turning-points", "--annotations"), ("turning-points", "--trace"),
+    ("turning-points", "--k"), ("salience", "--annotations")])
+def test_evaluate_option_of_other_mode_exit_2(tmp_path, demo_trace, capsys, mode, option):
     out = tmp_path / "curves"
     main(["analyze", "--trace", str(demo_trace), "--out", str(out)])
-    gold = GoldLabels(kind="turning_points", tp_positions=(0, 1, 2, 3, 5))
-    write_gold(gold, tmp_path / "tp.txt")
-    code = main(["evaluate", str(out / "story.csv"), "--mode", "turning-points",
-                 "--gold", str(tmp_path / "tp.txt"), "--trace", str(demo_trace),
+    ann = AnnotationSet(story_id="story", annotators={
+        "a1": (Judgment.SAME, Judgment.INCREASE, Judgment.DECREASE) * 2,
+        "a2": (Judgment.SAME, Judgment.BIG_INCREASE, Judgment.SAME) * 2})
+    write_annotations(ann, tmp_path / "story.ann")
+    write_gold(GoldLabels(kind="turning_points", tp_positions=(0, 1, 2, 3, 5)),
+               tmp_path / "tp.txt")
+    write_gold(GoldLabels(kind="salience", salient_indices=frozenset({1, 3})),
+               tmp_path / "gold.txt")
+    refs = {"suspense": ["--annotations", str(tmp_path / "story.ann")],
+            "turning-points": ["--gold", str(tmp_path / "tp.txt")],
+            "salience": ["--gold", str(tmp_path / "gold.txt")]}
+    argv = ["evaluate", str(out / "story.csv"), "--mode", mode, *refs[mode],
+            "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    # the stray value would fail if it were read: a missing file, or k = 0
+    assert main(argv + [option, "0" if option == "--k" else str(tmp_path / "absent")]) == 2
+    assert option in capsys.readouterr().err
+
+
+def test_evaluate_k_below_one_exit_2_before_reading(tmp_path, capsys):
+    code = main(["evaluate", str(tmp_path / "absent.csv"), "--mode", "salience",
+                 "--gold", str(tmp_path / "absent.txt"), "--k", "0",
                  "--out", str(tmp_path / "r.csv")])
     assert code == 2
+    assert "--k" in capsys.readouterr().err
+
+
+def test_plot_rejects_second_gold(tmp_path, capsys):
+    csv = tmp_path / "story.csv"
+    csv.write_text("sentence,ely_surprise\n0,0.5\n1,0.25\n")
+    gold = tmp_path / "gold.txt"
+    write_gold(GoldLabels(kind="salience", salient_indices=frozenset({1})), gold)
+    argv = ["plot", str(csv), "--gold", str(gold), "--out", str(tmp_path / "plots")]
+    assert main(argv) == 0
+    assert main(argv + ["--gold", str(tmp_path / "absent.txt")]) == 2
+    assert "--gold" in capsys.readouterr().err
 
 
 def test_align_and_plot(tmp_path, demo_trace):

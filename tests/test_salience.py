@@ -8,10 +8,9 @@ from storymetrics.model import (MetricSeries, SentenceRecord, StoryTrace,
 from storymetrics.salience import (SalienceConfig, bcf_salience,
                                    clus_salience, coherence,
                                    combine_like_clus, emb_salience,
-                                   emb_surprise, imp_adjust,
-                                   knowledge_salience, like_salience,
-                                   positional_baseline, salience_series,
-                                   swap_salience)
+                                   imp_adjust, positional_baseline,
+                                   salience_series, variant_salience)
+from storymetrics.suspense import DistanceKind, distance
 
 
 def _rec(index, win_ll=None, win_emb=None, sentiment=None):
@@ -41,34 +40,33 @@ def test_bcf_salience_values():
 
 # --- variant measures ----------------------------------------------------------
 
-def test_like_salience():
-    rec = _rec(0, win_ll={"base": (-1.0, -1.0), "deleted": (-2.0, -2.0)})
-    assert like_salience(rec) == pytest.approx(1.0)
-    same = _rec(0, win_ll={"base": (-1.0,), "deleted": (-1.0,)})
-    assert like_salience(same) == 0.0
-    missing = _rec(0, win_ll={"base": (-1.0,)})
+@pytest.mark.parametrize("variant, win_ll, expected", [
+    ("deleted", {"base": (-1.0, -1.0), "deleted": (-2.0, -2.0)}, 1.0),
+    ("deleted", {"base": (-1.0,), "deleted": (-1.0,)}, 0.0),
+    ("swapped", {"base": (-1.0, -1.0), "swapped": (-1.5, -2.5)}, 1.0),
+    ("no_knowledge", {"base": (-1.8,), "no_knowledge": (-2.1,)}, 0.3),
+], ids=["like", "like_unchanged", "swap", "know_diff"])
+def test_variant_salience(variant, win_ll, expected):
+    assert variant_salience(_rec(0, win_ll=win_ll), variant) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("variant", ["deleted", "swapped", "no_knowledge"])
+def test_variant_salience_needs_base_and_variant(variant):
     with pytest.raises(ValidationError):
-        like_salience(missing)
+        variant_salience(_rec(0, win_ll={"base": (-1.0,)}), variant)
 
 
-def test_swap_salience():
-    rec = _rec(0, win_ll={"base": (-1.0, -1.0), "swapped": (-1.5, -2.5)})
-    assert swap_salience(rec) == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        swap_salience(_rec(0, win_ll={"base": (-1.0,)}))
-
-
-def test_knowledge_salience():
-    rec = _rec(0, win_ll={"base": (-1.8,), "no_knowledge": (-2.1,)})
-    assert knowledge_salience(rec) == pytest.approx(0.3)
-    with pytest.raises(ValidationError):
-        knowledge_salience(_rec(0, win_ll={"base": (-1.0,)}))
-
-
-def test_emb_surprise():
-    assert emb_surprise([1.0, 1.0], [1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
-    assert emb_surprise([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-    assert emb_surprise([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1 - 1 / np.sqrt(2))
+@pytest.mark.parametrize("e_prev, e_t, expected", [([1.0, 1.0], [1.0, 1.0], 0.0),
+                                                   ([0.0, 1.0], [1.0, 0.0], 1.0),
+                                                   ([1.0, 0.0], [1.0, 1.0], 1 - 1 / np.sqrt(2))],
+                         ids=["same", "orthogonal", "diagonal"])
+def test_emb_surp_is_cosine_distance(e_prev, e_t, expected):
+    assert distance(e_t, e_prev, DistanceKind.COSINE) == pytest.approx(expected, abs=1e-12)
+    trace = StoryTrace(story_id="s", embedding_dim=2, sentences=(
+        SentenceRecord(index=0, embedding=np.array(e_prev)),
+        SentenceRecord(index=1, embedding=np.array(e_t))))
+    series = salience_series(trace, SalienceConfig(measure="emb_surp"))
+    np.testing.assert_allclose(series.values, [0.0, expected], atol=1e-12)
 
 
 def test_emb_salience():

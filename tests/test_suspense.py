@@ -14,7 +14,7 @@ from storymetrics.suspense import (DistanceKind, MetricConfig, alpha_weight,
                                    continuation_distribution,
                                    cosine_similarity, distance,
                                    ely_surprise, ely_suspense,
-                                   embedding_cosine_baseline, entropy,
+                                   entropy,
                                    hale_surprise, hale_uncertainty_reduction,
                                    jaccard_similarity, metric_series,
                                    perplexity, sample_ely_surprise,
@@ -113,17 +113,17 @@ def test_hale_uncertainty_reduction():
 # --- continuation distribution ----------------------------------------------
 
 def test_continuation_distribution_symmetry():
-    probs = continuation_distribution([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], "cosine")
+    probs = continuation_distribution([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_continuation_distribution_single():
     np.testing.assert_allclose(
-        continuation_distribution([1.0, 0.0], [[0.0, 1.0]], "cosine"), [1.0])
+        continuation_distribution([1.0, 0.0], [[0.0, 1.0]]), [1.0])
 
 
 def test_continuation_distribution_cosine_softmax():
-    probs = continuation_distribution([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], "cosine")
+    probs = continuation_distribution([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
     e = math.e
     np.testing.assert_allclose(probs, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
     assert probs[0] == pytest.approx(0.7311, abs=5e-5)
@@ -131,7 +131,7 @@ def test_continuation_distribution_cosine_softmax():
 
 def test_continuation_distribution_empty():
     with pytest.raises(ValidationError):
-        continuation_distribution([1.0, 0.0], [], "cosine")
+        continuation_distribution([1.0, 0.0], [])
 
 
 @settings(max_examples=100, deadline=None)
@@ -169,10 +169,11 @@ def test_ely_suspense_symmetric_samples():
     assert ely_suspense([0.0, 0.0], cont, DistanceKind.SQUARED_L2) == pytest.approx(1.0)
 
 
-def test_ely_suspense_needs_probs_or_similarity():
-    cont = _cont([[1.0, 0.0]])
-    with pytest.raises(ValidationError):
-        ely_suspense([1.0, 0.0], cont, DistanceKind.L2, sim=None)
+def test_ely_suspense_without_probs_uses_cosine_softmax():
+    # cosine similarities 1 and 0 weigh squared distances 0 and 2
+    cont = _cont([[1.0, 0.0], [0.0, 1.0]])
+    e = math.e
+    assert ely_suspense([1.0, 0.0], cont, DistanceKind.SQUARED_L2) == pytest.approx(2 / (e + 1))
 
 
 # --- alpha weighting ----------------------------------------------------------
@@ -272,9 +273,12 @@ def test_jaccard_similarity():
         jaccard_similarity(set(), set())
 
 
-def test_embedding_cosine_baseline_range():
-    assert embedding_cosine_baseline([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert embedding_cosine_baseline([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(-1.0)
+@pytest.mark.parametrize("a, b, expected", [([1.0, 0.0], [1.0, 0.0], 1.0),
+                                             ([1.0, 0.0], [-1.0, 0.0], -1.0),
+                                             ([1.0, 1.0], [1.0, 0.0], 1 / math.sqrt(2))],
+                         ids=["same", "opposite", "diagonal"])
+def test_cosine_similarity_values(a, b, expected):
+    assert cosine_similarity(a, b) == pytest.approx(expected)
 
 
 def test_perplexity():
