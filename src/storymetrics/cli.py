@@ -9,6 +9,7 @@ statistics.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,9 +20,9 @@ import numpy as np
 
 from . import alignment, annotation, baseline, evaluation, salience, suspense, svgplot
 from .model import (AnnotationSet, DegenerateStatisticsError, GoldLabels,
-                    MetricSeries, StoryTrace, ValidationError, read_annotations,
-                    read_gold, read_trace, write_annotations, write_gold,
-                    write_trace)
+                    MetricSeries, StoryTrace, ValidationError, content_lines,
+                    read_annotations, read_gold, read_trace, write_annotations,
+                    write_gold, write_trace)
 
 DEFAULT_METRICS = ("ely_surprise", "ely_suspense", "alpha_ely_suspense",
                    "hale_surprise", "sample_ely_suspense", "embedding_similarity")
@@ -53,23 +54,27 @@ def _write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
 
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = content_lines(path)
     if not lines:
         raise ValidationError(f"{path}: empty series CSV")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[0] != "sentence" or len(header) < 2:
         raise ValidationError(f"{path}: expected header 'sentence,<series...>'")
     names = header[1:]
     rows = []
-    for ln_no, line in enumerate(lines[1:], start=2):
+    for ln_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValidationError(f"{path} line {ln_no}: wrong column count")
         try:
-            rows.append([float(p) for p in parts[1:]])
+            row = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ValidationError(f"{path} line {ln_no}: {exc}") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise ValidationError(f"{path} line {ln_no}: non-finite value in {line!r}")
+        rows.append(row)
+    if not rows:
+        raise ValidationError(f"{path}: series CSV has no data rows")
     data = np.asarray(rows, float)
     return {name: data[:, j] for j, name in enumerate(names)}
 
@@ -244,10 +249,18 @@ def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = 
         ref = load(ref_path)
         if gold_kind is not None and ref.kind != gold_kind:
             raise ValidationError(f"{mode} mode needs {gold_kind} gold labels")
+        n_rows = len(next(iter(pred.values())))
+        if gold_kind == "turning_points":
+            # the windows first: each contains its position
+            spans = [("window", w, w[1]) for w in ref.tp_windows or ()]
+            spans += [("position", p, p) for p in ref.tp_positions]
+            for what, label, last in spans:
+                if last >= n_rows:
+                    raise ValidationError(f"{ref_path}: gold {what} {label} is out of range "
+                                          f"for the {n_rows} sentences of {pred_path}")
         trace = None
         if trace_path is not None:
             trace = read_trace(trace_path)
-            n_rows = len(next(iter(pred.values())))
             if n_rows != len(trace):
                 raise ValidationError(f"{pred_path} has {n_rows} rows but {trace_path} "
                                       f"has {len(trace)} sentences")

@@ -10,7 +10,6 @@ from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .model import DegenerateStatisticsError, GoldLabels, MetricSeries, ValidationError
 
@@ -20,25 +19,92 @@ def _check_rank_inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("rank correlation needs two equal-length 1-d sequences")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValidationError("rank correlation inputs contain NaN")
     if x.shape[0] < 2:
         raise DegenerateStatisticsError("rank correlation needs length >= 2")
-    if float(x.std()) == 0.0 or float(y.std()) == 0.0:
+    if (x == x[0]).all() or (y == y[0]).all():
         raise DegenerateStatisticsError("rank correlation undefined for an all-tied sequence")
     return x, y
 
 
+def _dense_ranks(sorted_values: np.ndarray) -> np.ndarray:
+    """1-based dense ranks of an already sorted array."""
+    return np.r_[True, sorted_values[1:] != sorted_values[:-1]].cumsum(dtype=np.intp)
+
+
+def _pairs_within(counts: np.ndarray) -> int:
+    """Pairs inside groups of the given sizes, as an exact integer."""
+    counts = counts.astype(np.int64)
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _count_inversions(values: np.ndarray) -> int:
+    """Pairs i < j with values[i] > values[j], for non-negative integers.
+
+    Bottom-up merge sort: at width w the array is a run of sorted blocks;
+    each right block counts, for every element, the left-block elements
+    strictly greater than it (one searchsorted over pair-tagged keys), and
+    one sort then merges each block pair.
+    """
+    values = np.asarray(values, np.int64)
+    n = values.shape[0]
+    m = int(values.max()) + 1
+    idx = np.arange(n)
+    inversions = 0
+    width = 1
+    while width < n:
+        pair = idx // (2 * width)
+        tag = pair * m
+        keys = tag + values
+        right = (idx & width) != 0
+        # left blocks are full and, tagged with their pair, ascend overall;
+        # the left blocks of pairs 0..p hold (p + 1) * width elements
+        not_greater = np.searchsorted(keys[~right], keys[right], side="right")
+        inversions += int((pair[right] + 1).sum()) * width - int(not_greater.sum())
+        keys.sort()
+        values = keys - tag
+        width *= 2
+    return inversions
+
+
 def kendall_tau(x, y) -> float:
-    """Kendall's tau-b (tie-corrected)."""
+    """Kendall's tau-b (tie-corrected), with scipy.stats.kendalltau's
+    integer pair counts and closing expression, so it equals
+    ``kendalltau(x, y, variant="b")[0]`` exactly."""
     x, y = _check_rank_inputs(x, y)
-    tau, _ = stats.kendalltau(x, y, variant="b")
-    return float(tau)
+    perm = np.argsort(y)
+    x, y = x[perm], _dense_ranks(y[perm])
+    # stable on x, so y ascends within each run of tied x
+    perm = np.argsort(x, kind="mergesort")
+    x, y = _dense_ranks(x[perm]), y[perm]
+    joint = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
+    ntie = _pairs_within(np.diff(np.nonzero(joint)[0]))
+    xtie, ytie = _pairs_within(np.bincount(x)), _pairs_within(np.bincount(y))
+    size = x.shape[0]
+    tot = size * (size - 1) // 2
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * _count_inversions(y)
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    first = np.r_[True, sorted_values[1:] != sorted_values[:-1]]
+    dense = np.empty_like(order)
+    dense[order] = first.cumsum()
+    # the values of dense rank d fill sorted positions bounds[d-1] .. bounds[d]-1
+    bounds = np.r_[np.nonzero(first)[0], first.shape[0]]
+    return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
 
 
 def spearman_rho(x, y) -> float:
-    """Spearman's rho on average ranks (tie-aware)."""
+    """Spearman's rho on average ranks (tie-aware): the Pearson correlation
+    of the ranks through the same np.corrcoef call as scipy.stats.spearmanr,
+    so it equals ``spearmanr(x, y)[0]`` exactly."""
     x, y = _check_rank_inputs(x, y)
-    rho, _ = stats.spearmanr(x, y)
-    return float(rho)
+    return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
 
 
 def fisher_ci(r: float, n: int, conf: float = 0.95) -> tuple[float, float]:

@@ -340,21 +340,28 @@ def _parse_continuations(obj) -> ContinuationSet:
         raise ParseError(f"malformed continuation set: {exc}") from exc
 
 
-def read_trace(path) -> StoryTrace:
+def content_lines(path) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file with their 1-based line numbers,
+    so a message about a record names the line it is on in the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = [ln for ln in (line.rstrip("\n") for line in fh) if ln]
-    if not raw_lines:
+        return [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if not ln.isspace()]
+
+
+def read_trace(path) -> StoryTrace:
+    lines = content_lines(path)
+    if not lines:
         raise ParseError(f"{path}: empty trace file")
+    head_no, head = lines[0]
     try:
-        header = json.loads(raw_lines[0])
+        header = json.loads(head)
         story_id = header["story_id"]
         embedding_dim = int(header["embedding_dim"])
         meta = dict(header.get("meta", {}))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"line 1: malformed trace header: {exc}") from exc
+        raise ParseError(f"line {head_no}: malformed trace header: {exc}") from exc
 
     records = []
-    for line_no, raw in enumerate(raw_lines[1:], start=2):
+    for line_no, raw in lines[1:]:
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -410,16 +417,17 @@ def write_annotations(annotations: AnnotationSet, path) -> None:
 
 
 def read_annotations(path) -> AnnotationSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = [ln for ln in (line.rstrip("\n") for line in fh) if ln]
-    if not raw_lines:
+    lines = content_lines(path)
+    if not lines:
         raise ParseError(f"{path}: empty annotation file")
+    head_no, head = lines[0]
     try:
-        story_id = json.loads(raw_lines[0])["story_id"]
+        story_id = json.loads(head)["story_id"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"line 1: malformed annotation header: {exc}") from exc
+        raise ParseError(f"line {head_no}: malformed annotation header: {exc}") from exc
     annotators = {}
-    for line_no, raw in enumerate(raw_lines[1:], start=2):
+    first = None  # (line number, annotator, length) of the first annotator
+    for line_no, raw in lines[1:]:
         parts = raw.split("\t", 1)
         if len(parts) != 2:
             raise ParseError(f"line {line_no}: expected 'annotator<TAB>tokens'")
@@ -429,6 +437,11 @@ def read_annotations(path) -> AnnotationSet:
             if tok not in _TOKEN_TO_JUDGMENT:
                 raise ParseError(f"line {line_no}: unknown judgment token {tok!r}")
             judgments.append(_TOKEN_TO_JUDGMENT[tok])
+        if first is None:
+            first = (line_no, aid, len(judgments))
+        elif len(judgments) != first[2]:
+            raise ParseError(f"{path} line {line_no}: annotator {aid!r} has {len(judgments)} "
+                             f"judgments, but {first[1]!r} on line {first[0]} has {first[2]}")
         annotators[aid] = tuple(judgments)
     return AnnotationSet(story_id=story_id, annotators=annotators)
 
@@ -449,27 +462,27 @@ def write_gold(labels: GoldLabels, path) -> None:
 
 
 def read_gold(path) -> GoldLabels:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = [ln for ln in (line.rstrip("\n") for line in fh) if ln.strip()]
-    if not raw_lines:
+    lines = content_lines(path)
+    if not lines:
         raise ParseError(f"{path}: empty gold file")
+    head_no, head = lines[0]
     try:
-        kind = json.loads(raw_lines[0])["kind"]
+        kind = json.loads(head)["kind"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"line 1: malformed gold header: {exc}") from exc
+        raise ParseError(f"line {head_no}: malformed gold header: {exc}") from exc
     if kind not in ("salience", "turning_points"):
-        raise ParseError(f"line 1: unknown gold label kind {kind!r}")
-    body = raw_lines[1:]
+        raise ParseError(f"line {head_no}: unknown gold label kind {kind!r}")
+    body = lines[1:]
     if kind == "salience":
         indices = set()
-        for line_no, raw in enumerate(body, start=2):
+        for line_no, raw in body:
             try:
                 indices.update(int(tok) for tok in raw.split())
             except ValueError as exc:
                 raise ParseError(f"line {line_no}: bad salience index: {exc}") from exc
         return GoldLabels(kind="salience", salient_indices=frozenset(indices))
     positions, windows = [], []
-    for line_no, raw in enumerate(body, start=2):
+    for line_no, raw in body:
         parts = raw.split()
         try:
             if len(parts) == 1:

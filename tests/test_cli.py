@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,29 +84,52 @@ _BAD_RECORDS = {"index_not_int": ("index", "abc"),
                 "index_not_contiguous": ("index", 5)}
 
 
-@pytest.mark.parametrize("case", [*_BAD_RECORDS, "csv_not_numeric", "gold_kind_unknown"])
+_BAD_CELLS = {"csv_not_numeric": "abc", "csv_nan": "nan", "csv_inf": "inf"}
+
+
+@pytest.mark.parametrize("case", [*_BAD_RECORDS, "blank_line_before_bad_record", *_BAD_CELLS,
+                                  "gold_kind_unknown", "ann_lengths_differ"])
 def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
-    line = "line 3"
-    if case in ("csv_not_numeric", "gold_kind_unknown"):
-        csv = tmp_path / "story.csv"
-        cell = "abc" if case == "csv_not_numeric" else "0.25"
-        csv.write_text(f"sentence,ely_surprise\n0,0.5\n1,{cell}\n")
-        argv = ["plot", str(csv), "--out", str(tmp_path / "plots")]
-        if case == "gold_kind_unknown":
-            gold = tmp_path / "gold.txt"
-            gold.write_text('{"kind": 5}\n1\n')
-            argv += ["--gold", str(gold)]
-            line = "line 1"
-    else:
-        field, value = _BAD_RECORDS[case]
+    line, named = "line 3", None
+    if case in _BAD_RECORDS or case == "blank_line_before_bad_record":
+        field, value = _BAD_RECORDS.get(case, ("index", "abc"))
         lines = demo_trace.read_text().splitlines()
         record = json.loads(lines[2])
         record[field] = value
         lines[2] = json.dumps(record)
+        if case == "blank_line_before_bad_record":
+            lines.insert(2, "")
+            line = "line 4"
         demo_trace.write_text("\n".join(lines) + "\n")
         argv = ["analyze", "--trace", str(demo_trace), "--out", str(tmp_path / "x")]
+    else:
+        csv = tmp_path / "story.csv"
+        csv.write_text(f"sentence,ely_surprise\n0,0.5\n1,{_BAD_CELLS.get(case, '0.25')}\n")
+        argv, named = ["plot", str(csv), "--out", str(tmp_path / "plots")], csv
+        if case in ("csv_nan", "ann_lengths_differ"):
+            ann = tmp_path / "story.ann"
+            second = "S" if case == "ann_lengths_differ" else "S D"
+            ann.write_text(f'{{"story_id": "story"}}\na1\tS I\na2\t{second}\n')
+            argv = ["evaluate", str(csv), "--mode", "suspense", "--annotations", str(ann),
+                    "--out", str(tmp_path / "r.csv")]
+            if case == "ann_lengths_differ":
+                named = ann
+        if case == "gold_kind_unknown":
+            gold = tmp_path / "gold.txt"
+            gold.write_text('{"kind": 5}\n1\n')
+            argv += ["--gold", str(gold)]
+            line, named = "line 1", None
     assert main(argv) == 2
-    assert line in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert line in err
+    assert named is None or str(named) in err
+
+
+def test_series_csv_without_rows_exit_2(tmp_path, capsys):
+    csv = tmp_path / "story.csv"
+    csv.write_text("sentence,ely_surprise\n")
+    assert main(["plot", str(csv), "--out", str(tmp_path / "plots")]) == 2
+    assert str(csv) in capsys.readouterr().err
 
 
 def test_evaluate_suspense_perfect_prediction(tmp_path, demo_trace):
@@ -165,6 +190,21 @@ def test_evaluate_turning_points(tmp_path, demo_trace):
     assert any(row.split(",")[1] == "ely_surprise" for row in rows)
     dists = [float(row.split(",")[8]) for row in rows if row.split(",")[8]]
     assert all(d >= 0.0 for d in dists)
+
+
+@pytest.mark.parametrize("entries, named", [
+    (["1", "2", "3", "4", "98"], "position 98"),
+    (["1 0 2", "2 1 3", "3 2 4", "4 3 5", "20 15 99"], "window (15, 99)")])
+def test_evaluate_turning_point_gold_past_series_exit_2(tmp_path, capsys, entries, named):
+    csv = tmp_path / "story.csv"
+    csv.write_text("sentence,ely_surprise\n" + "".join(f"{i},{i % 3}.5\n" for i in range(8)))
+    gold = tmp_path / "tp.txt"
+    gold.write_text('{"kind": "turning_points"}\n' + "\n".join(entries) + "\n")
+    code = main(["evaluate", str(csv), "--mode", "turning-points", "--gold", str(gold),
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(gold) in err and named in err and "8 sentences" in err
 
 
 def test_evaluate_salience_with_rouge(tmp_path, demo_trace):
@@ -360,3 +400,11 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
             "retrieval.PassageStore.top_k", "retrieval.MemoryCache.top_k",
             "retrieval.MemoryCache.add"} <= names
     assert rec.counts["retrieval.score.calls"] == 3
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, storymetrics.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "[]"

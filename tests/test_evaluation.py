@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from storymetrics.evaluation import (Peak, assign_turning_points,
+from storymetrics.evaluation import (Peak, _count_inversions, assign_turning_points,
                                      average_precision, fisher_ci,
                                      find_peaks, kendall_tau, recall_at_k,
                                      rouge_l, spearman_rho, tp_distance)
@@ -107,6 +109,65 @@ def test_rank_correlation_degenerate_inputs():
         spearman_rho([1, 2], [5, 5])
     with pytest.raises(DegenerateStatisticsError):
         kendall_tau([1.0], [2.0])
+    with pytest.raises(DegenerateStatisticsError):
+        spearman_rho([math.inf] * 3, [1, 2, 3])
+
+
+@pytest.mark.parametrize("correlation", [kendall_tau, spearman_rho])
+def test_rank_correlations_reject_nan_accept_inf(correlation):
+    with pytest.raises(ValidationError, match="NaN"):
+        correlation([1, 2, math.nan, 4, 5], [2, 1, 3, 5, 4])
+    with pytest.raises(ValidationError, match="NaN"):
+        correlation([1, 2, 3, 4, 5], [2, 1, 3, 5, math.nan])
+    assert (correlation([1, 2, math.inf, 4, 5], [2, 1, 3, 5, -math.inf])
+            == correlation([1, 2, 9, 4, 5], [2, 1, 3, 5, -9]))
+
+
+@st.composite
+def _rank_sequences(draw, n):
+    """n values: a small integer alphabet (heavy ties) or distinct floats."""
+    if draw(st.booleans()):
+        top = draw(st.integers(1, 5))
+        return draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    return draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n,
+                         unique=True))
+
+
+@st.composite
+def _rank_pairs(draw):
+    n = draw(st.integers(2, 300))
+    x, y = draw(_rank_sequences(n)), draw(_rank_sequences(n))
+    assume(len(set(x)) > 1 and len(set(y)) > 1)
+    return x, y
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    return pytest.importorskip("scipy.stats")
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_rank_pairs())
+def test_rank_correlations_equal_scipy_exactly(scipy_stats, pair):
+    x, y = pair
+    assert repr(kendall_tau(x, y)) == repr(float(scipy_stats.kendalltau(x, y, variant="b")[0]))
+    assert repr(spearman_rho(x, y)) == repr(float(scipy_stats.spearmanr(x, y)[0]))
+
+
+def _inversions_brute_force(values):
+    return sum(a > b for a, b in itertools.combinations(values, 2))
+
+
+@pytest.mark.parametrize("values", [[3], [1, 2], [2, 1], [4] * 7, list(range(9, 0, -1)),
+                                    [2, 2, 1, 1, 3, 0, 2]])
+def test_count_inversions_edge_cases(values):
+    assert _count_inversions(np.asarray(values, int)) == _inversions_brute_force(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 6), min_size=1, max_size=70))
+def test_count_inversions_matches_brute_force(values):
+    assert _count_inversions(np.asarray(values, int)) == _inversions_brute_force(values)
 
 
 # --- fisher interval -----------------------------------------------------------------
