@@ -69,9 +69,10 @@ def _count_inversions(values: np.ndarray) -> int:
 
 
 def kendall_tau(x, y) -> float:
-    """Kendall's tau-b (tie-corrected), with scipy.stats.kendalltau's
-    integer pair counts and closing expression, so it equals
-    ``kendalltau(x, y, variant="b")[0]`` exactly."""
+    """Kendall's tau-b (tie-corrected) from exact integer counts of ties
+    and discordant pairs. The sort order and the closing floating-point
+    expression are fixed: the tests require the result to equal the
+    reference implementation bit for bit."""
     x, y = _check_rank_inputs(x, y)
     perm = np.argsort(y)
     x, y = x[perm], _dense_ranks(y[perm])
@@ -101,8 +102,9 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman_rho(x, y) -> float:
     """Spearman's rho on average ranks (tie-aware): the Pearson correlation
-    of the ranks through the same np.corrcoef call as scipy.stats.spearmanr,
-    so it equals ``spearmanr(x, y)[0]`` exactly."""
+    of the stacked 2 x n ranks by np.corrcoef. A hand-written Pearson can
+    differ in the last ulp; the tests require the result to equal the
+    reference implementation bit for bit."""
     x, y = _check_rank_inputs(x, y)
     return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
 
