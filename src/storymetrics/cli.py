@@ -13,13 +13,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import alignment, annotation, baseline, evaluation, salience, suspense, svgplot
-from .model import (AnnotationSet, DegenerateStatisticsError, GoldLabels,
+from .model import (AnnotationSet, DegenerateStatisticsError, GoldLabels, Judgment,
                     MetricSeries, StoryTrace, ValidationError, content_lines,
                     read_annotations, read_gold, read_trace, write_annotations,
                     write_gold, write_trace)
@@ -181,20 +182,20 @@ def _eval_turning_points(story_id: str, pred: dict[str, np.ndarray],
 
 def _eval_salience(story_id: str, pred: dict[str, np.ndarray], gold: GoldLabels,
                    trace: Optional[StoryTrace], k: Optional[int]) -> list[dict]:
+    gold_tokens = None  # ROUGE-L needs every sentence's text; each is tokenized once, if read
+    if trace is not None and all(rec.text is not None for rec in trace.sentences):
+        tokens = cache(lambda i: baseline.tokenize(trace.sentences[i].text))
+        gold_tokens = [tok for i in sorted(gold.salient_indices) for tok in tokens(i)]
     rows = []
     for name, values in pred.items():
         series = MetricSeries(name, values)
         row = _blank_row(story_id, name)
         row["map"] = _fmt_value(evaluation.average_precision(series, gold))
         row["recall_at_k"] = _fmt_value(evaluation.recall_at_k(series, gold, k))
-        if trace is not None and all(rec.text is not None for rec in trace.sentences):
-            top_k = k if k is not None else len(gold.salient_indices)
-            order = evaluation._descending_ranking(values)[:top_k]
-            pred_tokens = [tok for i in sorted(order)
-                           for tok in baseline.tokenize(trace.sentences[i].text)]
-            gold_tokens = [tok for i in sorted(gold.salient_indices)
-                           for tok in baseline.tokenize(trace.sentences[i].text)]
-            if pred_tokens and gold_tokens:
+        if gold_tokens:
+            order = evaluation._descending_ranking(values)[:k or len(gold.salient_indices)]
+            pred_tokens = [tok for i in sorted(order) for tok in tokens(i)]
+            if pred_tokens:
                 row["rouge_l"] = _fmt_value(evaluation.rouge_l(pred_tokens, gold_tokens))
         row["n"] = values.shape[0]
         rows.append(row)
@@ -250,6 +251,9 @@ def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = 
         if gold_kind is not None and ref.kind != gold_kind:
             raise ValidationError(f"{mode} mode needs {gold_kind} gold labels")
         n_rows = len(next(iter(pred.values())))
+        if gold_kind is None and ref.length != n_rows:
+            raise ValidationError(f"{pred_path} has {n_rows} rows but {ref_path} has "
+                                  f"{ref.length} judgments per annotator")
         if gold_kind == "turning_points":
             # the windows first: each contains its position
             spans = [("window", w, w[1]) for w in ref.tp_windows or ()]
@@ -370,27 +374,17 @@ def demo_sentences(seed: int) -> dict[str, list[str]]:
 
 def _synth_annotations(story_id: str, curve: np.ndarray, n_annotators: int,
                        seed: int) -> AnnotationSet:
-    from .model import Judgment
     rng = np.random.default_rng(seed)
     scale = float(curve.std()) or 1.0
     annotators = {}
     for a in range(n_annotators):
         noisy = curve + rng.normal(0.0, 0.3 * scale, size=curve.shape[0])
         diffs = np.diff(noisy)
-        sigma = float(np.std(diffs)) or 1.0
-        judgments = [Judgment.SAME]
-        for d in diffs:
-            if d >= 0.75 * sigma:
-                judgments.append(Judgment.BIG_INCREASE)
-            elif d >= 0.25 * sigma:
-                judgments.append(Judgment.INCREASE)
-            elif d <= -0.75 * sigma:
-                judgments.append(Judgment.BIG_DECREASE)
-            elif d <= -0.25 * sigma:
-                judgments.append(Judgment.DECREASE)
-            else:
-                judgments.append(Judgment.SAME)
-        annotators[f"annotator_{a + 1}"] = tuple(judgments)
+        cuts = np.array([0.25, 0.75]) * (float(np.std(diffs)) or 1.0)
+        # -2 .. 2 indexes Judgment in declaration order, BIG_DECREASE .. BIG_INCREASE
+        levels = (diffs[:, None] >= cuts).sum(1) - (diffs[:, None] <= -cuts).sum(1)
+        annotators[f"annotator_{a + 1}"] = (Judgment.SAME,
+                                            *(list(Judgment)[lv + 2] for lv in levels))
     return AnnotationSet(story_id=story_id, annotators=annotators)
 
 

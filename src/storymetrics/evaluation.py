@@ -259,22 +259,29 @@ def recall_at_k(scores, gold: GoldLabels, k: Optional[int] = None) -> float:
 
 
 def _lcs_length(a: Sequence, b: Sequence) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            curr[j] = prev[j - 1] + 1 if x == y else max(prev[j], curr[j - 1])
-        prev = curr
-    return prev[-1]
+    """Exact length of the longest common subsequence: the bit-parallel LCS
+    of Allison & Dix (1986) and Hyyro (2004), one big-int update per token of
+    the longer sequence, about len(shorter) / 64 word operations each.
+    Tokens are matched by hash and equality, so they must be hashable."""
+    if len(a) > len(b):
+        a, b = b, a  # the masks over the shorter sequence: measured faster
+    masks: dict = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full  # after b[:j], bit i is 0 where LCS(a[:i + 1], b[:j]) > LCS(a[:i], b[:j])
+    for y in b:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(pred_tokens: Sequence, gold_tokens: Sequence) -> float:
-    """LCS-based F1 between two token sequences."""
+    """LCS-based F1 of two non-empty sequences of hashable tokens (exact LCS)."""
     if len(pred_tokens) == 0 or len(gold_tokens) == 0:
         raise ValidationError("ROUGE-L needs non-empty token sequences")
     lcs = _lcs_length(pred_tokens, gold_tokens)
     if lcs == 0:
         return 0.0
-    p = lcs / len(pred_tokens)
-    r = lcs / len(gold_tokens)
+    p, r = lcs / len(pred_tokens), lcs / len(gold_tokens)
     return 2.0 * p * r / (p + r)

@@ -425,24 +425,28 @@ def read_annotations(path) -> AnnotationSet:
         story_id = json.loads(head)["story_id"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"line {head_no}: malformed annotation header: {exc}") from exc
-    annotators = {}
-    first = None  # (line number, annotator, length) of the first annotator
+    annotators, given_on = {}, {}  # annotator -> judgments, line number
     for line_no, raw in lines[1:]:
         parts = raw.split("\t", 1)
         if len(parts) != 2:
             raise ParseError(f"line {line_no}: expected 'annotator<TAB>tokens'")
         aid, token_str = parts
+        if aid in given_on:
+            raise ParseError(f"{path} line {line_no}: annotator {aid!r} already given "
+                             f"on line {given_on[aid]}")
         judgments = []
         for tok in token_str.split():
             if tok not in _TOKEN_TO_JUDGMENT:
                 raise ParseError(f"line {line_no}: unknown judgment token {tok!r}")
             judgments.append(_TOKEN_TO_JUDGMENT[tok])
-        if first is None:
-            first = (line_no, aid, len(judgments))
-        elif len(judgments) != first[2]:
+        if not judgments:
+            raise ParseError(f"{path} line {line_no}: annotator {aid!r} has no judgments")
+        first = next(iter(annotators), aid)
+        if len(judgments) != len(annotators.get(first, judgments)):
             raise ParseError(f"{path} line {line_no}: annotator {aid!r} has {len(judgments)} "
-                             f"judgments, but {first[1]!r} on line {first[0]} has {first[2]}")
-        annotators[aid] = tuple(judgments)
+                             f"judgments, but {first!r} on line {given_on[first]} has "
+                             f"{len(annotators[first])}")
+        annotators[aid], given_on[aid] = tuple(judgments), line_no
     return AnnotationSet(story_id=story_id, annotators=annotators)
 
 

@@ -87,8 +87,17 @@ _BAD_RECORDS = {"index_not_int": ("index", "abc"),
 _BAD_CELLS = {"csv_not_numeric": "abc", "csv_nan": "nan", "csv_inf": "inf"}
 
 
+# the annotator lines of a .ann read against the 2-row CSV of the test below
+_ANN_LINES = {"csv_nan": "a1\tS I\na2\tS D",
+              "ann_lengths_differ": "a1\tS I\na2\tS",
+              "ann_duplicate_annotator": "a1\tS I\na1\tS D\na2\tS I",
+              "ann_no_judgments": "a1\t\na2\t",
+              "ann_longer_than_csv": "a1\tS I D\na2\tS D I"}
+
+
 @pytest.mark.parametrize("case", [*_BAD_RECORDS, "blank_line_before_bad_record", *_BAD_CELLS,
-                                  "gold_kind_unknown", "ann_lengths_differ"])
+                                  "gold_kind_unknown",
+                                  *(c for c in _ANN_LINES if c.startswith("ann_"))])
 def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
     line, named = "line 3", None
     if case in _BAD_RECORDS or case == "blank_line_before_bad_record":
@@ -106,14 +115,19 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
         csv = tmp_path / "story.csv"
         csv.write_text(f"sentence,ely_surprise\n0,0.5\n1,{_BAD_CELLS.get(case, '0.25')}\n")
         argv, named = ["plot", str(csv), "--out", str(tmp_path / "plots")], csv
-        if case in ("csv_nan", "ann_lengths_differ"):
+        if case in _ANN_LINES:
             ann = tmp_path / "story.ann"
-            second = "S" if case == "ann_lengths_differ" else "S D"
-            ann.write_text(f'{{"story_id": "story"}}\na1\tS I\na2\t{second}\n')
+            ann.write_text('{"story_id": "story"}\n' + _ANN_LINES[case] + "\n")
             argv = ["evaluate", str(csv), "--mode", "suspense", "--annotations", str(ann),
                     "--out", str(tmp_path / "r.csv")]
-            if case == "ann_lengths_differ":
+            if case.startswith("ann_"):
                 named = ann
+            if case == "ann_duplicate_annotator":
+                line = "line 3: annotator 'a1' already given on line 2"
+            if case == "ann_no_judgments":
+                line = "line 2: annotator 'a1' has no judgments"
+            if case == "ann_longer_than_csv":  # no line: both files and both counts
+                line, named = f"{csv} has 2 rows but {ann} has 3 judgments", None
         if case == "gold_kind_unknown":
             gold = tmp_path / "gold.txt"
             gold.write_text('{"kind": 5}\n1\n')

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from storymetrics.evaluation import (Peak, _count_inversions, assign_turning_points,
+from storymetrics.evaluation import (Peak, _count_inversions, _lcs_length,
+                                     assign_turning_points,
                                      average_precision, fisher_ci,
                                      find_peaks, kendall_tau, recall_at_k,
                                      rouge_l, spearman_rho, tp_distance)
@@ -349,6 +350,42 @@ def _lcs_recursive(a, b, memo=None):
         result = max(_lcs_recursive(a[:-1], b, memo), _lcs_recursive(a, b[:-1], memo))
     memo[key] = result
     return result
+
+
+def _lcs_dp(a, b):
+    """The full LCS table, one row at a time: the reference for `_lcs_length`."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            curr[j] = prev[j - 1] + 1 if x == y else max(prev[j], curr[j - 1])
+        prev = curr
+    return prev[-1]
+
+
+@st.composite
+def _token_list_pairs(draw):
+    """Two token lists of 0-300 tokens over one alphabet of 1-4 words, so the
+    bit vector crosses the 64- and 128-bit word boundaries."""
+    words = "abcd"[:draw(st.integers(1, 4))]
+    return tuple(draw(st.lists(st.sampled_from(words), max_size=n, min_size=n))
+                 for n in (draw(st.integers(0, 300)), draw(st.integers(0, 300))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_token_list_pairs())
+@example((["a"] * 64, ["a"] * 65))
+@example((list("ab" * 64 + "a"), list("ba" * 70)))
+@example((list("abc" * 100), []))
+@example((["a", "b"], ["b", "c"]))  # "c" has no mask
+def test_lcs_length_equals_dp_table(pair):
+    a, b = pair
+    lcs = _lcs_dp(a, b)
+    assert _lcs_length(a, b) == lcs
+    if a and b:
+        p = lcs / len(a)
+        r = lcs / len(b)
+        assert rouge_l(a, b) == (2.0 * p * r / (p + r) if lcs else 0.0)
 
 
 def test_rouge_l_matches_recursive_lcs_reference():
