@@ -107,7 +107,7 @@ class SentenceRecord:
     embedding: np.ndarray
     text: Optional[str] = None
     avg_log_likelihood: Optional[float] = None
-    window_token_loglikes: Optional[Mapping[str, tuple[float, ...]]] = None
+    window_token_loglikes: Optional[Mapping[str, np.ndarray]] = None
     window_embedding: Optional[Mapping[str, np.ndarray]] = None
     sentiment: Optional[float] = None
     continuations: Optional[ContinuationSet] = None
@@ -122,24 +122,12 @@ class SentenceRecord:
             raise ValidationError("avg_log_likelihood must be finite")
         if self.sentiment is not None and not (-1.0 <= self.sentiment <= 1.0):
             raise ValidationError("sentiment must lie in [-1, 1]")
-        if self.window_token_loglikes is not None:
-            cleaned = {}
-            for variant, seq in self.window_token_loglikes.items():
-                vals = tuple(float(v) for v in seq)
-                if not vals:
-                    raise ValidationError(
-                        f"window_token_loglikes[{variant!r}] must be non-empty")
-                if not all(math.isfinite(v) for v in vals):
-                    raise ValidationError(
-                        f"window_token_loglikes[{variant!r}] contains non-finite values")
-                cleaned[variant] = vals
-            object.__setattr__(self, "window_token_loglikes", cleaned)
-        if self.window_embedding is not None:
-            cleaned = {
-                variant: _as_vector(vec, f"window_embedding[{variant!r}]")
-                for variant, vec in self.window_embedding.items()
-            }
-            object.__setattr__(self, "window_embedding", cleaned)
+        for name in ("window_token_loglikes", "window_embedding"):
+            windows = getattr(self, name)
+            if windows is not None:
+                object.__setattr__(self, name, {
+                    variant: _as_vector(vec, f"{name}[{variant!r}]")
+                    for variant, vec in windows.items()})
 
 
 @dataclass(frozen=True)
@@ -277,7 +265,7 @@ def _dump_line(obj) -> str:
 
 
 def _vector_list(vec: np.ndarray) -> list[float]:
-    return [float(v) for v in vec]
+    return vec.tolist()
 
 
 def _record_to_json(rec: SentenceRecord) -> dict:
@@ -288,7 +276,7 @@ def _record_to_json(rec: SentenceRecord) -> dict:
     if rec.avg_log_likelihood is not None:
         out["avg_ll"] = rec.avg_log_likelihood
     if rec.window_token_loglikes is not None:
-        out["win_ll"] = {k: list(v) for k, v in sorted(rec.window_token_loglikes.items())}
+        out["win_ll"] = {k: _vector_list(v) for k, v in sorted(rec.window_token_loglikes.items())}
     if rec.window_embedding is not None:
         out["win_emb"] = {k: _vector_list(v) for k, v in sorted(rec.window_embedding.items())}
     if rec.sentiment is not None:
@@ -358,21 +346,21 @@ def read_trace(path) -> StoryTrace:
         embedding_dim = int(header["embedding_dim"])
         meta = dict(header.get("meta", {}))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"line {head_no}: malformed trace header: {exc}") from exc
+        raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc
 
     records = []
     for line_no, raw in lines[1:]:
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"line {line_no}: invalid JSON: {exc}") from exc
+            raise ParseError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
         try:
             emb = np.asarray(obj["e"], float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"line {line_no}: missing or malformed embedding: {exc}") from exc
+            raise ParseError(f"{path} line {line_no}: missing or malformed embedding: {exc}") from exc
         if emb.ndim != 1 or emb.shape[0] != embedding_dim:
-            raise ValidationError(
-                f"line {line_no}: embedding length {emb.shape[0] if emb.ndim == 1 else 'n/a'} "
+            raise ParseError(
+                f"{path} line {line_no}: embedding length {emb.shape[0] if emb.ndim == 1 else 'n/a'} "
                 f"does not match embedding_dim={embedding_dim}")
         cont = obj.get("cont")
         try:
@@ -381,21 +369,17 @@ def read_trace(path) -> StoryTrace:
                 embedding=emb,
                 text=obj.get("text"),
                 avg_log_likelihood=obj.get("avg_ll"),
-                window_token_loglikes=(
-                    {k: tuple(v) for k, v in obj["win_ll"].items()}
-                    if "win_ll" in obj else None),
-                window_embedding=(
-                    {k: np.asarray(v, float) for k, v in obj["win_emb"].items()}
-                    if "win_emb" in obj else None),
+                window_token_loglikes=obj.get("win_ll"),
+                window_embedding=obj.get("win_emb"),
                 sentiment=obj.get("sentiment"),
                 continuations=_parse_continuations(cont) if cont is not None else None,
             )
         except ValidationError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
+            raise ParseError(f"{path} line {line_no}: {exc}") from exc
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ParseError(f"line {line_no}: malformed record: {exc}") from exc
+            raise ParseError(f"{path} line {line_no}: malformed record: {exc}") from exc
         if rec.index != len(records):
-            raise ParseError(f"line {line_no}: sentence index {rec.index}, expected "
+            raise ParseError(f"{path} line {line_no}: sentence index {rec.index}, expected "
                              f"{len(records)}; indices must be contiguous from 0")
         records.append(rec)
     if not records:
@@ -424,12 +408,12 @@ def read_annotations(path) -> AnnotationSet:
     try:
         story_id = json.loads(head)["story_id"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"line {head_no}: malformed annotation header: {exc}") from exc
+        raise ParseError(f"{path} line {head_no}: malformed annotation header: {exc}") from exc
     annotators, given_on = {}, {}  # annotator -> judgments, line number
     for line_no, raw in lines[1:]:
         parts = raw.split("\t", 1)
         if len(parts) != 2:
-            raise ParseError(f"line {line_no}: expected 'annotator<TAB>tokens'")
+            raise ParseError(f"{path} line {line_no}: expected 'annotator<TAB>tokens'")
         aid, token_str = parts
         if aid in given_on:
             raise ParseError(f"{path} line {line_no}: annotator {aid!r} already given "
@@ -437,7 +421,7 @@ def read_annotations(path) -> AnnotationSet:
         judgments = []
         for tok in token_str.split():
             if tok not in _TOKEN_TO_JUDGMENT:
-                raise ParseError(f"line {line_no}: unknown judgment token {tok!r}")
+                raise ParseError(f"{path} line {line_no}: unknown judgment token {tok!r}")
             judgments.append(_TOKEN_TO_JUDGMENT[tok])
         if not judgments:
             raise ParseError(f"{path} line {line_no}: annotator {aid!r} has no judgments")
@@ -473,9 +457,9 @@ def read_gold(path) -> GoldLabels:
     try:
         kind = json.loads(head)["kind"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"line {head_no}: malformed gold header: {exc}") from exc
+        raise ParseError(f"{path} line {head_no}: malformed gold header: {exc}") from exc
     if kind not in ("salience", "turning_points"):
-        raise ParseError(f"line {head_no}: unknown gold label kind {kind!r}")
+        raise ParseError(f"{path} line {head_no}: unknown gold label kind {kind!r}")
     body = lines[1:]
     if kind == "salience":
         indices = set()
@@ -483,7 +467,7 @@ def read_gold(path) -> GoldLabels:
             try:
                 indices.update(int(tok) for tok in raw.split())
             except ValueError as exc:
-                raise ParseError(f"line {line_no}: bad salience index: {exc}") from exc
+                raise ParseError(f"{path} line {line_no}: bad salience index: {exc}") from exc
         return GoldLabels(kind="salience", salient_indices=frozenset(indices))
     positions, windows = [], []
     for line_no, raw in body:
@@ -497,7 +481,7 @@ def read_gold(path) -> GoldLabels:
             else:
                 raise ValueError(f"expected 'pos' or 'pos lo hi', got {raw!r}")
         except ValueError as exc:
-            raise ParseError(f"line {line_no}: bad turning-point entry: {exc}") from exc
+            raise ParseError(f"{path} line {line_no}: bad turning-point entry: {exc}") from exc
     return GoldLabels(kind="turning_points",
                       tp_positions=tuple(positions),
                       tp_windows=tuple(windows) if windows else None)

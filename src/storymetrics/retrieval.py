@@ -3,19 +3,23 @@ memory cache, with softmax marginalization weights.
 
 Search is an exact dot-product scan; the ordering and tie contracts are
 fixed so an approximate index could be swapped in without changing the
-exact-mode tests.
+exact-mode tests. Each store keeps its keys as one (n, d) matrix and scores
+a query with one np.vecdot, which runs the per-pair np.dot kernel on each
+row, so every score equals score(query, key) bit for bit. A matrix product
+(keys @ query) is not used: its blocked kernel sums in another order and
+differs from the per-pair dot in the last ulp.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ParseError, ValidationError
+from .model import ParseError, ValidationError, content_lines
 from .suspense import softmax
 
 
@@ -31,7 +35,7 @@ class Passage:
     def __post_init__(self):
         if self.source not in ("kb", "memory"):
             raise ValidationError(f"unknown passage source {self.source!r}")
-        key = np.asarray(self.key, float)
+        key = np.asarray(self.key, float, order="C")  # contiguous, as a key matrix row is
         if key.ndim != 1 or key.size == 0 or not np.all(np.isfinite(key)):
             raise ValidationError(f"passage {self.id!r}: key must be a finite 1-d vector")
         key.setflags(write=False)
@@ -52,6 +56,7 @@ class PassageStore:
             raise ValidationError("store dimension must be >= 1")
         self.dim = dim
         self._passages: list[Passage] = []
+        self._keys: Optional[np.ndarray] = None  # rebuilt by the first scan after an add
         for p in passages:
             self.add(p)
 
@@ -61,6 +66,7 @@ class PassageStore:
                 f"passage {passage.id!r}: key dimension {passage.key.shape[0]} "
                 f"does not match store dimension {self.dim}")
         self._passages.append(passage)
+        self._keys = None
 
     def __len__(self) -> int:
         return len(self._passages)
@@ -69,12 +75,18 @@ class PassageStore:
         return iter(self._passages)
 
     def top_k(self, query, k: int) -> list[tuple[Passage, float]]:
-        return _top_k(self._passages, query, k)
+        if self._keys is None:
+            self._keys = np.array([p.key for p in self._passages]).reshape(-1, self.dim)
+        return _top_k(self._passages, self._keys, query, k)
 
 
 class MemoryCache:
     """Bounded passage cache with LRU or FIFO eviction. Cleared between
-    works via reset()."""
+    works via reset().
+
+    Each entry owns one slot: a row of the key matrix and the same index
+    into the passage list. Slots 0..len-1 are always the ones in use,
+    because an eviction or a same-id replace reuses its slot."""
 
     def __init__(self, capacity: int, policy: str = "LRU", dim: Optional[int] = None):
         if capacity < 1:
@@ -85,47 +97,59 @@ class MemoryCache:
         self.capacity = capacity
         self.policy = policy
         self.dim = dim
-        self._entries: OrderedDict[str, Passage] = OrderedDict()
+        self._slots: OrderedDict[str, int] = OrderedDict()  # id -> slot, eviction order
+        self._passages: list[Passage] = []
+        self._keys = np.empty((0, dim or 0))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._slots)
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._entries
+        return passage_id in self._slots
 
     def ids(self) -> list[str]:
-        return list(self._entries)
+        return list(self._slots)
 
     def passages(self) -> list[Passage]:
-        return list(self._entries.values())
+        return [self._passages[slot] for slot in self._slots.values()]
 
     def add(self, passage: Passage) -> None:
         if self.dim is None:
             self.dim = passage.key.shape[0]
+            self._keys = np.empty((0, self.dim))
         elif passage.key.shape[0] != self.dim:
             raise ValidationError(
                 f"passage {passage.id!r}: key dimension {passage.key.shape[0]} "
                 f"does not match cache dimension {self.dim}")
-        if passage.id in self._entries:
-            self._entries[passage.id] = passage
+        slot = self._slots.get(passage.id)
+        if slot is not None:
             if self.policy == "LRU":
-                self._entries.move_to_end(passage.id)
+                self._slots.move_to_end(passage.id)
+        elif len(self._slots) == self.capacity:
+            _, slot = self._slots.popitem(last=False)
         else:
-            self._entries[passage.id] = passage
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            slot = len(self._passages)
+            self._passages.append(passage)
+            if slot == len(self._keys):  # grow the key matrix geometrically
+                grown = np.empty((min(self.capacity, 2 * slot + 1), self.dim))
+                grown[:slot] = self._keys
+                self._keys = grown
+        self._slots[passage.id] = slot
+        self._passages[slot] = passage
+        self._keys[slot] = passage.key
 
     def touch(self, passage_id: str) -> None:
-        if passage_id not in self._entries:
+        if passage_id not in self._slots:
             raise ValidationError(f"no cached passage with id {passage_id!r}")
         if self.policy == "LRU":
-            self._entries.move_to_end(passage_id)
+            self._slots.move_to_end(passage_id)
 
     def reset(self) -> None:
-        self._entries.clear()
+        self._slots.clear()
+        self._passages.clear()
 
     def top_k(self, query, k: int) -> list[tuple[Passage, float]]:
-        return _top_k(self._entries.values(), query, k)
+        return _top_k(self._passages, self._keys[:len(self._passages)], query, k)
 
 
 def score(query, key) -> float:
@@ -137,11 +161,30 @@ def score(query, key) -> float:
     return float(np.dot(q, k))
 
 
-def _top_k(passages, query, k: int) -> list[tuple[Passage, float]]:
-    """Exact scan: the k highest-scoring passages, ties in id order."""
+def _top_k(passages: Sequence[Passage], keys: np.ndarray, query,
+           k: int) -> list[tuple[Passage, float]]:
+    """Exact scan of passages (key matrix `keys`, one row each): the k
+    highest-scoring passages, ties in id order."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    hits = [(p, score(query, p.key)) for p in passages]
+    q = np.asarray(query, float)
+    if q.ndim != 1 or not np.all(np.isfinite(q)):
+        raise ValidationError("query must be a finite 1-d vector")
+    if not passages:
+        return []
+    if q.shape[0] != keys.shape[1]:
+        raise ValidationError("query/key dimension mismatch")
+    # np.dot of one-element vectors is a plain product, which keeps the sign of a zero
+    scores = keys[:, 0] * q[0] if q.shape[0] == 1 else np.vecdot(keys, q)
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("retrieval scores overflow")
+    n = len(passages)
+    if k < n:  # keep every score tied with the k-th largest
+        kth = np.partition(scores, n - k)[n - k]
+        candidates = np.flatnonzero(scores >= kth)
+    else:
+        candidates = np.arange(n)
+    hits = [(passages[i], s) for i, s in zip(candidates.tolist(), scores[candidates].tolist())]
     hits.sort(key=lambda ps: (-ps[1], ps[0].id))
     return hits[:k]
 
@@ -216,26 +259,25 @@ def write_passages(store: PassageStore, path) -> None:
 
 
 def read_passages(path) -> PassageStore:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = [ln for ln in (line.rstrip("\n") for line in fh) if ln]
-    if not raw_lines:
+    lines = content_lines(path)
+    if not lines:
         raise ParseError(f"{path}: empty passage file")
+    head_no, head = lines[0]
     try:
-        dim = int(json.loads(raw_lines[0])["dim"])
+        dim = int(json.loads(head)["dim"])
+        store = PassageStore(dim=dim)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"line 1: malformed passage header: {exc}") from exc
-    store = PassageStore(dim=dim)
-    for line_no, raw in enumerate(raw_lines[1:], start=2):
+        raise ParseError(f"{path} line {head_no}: malformed passage header: {exc}") from exc
+    for line_no, raw in lines[1:]:
         try:
             obj = json.loads(raw)
-            passage = Passage(
+            store.add(Passage(
                 id=obj["id"], key=np.asarray(obj["key"], float),
                 payload=obj["payload"], source=obj["source"],
                 position=obj.get("position"),
                 token_dist=(np.asarray(obj["token_dist"], float)
                             if "token_dist" in obj else None),
-            )
+            ))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"line {line_no}: malformed passage: {exc}") from exc
-        store.add(passage)
+            raise ParseError(f"{path} line {line_no}: malformed passage: {exc}") from exc
     return store

@@ -102,6 +102,8 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
     line, named = "line 3", None
     if case in _BAD_RECORDS or case == "blank_line_before_bad_record":
         field, value = _BAD_RECORDS.get(case, ("index", "abc"))
+        good = tmp_path / "good.trace"  # read first: the message must name the bad file
+        good.write_text(demo_trace.read_text())
         lines = demo_trace.read_text().splitlines()
         record = json.loads(lines[2])
         record[field] = value
@@ -110,7 +112,9 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
             lines.insert(2, "")
             line = "line 4"
         demo_trace.write_text("\n".join(lines) + "\n")
-        argv = ["analyze", "--trace", str(demo_trace), "--out", str(tmp_path / "x")]
+        argv = ["analyze", "--trace", str(good), "--trace", str(demo_trace),
+                "--out", str(tmp_path / "x")]
+        named = demo_trace
     else:
         csv = tmp_path / "story.csv"
         csv.write_text(f"sentence,ely_surprise\n0,0.5\n1,{_BAD_CELLS.get(case, '0.25')}\n")
@@ -132,7 +136,7 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
             gold = tmp_path / "gold.txt"
             gold.write_text('{"kind": 5}\n1\n')
             argv += ["--gold", str(gold)]
-            line, named = "line 1", None
+            line, named = "line 1", gold
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert line in err
@@ -403,6 +407,7 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
         cache = retrieval.MemoryCache(2)
         cache.add(retrieval.Passage("m", [1.0, 1.0], "", "memory"))
         retrieval.retrieve([1.0, 0.5], kb, cache, 1, 1, 1)
+        retrieval.score([1.0, 0.5], [0.0, 1.0])  # the oracle; the scan itself calls no score()
     finally:
         patcher.restore()
     assert (cli.cmd_evaluate, cli.ThreadPoolExecutor, retrieval.score,
@@ -413,7 +418,7 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
             "salience.salience_series.like", "evaluation.rouge_l",
             "retrieval.PassageStore.top_k", "retrieval.MemoryCache.top_k",
             "retrieval.MemoryCache.add"} <= names
-    assert rec.counts["retrieval.score.calls"] == 3
+    assert rec.counts["retrieval.score.calls"] == 1
 
 
 def test_cli_import_does_not_load_scipy():

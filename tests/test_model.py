@@ -1,5 +1,8 @@
 """Data model validation and trace/annotation/gold file round-trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,7 +204,7 @@ def test_parse_error_names_line(tmp_path):
     path.write_text('{"story_id":"s","embedding_dim":2,"meta":{}}\n'
                     '{"index":0,"e":[1.0,0.0]}\n'
                     'not json\n')
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(ParseError, match=re.escape(f"{path} line 3: invalid JSON")):
         read_trace(path)
 
 
@@ -244,6 +247,33 @@ def test_trace_round_trip_property(tmp_path_factory, seed, n, dim):
     assert traces_equal(read_trace(path), trace)
 
 
+_LOGLIKES = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                st.integers(-10**6, 10**6)), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(win_ll=st.lists(st.dictionaries(st.sampled_from(["base", "deleted", "swapped"]),
+                                       _LOGLIKES, min_size=1), min_size=1, max_size=4))
+def test_window_loglikes_read_as_exact_float_arrays(tmp_path_factory, win_ll):
+    d = tmp_path_factory.mktemp("win")
+    lines = ['{"story_id":"s","embedding_dim":1,"meta":{}}']
+    lines += [json.dumps({"index": i, "e": [1.0], "win_ll": w}) for i, w in enumerate(win_ll)]
+    (d / "in.trace").write_text("\n".join(lines) + "\n")
+    trace = read_trace(d / "in.trace")
+    for rec, want in zip(trace.sentences, win_ll):
+        assert set(rec.window_token_loglikes) == set(want)
+        for variant, values in want.items():
+            arr = rec.window_token_loglikes[variant]
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            assert repr(tuple(arr.tolist())) == repr(tuple(float(v) for v in values))
+    write_trace(trace, d / "a.trace")
+    write_trace(read_trace(d / "a.trace"), d / "b.trace")
+    assert (d / "a.trace").read_bytes() == (d / "b.trace").read_bytes()
+    for raw, want in zip((d / "a.trace").read_text().splitlines()[1:], win_ll):
+        assert json.loads(raw)["win_ll"] == {k: [float(v) for v in vals]
+                                             for k, vals in want.items()}
+
+
 # --- annotation and gold files -----------------------------------------------
 
 def test_annotation_round_trip(tmp_path):
@@ -261,7 +291,7 @@ def test_annotation_round_trip(tmp_path):
 def test_annotation_rejects_unknown_token(tmp_path):
     path = tmp_path / "s.ann"
     path.write_text('{"story_id":"s"}\na1\tS I XX\n')
-    with pytest.raises((ParseError, ValidationError)):
+    with pytest.raises(ParseError, match=re.escape(f"{path} line 2: unknown judgment token")):
         read_annotations(path)
 
 

@@ -1,7 +1,12 @@
 """Dense retrieval, cache eviction policies, and RAG-style marginalization."""
 
+import re
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storymetrics.model import ParseError, ValidationError
 from storymetrics.retrieval import (MemoryCache, Passage, PassageStore,
@@ -41,6 +46,43 @@ def test_store_top_k_ordering_and_ties():
     ])
     hits = store.top_k([1.0, 0.0], k=3)
     assert [p.id for p, _ in hits] == ["a", "b", "c"]
+
+
+def test_top_k_on_empty_store_and_cache():
+    assert PassageStore(dim=2).top_k([1.0, 0.0], k=3) == []
+    assert MemoryCache(capacity=2).top_k([1.0, 0.0], k=3) == []
+
+
+def test_add_after_top_k_is_scanned():
+    store = PassageStore(dim=1, passages=[_passage("a", [1.0])])
+    assert [p.id for p, _ in store.top_k([1.0], k=2)] == ["a"]
+    store.add(_passage("b", [2.0]))
+    assert [p.id for p, _ in store.top_k([1.0], k=2)] == ["b", "a"]
+
+
+@pytest.mark.parametrize("query", [[np.nan, 0.0], [np.inf, 0.0], [[1.0, 0.0]], 1.0])
+def test_non_finite_or_non_vector_query_rejected(query):
+    store = PassageStore(dim=2, passages=[_passage("a", [1.0, 0.0])])
+    cache = MemoryCache(capacity=2)
+    cache.add(_passage("m", [0.0, 1.0], source="memory"))
+    for top_k in (store.top_k, cache.top_k):
+        with pytest.raises(ValidationError, match="query"):
+            top_k(query, k=1)
+    with pytest.raises(ValidationError, match="query"):
+        retrieve(query, store, cache, k_kb=1, k_mem=1, z=1)
+
+
+def test_overflowing_scores_rejected():
+    # inf - inf is NaN, which would drop out of the partition's candidates
+    store = PassageStore(dim=2, passages=[_passage("a", [1e200, 1e200])])
+    with pytest.raises(ValidationError, match="overflow"):
+        store.top_k([1e200, -1e200], k=1)
+
+
+def test_query_dimension_mismatch_rejected():
+    store = PassageStore(dim=2, passages=[_passage("a", [1.0, 0.0])])
+    with pytest.raises(ValidationError, match="dimension"):
+        store.top_k([1.0, 0.0, 0.0], k=1)
 
 
 def test_passage_rejects_bad_source_and_dist():
@@ -221,3 +263,118 @@ def test_passage_file_parse_error_names_line(tmp_path):
     path.write_text('{"dim":2}\n{"id":"a","source":"kb","key":[1.0,0.0],"payload":"x"}\nbroken\n')
     with pytest.raises(ParseError, match="line 3"):
         read_passages(path)
+
+
+def test_passage_file_line_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "bad.psg"
+    path.write_text('{"dim":2}\n{"id":"a","source":"kb","key":[1.0,0.0],"payload":"x"}\n'
+                    '\nbroken\n')
+    with pytest.raises(ParseError, match=re.escape(f"{path} line 4: ")):
+        read_passages(path)
+
+
+def test_passage_file_wrong_key_dimension_names_line(tmp_path):
+    path = tmp_path / "bad.psg"
+    path.write_text('{"dim":2}\n{"id":"a","source":"kb","key":[1.0,0.0],"payload":"x"}\n'
+                    '{"id":"b","source":"kb","key":[1.0],"payload":"y"}\n')
+    with pytest.raises(ParseError, match=re.escape(f"{path} line 3: ") + ".*key dimension 1"):
+        read_passages(path)
+
+
+# --- the matrix scan against the per-pair reference ------------------------------------
+
+def _reference_top_k(passages, query, k):
+    """The scan as it was before the key matrix: one score() per passage,
+    then a full sort."""
+    hits = [(p, score(query, p.key)) for p in passages]
+    hits.sort(key=lambda ps: (-ps[1], ps[0].id))
+    return hits[:k]
+
+
+class _ReferenceCache:
+    """MemoryCache as it was before slots: an id -> passage OrderedDict."""
+
+    def __init__(self, capacity, policy):
+        self.capacity, self.policy = capacity, policy
+        self.entries = OrderedDict()
+
+    def add(self, passage):
+        if passage.id in self.entries:
+            self.entries[passage.id] = passage
+            if self.policy == "LRU":
+                self.entries.move_to_end(passage.id)
+        else:
+            self.entries[passage.id] = passage
+            while len(self.entries) > self.capacity:
+                self.entries.popitem(last=False)
+
+    def touch(self, passage_id):
+        if self.policy == "LRU":
+            self.entries.move_to_end(passage_id)
+
+
+# integer values force score ties; the floats exercise rounding
+_VALUES = st.one_of(st.integers(-3, 3).map(float),
+                    st.floats(-100, 100, allow_nan=False, allow_infinity=False))
+_IDS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+def _vectors(dim):
+    return st.lists(_VALUES, min_size=dim, max_size=dim)
+
+
+@st.composite
+def _store_ops(draw):
+    dim = draw(st.integers(1, 4))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("add"), _IDS, _vectors(dim)),
+        st.tuples(st.just("query"), _vectors(dim), st.integers(1, 12))), max_size=25))
+    return dim, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_store_ops())
+def test_store_top_k_equals_per_pair_reference(dim_ops):
+    dim, ops = dim_ops
+    store, passages = PassageStore(dim=dim), []
+    for op in ops:
+        if op[0] == "add":
+            passage = _passage(op[1], op[2])
+            store.add(passage)
+            passages.append(passage)
+        else:
+            assert repr(store.top_k(op[1], op[2])) == repr(_reference_top_k(passages, *op[1:]))
+
+
+@st.composite
+def _cache_ops(draw):
+    dim = draw(st.integers(1, 4))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("add"), _IDS, _vectors(dim)),
+        st.tuples(st.just("touch"), _IDS),
+        st.tuples(st.just("reset")),
+        st.tuples(st.just("query"), _vectors(dim), st.integers(1, 6))), max_size=30))
+    return dim, draw(st.integers(1, 4)), draw(st.sampled_from(["LRU", "FIFO"])), ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cache_ops())
+def test_cache_top_k_equals_per_pair_reference(case):
+    dim, capacity, policy, ops = case
+    cache, reference = MemoryCache(capacity, policy), _ReferenceCache(capacity, policy)
+    for op in ops:
+        if op[0] == "add":
+            passage = _passage(op[1], op[2], source="memory")
+            cache.add(passage)
+            reference.add(passage)
+        elif op[0] == "touch" and op[1] in reference.entries:
+            cache.touch(op[1])
+            reference.touch(op[1])
+        elif op[0] == "reset":
+            cache.reset()
+            reference.entries.clear()
+        elif op[0] == "query":
+            assert repr(cache.top_k(op[1], op[2])) == repr(
+                _reference_top_k(list(reference.entries.values()), *op[1:]))
+        assert cache.ids() == list(reference.entries)
+        assert cache.passages() == list(reference.entries.values())
