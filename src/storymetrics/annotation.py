@@ -36,14 +36,14 @@ class JudgmentMapping:
         if not (self.increase >= sep and self.big_increase >= self.increase + sep):
             raise ValidationError("increase magnitudes must be positive and separated by >= 0.05")
 
-    def value(self, judgment: Judgment) -> float:
+    def increments(self) -> dict[Judgment, float]:
         return {
             Judgment.BIG_DECREASE: self.big_decrease,
             Judgment.DECREASE: self.decrease,
             Judgment.SAME: self.same,
             Judgment.INCREASE: self.increase,
             Judgment.BIG_INCREASE: self.big_increase,
-        }[judgment]
+        }
 
 
 def absolute_curve(judgments: Sequence[Judgment],
@@ -51,8 +51,8 @@ def absolute_curve(judgments: Sequence[Judgment],
     """Cumulative sum of mapped relative judgments."""
     if len(judgments) == 0:
         raise ValidationError("judgment sequence is empty")
-    increments = np.array([mapping.value(j) for j in judgments])
-    return MetricSeries(name="annotated", values=np.cumsum(increments))
+    table = mapping.increments()
+    return MetricSeries(name="annotated", values=np.cumsum([table[j] for j in judgments]))
 
 
 def zscore(series: MetricSeries) -> MetricSeries:

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -130,6 +130,17 @@ class SentenceRecord:
                     for variant, vec in windows.items()})
 
 
+def _length_mismatch(rec: SentenceRecord, embedding_dim: int) -> Optional[str]:
+    """Which of rec's vectors does not have length embedding_dim, if any."""
+    if rec.embedding.shape[0] != embedding_dim:
+        return (f"embedding length {rec.embedding.shape[0]} does not match "
+                f"embedding_dim={embedding_dim}")
+    if rec.continuations is not None and rec.continuations.embedding_dim != embedding_dim:
+        return (f"continuation sample length {rec.continuations.embedding_dim} does not "
+                f"match embedding_dim={embedding_dim}")
+    return None
+
+
 @dataclass(frozen=True)
 class StoryTrace:
     story_id: str
@@ -147,10 +158,9 @@ class StoryTrace:
             if rec.index != pos:
                 raise ValidationError(
                     f"sentence indices must be contiguous from 0; got {rec.index} at position {pos}")
-            if rec.embedding.shape[0] != self.embedding_dim:
-                raise ValidationError(
-                    f"embedding at index {pos} has length {rec.embedding.shape[0]}, "
-                    f"expected embedding_dim={self.embedding_dim}")
+            mismatch = _length_mismatch(rec, self.embedding_dim)
+            if mismatch:
+                raise ValidationError(f"sentence {pos}: {mismatch}")
         object.__setattr__(self, "sentences", sentences)
         object.__setattr__(self, "meta", dict(self.meta))
 
@@ -179,27 +189,15 @@ class MetricSeries:
         return int(self.values.shape[0])
 
 
-def per_sentence_series(
-        what: str, name: str, trace: StoryTrace,
-        value: Callable[[SentenceRecord, Optional[SentenceRecord]], Optional[float]],
-) -> MetricSeries:
-    """The curve `name` scored sentence by sentence as value(rec, prev),
-    where prev is the preceding record (None for the first). A sentence
-    for which value returns None lacks the inputs and scores 0; a curve
-    that no sentence can compute is an error."""
-    values = np.zeros(len(trace))
-    available = 0
-    prev = None
-    for t, rec in enumerate(trace.sentences):
-        v = value(rec, prev)
-        if v is not None:
-            values[t] = v
-            available += 1
-        prev = rec
-    if available == 0:
+def per_sentence_series(what: str, name: str, trace: StoryTrace, values,
+                        available) -> MetricSeries:
+    """The curve `name` over `trace` from its per-sentence values and the
+    mask of the sentences that have its inputs. A sentence without them
+    scores 0; a curve that no sentence can compute is an error."""
+    if not np.any(available):
         raise ValidationError(
             f"{what} {name!r}: required inputs absent for every sentence of {trace.story_id!r}")
-    return MetricSeries(name=name, values=values)
+    return MetricSeries(name=name, values=np.where(available, values, 0.0))
 
 
 @dataclass(frozen=True)
@@ -307,11 +305,25 @@ def write_trace(trace: StoryTrace, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer: a float, bool or string is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value, what: str) -> Optional[float]:
+    """An optional JSON number (None when absent or null); a bool is no number."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _parse_continuations(obj) -> ContinuationSet:
     try:
         samples = tuple(
             ContinuationSample(embedding=np.asarray(s["e"], float),
-                               raw_score=s.get("score"))
+                               raw_score=_json_number(s.get("score"), "sample score"))
             for s in obj["samples"]
         )
         probs = obj.get("probs")
@@ -323,7 +335,8 @@ def _parse_continuations(obj) -> ContinuationSet:
                                       f"outside renormalization tolerance")
             if total != 1.0 and total > 0:
                 probs = probs / total
-        return ContinuationSet(horizon=int(obj["n"]), samples=samples, probabilities=probs)
+        return ContinuationSet(horizon=_json_int(obj["n"], "continuation n"), samples=samples,
+                               probabilities=probs)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed continuation set: {exc}") from exc
 
@@ -343,7 +356,7 @@ def read_trace(path) -> StoryTrace:
     try:
         header = json.loads(head)
         story_id = header["story_id"]
-        embedding_dim = int(header["embedding_dim"])
+        embedding_dim = _json_int(header["embedding_dim"], "embedding_dim")
         meta = dict(header.get("meta", {}))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc
@@ -358,26 +371,25 @@ def read_trace(path) -> StoryTrace:
             emb = np.asarray(obj["e"], float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path} line {line_no}: missing or malformed embedding: {exc}") from exc
-        if emb.ndim != 1 or emb.shape[0] != embedding_dim:
-            raise ParseError(
-                f"{path} line {line_no}: embedding length {emb.shape[0] if emb.ndim == 1 else 'n/a'} "
-                f"does not match embedding_dim={embedding_dim}")
         cont = obj.get("cont")
         try:
             rec = SentenceRecord(
-                index=int(obj["index"]),
+                index=_json_int(obj["index"], "index"),
                 embedding=emb,
                 text=obj.get("text"),
-                avg_log_likelihood=obj.get("avg_ll"),
+                avg_log_likelihood=_json_number(obj.get("avg_ll"), "avg_ll"),
                 window_token_loglikes=obj.get("win_ll"),
                 window_embedding=obj.get("win_emb"),
-                sentiment=obj.get("sentiment"),
+                sentiment=_json_number(obj.get("sentiment"), "sentiment"),
                 continuations=_parse_continuations(cont) if cont is not None else None,
             )
         except ValidationError as exc:
             raise ParseError(f"{path} line {line_no}: {exc}") from exc
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"{path} line {line_no}: malformed record: {exc}") from exc
+        mismatch = _length_mismatch(rec, embedding_dim)
+        if mismatch:
+            raise ParseError(f"{path} line {line_no}: {mismatch}")
         if rec.index != len(records):
             raise ParseError(f"{path} line {line_no}: sentence index {rec.index}, expected "
                              f"{len(records)}; indices must be contiguous from 0")

@@ -23,6 +23,13 @@ from .model import ParseError, ValidationError, content_lines
 from .suspense import softmax
 
 
+def _is_distribution(dist: np.ndarray) -> bool:
+    """Finite, non-negative and summing to 1 (NaN fails every comparison,
+    so it is tested for first)."""
+    return bool(np.all(np.isfinite(dist)) and np.all(dist >= 0)
+                and abs(float(dist.sum()) - 1.0) <= 1e-9)
+
+
 @dataclass(frozen=True)
 class Passage:
     id: str
@@ -42,7 +49,7 @@ class Passage:
         object.__setattr__(self, "key", key)
         if self.token_dist is not None:
             dist = np.asarray(self.token_dist, float)
-            if np.any(dist < 0) or abs(float(dist.sum()) - 1.0) > 1e-9:
+            if not _is_distribution(dist):
                 raise ValidationError(f"passage {self.id!r}: token_dist is not a distribution")
             dist.setflags(write=False)
             object.__setattr__(self, "token_dist", dist)
@@ -221,7 +228,7 @@ def marginalize_token_dists(weights, dists) -> np.ndarray:
     if weights.shape[0] != mat.shape[0]:
         raise ValidationError("one weight per distribution required")
     for i, row in enumerate(mat):
-        if np.any(row < 0) or abs(float(row.sum()) - 1.0) > 1e-9:
+        if not _is_distribution(row):
             raise ValidationError(f"distribution {i} is not a valid probability vector")
     out = weights @ mat
     return out / out.sum()

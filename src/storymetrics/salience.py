@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import (MetricSeries, SentenceRecord, StoryTrace, ValidationError,
                     per_sentence_series)
-from .suspense import DistanceKind, distance
+from .suspense import DistanceKind, consecutive_distances, distance
 
 
 @dataclass(frozen=True)
@@ -163,14 +163,19 @@ def positional_baseline(n: int, kind: str, seed: int = 0) -> MetricSeries:
 
 
 def _each_sentence(value):
-    """A measure scored by value(rec, prev), None where the sentence lacks
-    the inputs (see model.per_sentence_series)."""
-    return lambda trace, cfg: per_sentence_series("measure", cfg.measure, trace, value)
+    """A measure scored by value(rec), None where the sentence lacks the
+    inputs (see model.per_sentence_series)."""
+    def series(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
+        scores = [value(rec) for rec in trace.sentences]
+        return per_sentence_series("measure", cfg.measure, trace,
+                                   [0.0 if v is None else v for v in scores],
+                                   [v is not None for v in scores])
+    return series
 
 
 def _window_variant(variant: str):
     # The last sentence has no following window.
-    return _each_sentence(lambda rec, prev: None if rec.window_token_loglikes is None else
+    return _each_sentence(lambda rec: None if rec.window_token_loglikes is None else
                           variant_salience(rec, variant))
 
 
@@ -189,9 +194,9 @@ _MEASURES = {
     "swap": _window_variant("swapped"),
     "know_diff": _window_variant("no_knowledge"),
     # cosine distance between consecutive sentence embeddings
-    "emb_surp": _each_sentence(lambda rec, prev: None if prev is None else
-                               distance(rec.embedding, prev.embedding, DistanceKind.COSINE)),
-    "emb_sal": _each_sentence(lambda rec, prev: None if rec.window_embedding is None else
+    "emb_surp": lambda trace, cfg: per_sentence_series(
+        "measure", cfg.measure, trace, *consecutive_distances(trace, DistanceKind.COSINE)),
+    "emb_sal": _each_sentence(lambda rec: None if rec.window_embedding is None else
                               emb_salience(rec)),
     "clus": _clus,
     "random": _positional("random"),

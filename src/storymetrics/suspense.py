@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (ContinuationSet, MetricSeries, SentenceRecord, StoryTrace,
-                    ValidationError, per_sentence_series)
+from .model import (ContinuationSet, MetricSeries, StoryTrace, ValidationError,
+                    per_sentence_series)
 
 
 class DistanceKind(Enum):
@@ -113,13 +113,6 @@ def ely_surprise(e_t, e_prev, kind: DistanceKind) -> float:
     return distance(e_t, e_prev, kind)
 
 
-def _continuation_probs(e_t, cont: ContinuationSet) -> np.ndarray:
-    """The stored probabilities, or else the cosine softmax over the samples."""
-    if cont.probabilities is not None:
-        return cont.probabilities
-    return continuation_distribution(e_t, cont.sample_embeddings())
-
-
 def ely_suspense(e_t, cont: ContinuationSet, kind: DistanceKind) -> float:
     """Probability-weighted expected distance to the imagined next states:
     weighted_suspense with unit weights (probs * 1.0 == probs, bit for bit)."""
@@ -147,7 +140,9 @@ def weighted_suspense(e_t, cont: ContinuationSet, alphas, kind: DistanceKind) ->
         raise ValidationError("one alpha per continuation sample required")
     if np.any(alphas < 0):
         raise ValidationError("alphas must be non-negative")
-    probs = _continuation_probs(e_t, cont)
+    # the stored probabilities, or else the cosine softmax over the samples
+    probs = (cont.probabilities if cont.probabilities is not None
+             else continuation_distribution(e_t, cont.sample_embeddings()))
     dists = np.array([distance(e_t, s.embedding, kind) for s in cont.samples])
     return float(np.sum(probs * alphas * dists))
 
@@ -181,65 +176,224 @@ def perplexity(avg_nll: float) -> float:
     return math.exp(avg_nll)
 
 
-def _alpha(rec: SentenceRecord, cfg: MetricConfig) -> float:
+# ---------------------------------------------------------------------------
+# whole-trace curves
+#
+# Each curve below scores a whole trace at once and returns (values,
+# available), where available marks the sentences that have the inputs (see
+# model.per_sentence_series). The arithmetic is that of the scalar functions
+# above, pair by pair, so every curve equals theirs bit for bit: np.vecdot
+# runs the per-pair np.dot kernel on each row, and a row sum over the
+# contiguous last axis adds in the order of the 1-d np.sum. (On one-element
+# rows np.vecdot returns +0 where np.dot returns -0, which no curve can see:
+# a zero cosine numerator comes only from a zero vector, an error, and a
+# squared difference is never -0.)
+
+
+def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cosine_similarity of each row pair."""
+    na, nb = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
+    if not (na.all() and nb.all()):
+        raise ValidationError("cosine similarity undefined for zero vectors")
+    return np.vecdot(a, b) / (na * nb)
+
+
+def _distances(a: np.ndarray, b: np.ndarray, kind: DistanceKind) -> np.ndarray:
+    """distance() of each row pair."""
+    if kind is DistanceKind.COSINE:
+        return np.fmax(0.0, 1.0 - _cosines(a, b))  # fmax maps NaN to 0, as max() does
+    diff = a - b
+    if kind is DistanceKind.L1:
+        return np.abs(diff).sum(axis=1)
+    if kind is DistanceKind.L2:
+        return np.sqrt(np.vecdot(diff, diff))
+    if kind is DistanceKind.SQUARED_L2:
+        return np.vecdot(diff, diff)
+    raise ValidationError(f"unknown distance kind {kind!r}")
+
+
+def _embeddings(trace: StoryTrace) -> np.ndarray:
+    return np.stack([rec.embedding for rec in trace.sentences])
+
+
+def _continuations(trace: StoryTrace) -> list[Optional[ContinuationSet]]:
+    return [rec.continuations for rec in trace.sentences]
+
+
+def _present(sets: Sequence) -> np.ndarray:
+    return np.array([c is not None for c in sets], bool)
+
+
+def _after_first(values, available=None) -> tuple[np.ndarray, np.ndarray]:
+    """The curve of a metric that needs the preceding sentence, from its
+    values at sentences 1..n-1: sentence 0 has no inputs."""
+    if available is None:
+        available = np.ones(len(values), bool)
+    return np.concatenate(([0.0], values)), np.concatenate(([False], available))
+
+
+def _by_sample_count(sets: Sequence[Optional[ContinuationSet]]) -> list[np.ndarray]:
+    """The positions of the continuation sets in `sets`, grouped by sample count."""
+    groups: dict[int, list[int]] = {}
+    for pos, cont in enumerate(sets):
+        if cont is not None:
+            groups.setdefault(len(cont.samples), []).append(pos)
+    return [np.array(positions) for positions in groups.values()]
+
+
+def _slots(sets, positions: np.ndarray):
+    """The (m, d) block of the j-th samples of the sets at `positions`, for
+    each slot j, built one at a time so that one block is alive at once."""
+    members = [sets[p].samples for p in positions]
+    return (np.stack([s[j].embedding for s in members]) for j in range(len(members[0])))
+
+
+def _weighted(sets, positions: np.ndarray, states: np.ndarray, column=None):
+    """The (m, k) continuation weights of the sets at `positions`, whose
+    sentences have the embeddings `states`: each set's stored probabilities,
+    or else the cosine softmax of its state over its samples
+    (continuation_distribution), computed only for the sets that store none.
+    With `column`, also the (m, k) array of column(block) over the slots,
+    from the same pass over the blocks."""
+    stored = [sets[p].probabilities for p in positions]
+    soft = np.array([probs is None for probs in stored])
+    some, every = soft.any(), soft.all()
+    sims, columns = [], []
+    for block in _slots(sets, positions):
+        if some:
+            sims.append(_cosines(states, block) if every else _cosines(states[soft], block[soft]))
+        if column is not None:
+            columns.append(column(block))
+    weights = np.empty((len(positions), len(sets[positions[0]].samples)))
+    if not every:
+        weights[~soft] = [probs for probs in stored if probs is not None]
+    if some:
+        scores = np.stack(sims, axis=1)
+        exps = np.exp(scores - scores.max(axis=1, keepdims=True))
+        weights[soft] = exps / exps.sum(axis=1, keepdims=True)
+    return weights, np.stack(columns, axis=1) if columns else None
+
+
+def _sentiment_alphas(trace: StoryTrace, cfg: MetricConfig) -> np.ndarray:
     # Sample sentiments are not carried in the trace, so a sentence's weight
     # also applies to each of its continuation samples.
-    return alpha_weight(rec.sentiment, cfg) if rec.sentiment is not None else 0.0
+    return np.array([0.0 if rec.sentiment is None else alpha_weight(rec.sentiment, cfg)
+                     for rec in trace.sentences])
 
 
-def _hale_surprise(rec: SentenceRecord, prev: Optional[SentenceRecord], cfg) -> Optional[float]:
-    """Surprisal of the realized sentence, whose probability is the weight of
-    the previous continuation sample most similar to it."""
-    if prev is None or prev.continuations is None:
-        return None
-    cont = prev.continuations
-    probs = _continuation_probs(prev.embedding, cont)
-    sims = [cosine_similarity(rec.embedding, emb) for emb in cont.sample_embeddings()]
-    p = float(probs[int(np.argmax(sims))])
-    return hale_surprise(p) if p > 0 else None
+def consecutive_distances(trace: StoryTrace, kind: DistanceKind):
+    """ely_surprise of each sentence: its distance to the preceding one."""
+    e = _embeddings(trace)
+    return _after_first(_distances(e[1:], e[:-1], kind))
 
 
-def _word_overlap(rec: SentenceRecord, prev: Optional[SentenceRecord], cfg) -> Optional[float]:
-    if prev is None or rec.text is None or prev.text is None:
-        return None
-    a, b = set(rec.text.lower().split()), set(prev.text.lower().split())
-    return jaccard_similarity(a, b) if a or b else None
+def _alpha_ely_surprise(trace, cfg):
+    values, available = consecutive_distances(trace, cfg.distance)
+    return _sentiment_alphas(trace, cfg) * values, available
 
 
-# name -> value(rec, prev, cfg): the metric at one sentence, None where the
-# sentence lacks the inputs (see model.per_sentence_series).
+def _expected_distance(trace, cfg, alphas=None):
+    """ely_suspense, or weighted_suspense with one alpha per sentence: the
+    weighted distance from each sentence to its continuation samples."""
+    e, sets = _embeddings(trace), _continuations(trace)
+    values = np.zeros(len(trace))
+    for pos in _by_sample_count(sets):
+        states = e[pos]
+        weights, dists = _weighted(sets, pos, states,
+                                   lambda block: _distances(states, block, cfg.distance))
+        if alphas is not None:
+            weights = weights * alphas[pos, None]
+        values[pos] = (weights * dists).sum(axis=1)
+    return values, _present(sets)
+
+
+def _hale_surprise(trace, cfg):
+    """Surprisal of each sentence, whose probability is the weight of the
+    preceding sentence's continuation sample most similar to it. A sentence
+    realizing a zero-weight sample has no surprisal."""
+    e, sets = _embeddings(trace), _continuations(trace)[:-1]
+    values, available = np.zeros(len(sets)), np.zeros(len(sets), bool)
+    for pos in _by_sample_count(sets):
+        realized = e[pos + 1]
+        weights, sims = _weighted(sets, pos, e[pos], lambda block: _cosines(realized, block))
+        p = weights[np.arange(len(pos)), sims.argmax(axis=1)]
+        real = p > 0
+        values[pos[real]] = [hale_surprise(x) for x in p[real].tolist()]
+        available[pos[real]] = True
+    return _after_first(values, available)
+
+
+def _hale_uncertainty_reduction(trace, cfg):
+    e, sets = _embeddings(trace), _continuations(trace)
+    has = _present(sets)
+    both = has[:-1] & has[1:]  # (t-1, t) pairs that both have continuations
+    used = np.concatenate((both, [False])) | np.concatenate(([False], both))
+    h = np.zeros(len(trace))
+    for pos in _by_sample_count([c if u else None for c, u in zip(sets, used)]):
+        h[pos] = [entropy(w) for w in _weighted(sets, pos, e[pos])[0]]
+    return _after_first(h[:-1] - h[1:], both)
+
+
+def _sample_ely_surprise(trace, cfg):
+    e, sets = _embeddings(trace), _continuations(trace)[:-1]
+    values = np.zeros(len(sets))
+    for pos in _by_sample_count(sets):
+        # Each set's own mean, as the scalar function takes it: adding slot by
+        # slot differs from np.mean(axis=0) for d = 1 and k >= 8.
+        means = np.stack([np.mean(sets[p].sample_embeddings(), axis=0) for p in pos])
+        values[pos] = _distances(e[pos + 1], means, cfg.distance)
+    return _after_first(values, _present(sets))
+
+
+def _sample_ely_suspense(trace, cfg):
+    e, sets = _embeddings(trace), _continuations(trace)
+    values = np.zeros(len(trace))
+    for pos in _by_sample_count(sets):
+        states = e[pos]
+        values[pos] = np.stack([_distances(states, block, cfg.distance)
+                                for block in _slots(sets, pos)], axis=1).mean(axis=1)
+    return values, _present(sets)
+
+
+def _word_overlap(trace, cfg):
+    words = [None if rec.text is None else set(rec.text.lower().split())
+             for rec in trace.sentences]
+    pairs = list(zip(words[1:], words[:-1]))
+    available = np.array([a is not None and b is not None and bool(a or b) for a, b in pairs],
+                         bool)
+    return _after_first([jaccard_similarity(a, b) if ok else 0.0
+                         for (a, b), ok in zip(pairs, available)], available)
+
+
+def _embedding_similarity(trace, cfg):
+    e = _embeddings(trace)
+    return _after_first(_cosines(e[1:], e[:-1]))
+
+
+def _alpha_sentiment(trace, cfg):
+    return _sentiment_alphas(trace, cfg), _present([rec.sentiment for rec in trace.sentences])
+
+
+def _perplexity(trace, cfg):
+    lls = [rec.avg_log_likelihood for rec in trace.sentences]
+    return [0.0 if ll is None else perplexity(-ll) for ll in lls], _present(lls)
+
+
+# name -> curve(trace, cfg) -> (values, available)
 _METRICS = {
-    "ely_surprise": lambda rec, prev, cfg: None if prev is None else
-        ely_surprise(rec.embedding, prev.embedding, cfg.distance),
-    "ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
-        ely_suspense(rec.embedding, rec.continuations, cfg.distance),
-    "alpha_ely_surprise": lambda rec, prev, cfg: None if prev is None else
-        weighted_surprise(_alpha(rec, cfg),
-                          ely_surprise(rec.embedding, prev.embedding, cfg.distance)),
-    "alpha_ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
-        weighted_suspense(rec.embedding, rec.continuations,
-                          np.full(len(rec.continuations.samples), _alpha(rec, cfg)),
-                          cfg.distance),
+    "ely_surprise": lambda trace, cfg: consecutive_distances(trace, cfg.distance),
+    "ely_suspense": _expected_distance,
+    "alpha_ely_surprise": _alpha_ely_surprise,
+    "alpha_ely_suspense": lambda trace, cfg:
+        _expected_distance(trace, cfg, _sentiment_alphas(trace, cfg)),
     "hale_surprise": _hale_surprise,
-    "hale_uncertainty_reduction": lambda rec, prev, cfg:
-        None if prev is None or prev.continuations is None or rec.continuations is None else
-        hale_uncertainty_reduction(
-            entropy(_continuation_probs(prev.embedding, prev.continuations)),
-            entropy(_continuation_probs(rec.embedding, rec.continuations))),
-    "sample_ely_surprise": lambda rec, prev, cfg:
-        None if prev is None or prev.continuations is None else
-        sample_ely_surprise(rec.embedding, prev.continuations.sample_embeddings(),
-                            cfg.distance),
-    "sample_ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
-        sample_ely_suspense(rec.embedding, rec.continuations.sample_embeddings(),
-                            cfg.distance),
+    "hale_uncertainty_reduction": _hale_uncertainty_reduction,
+    "sample_ely_surprise": _sample_ely_surprise,
+    "sample_ely_suspense": _sample_ely_suspense,
     "word_overlap": _word_overlap,
-    "embedding_similarity": lambda rec, prev, cfg: None if prev is None else
-        cosine_similarity(rec.embedding, prev.embedding),
-    "alpha_sentiment": lambda rec, prev, cfg: None if rec.sentiment is None else
-        alpha_weight(rec.sentiment, cfg),
-    "perplexity": lambda rec, prev, cfg: None if rec.avg_log_likelihood is None else
-        perplexity(-rec.avg_log_likelihood),
+    "embedding_similarity": _embedding_similarity,
+    "alpha_sentiment": _alpha_sentiment,
+    "perplexity": _perplexity,
 }
 METRIC_NAMES = tuple(_METRICS)
 
@@ -249,5 +403,5 @@ def metric_series(trace: StoryTrace, name: str, cfg: MetricConfig) -> MetricSeri
     inputs contribute 0; if no sentence has them, that is an error."""
     if name not in _METRICS:
         raise ValidationError(f"unknown metric {name!r}")
-    value = _METRICS[name]
-    return per_sentence_series("metric", name, trace, lambda rec, prev: value(rec, prev, cfg))
+    values, available = _METRICS[name](trace, cfg)
+    return per_sentence_series("metric", name, trace, values, available)

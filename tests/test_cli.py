@@ -81,7 +81,19 @@ _BAD_RECORDS = {"index_not_int": ("index", "abc"),
                 "win_ll_base_empty": ("win_ll", {"base": [], "deleted": [-1.0]}),
                 "index_negative": ("index", -1),
                 "text_not_str": ("text", 5),
-                "index_not_contiguous": ("index", 5)}
+                "index_not_contiguous": ("index", 5),
+                # numbers of the wrong JSON type are refused, not coerced
+                "index_fraction": ("index", 1.7),
+                "index_numeric_string": ("index", "1"),
+                "sentiment_bool": ("sentiment", True),
+                "avg_ll_bool": ("avg_ll", False),
+                "cont_n_fraction": ("cont", {"n": 1.5, "samples": [{"e": [0.5] * 8}]}),
+                "cont_score_bool": ("cont", {"n": 1, "samples": [{"e": [0.5] * 8, "score": True}]}),
+                "cont_sample_length": ("cont", {"n": 1, "samples": [{"e": [0.5] * 3}]})}
+
+# header fields of the trace, on line 1
+_BAD_HEADERS = {"header_dim_float": ("embedding_dim", 8.0),
+                "header_dim_fraction": ("embedding_dim", 8.9)}
 
 
 _BAD_CELLS = {"csv_not_numeric": "abc", "csv_nan": "nan", "csv_inf": "inf"}
@@ -95,19 +107,22 @@ _ANN_LINES = {"csv_nan": "a1\tS I\na2\tS D",
               "ann_longer_than_csv": "a1\tS I D\na2\tS D I"}
 
 
-@pytest.mark.parametrize("case", [*_BAD_RECORDS, "blank_line_before_bad_record", *_BAD_CELLS,
+@pytest.mark.parametrize("case", [*_BAD_RECORDS, *_BAD_HEADERS, "blank_line_before_bad_record",
+                                  *_BAD_CELLS,
                                   "gold_kind_unknown",
                                   *(c for c in _ANN_LINES if c.startswith("ann_"))])
 def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
     line, named = "line 3", None
-    if case in _BAD_RECORDS or case == "blank_line_before_bad_record":
-        field, value = _BAD_RECORDS.get(case, ("index", "abc"))
+    if case in _BAD_RECORDS or case in _BAD_HEADERS or case == "blank_line_before_bad_record":
+        at, (field, value) = ((0, _BAD_HEADERS[case]) if case in _BAD_HEADERS
+                              else (2, _BAD_RECORDS.get(case, ("index", "abc"))))
+        line = f"line {at + 1}"
         good = tmp_path / "good.trace"  # read first: the message must name the bad file
         good.write_text(demo_trace.read_text())
         lines = demo_trace.read_text().splitlines()
-        record = json.loads(lines[2])
+        record = json.loads(lines[at])
         record[field] = value
-        lines[2] = json.dumps(record)
+        lines[at] = json.dumps(record)
         if case == "blank_line_before_bad_record":
             lines.insert(2, "")
             line = "line 4"

@@ -137,6 +137,13 @@ def test_trace_rejects_dim_mismatch():
                    embedding_dim=2)
 
 
+def test_trace_rejects_continuation_dim_mismatch():
+    cont = ContinuationSet(horizon=1, samples=(ContinuationSample(np.array([1.0, 0.0, 0.0])),))
+    rec = SentenceRecord(index=0, embedding=np.array([1.0, 0.0]), continuations=cont)
+    with pytest.raises(ValidationError, match="sentence 0: continuation sample length 3"):
+        StoryTrace(story_id="s", sentences=(rec,), embedding_dim=2)
+
+
 def test_sentiment_out_of_range_rejected():
     with pytest.raises(ValidationError):
         _record(0, [1, 0], sentiment=1.5)

@@ -90,6 +90,9 @@ def test_passage_rejects_bad_source_and_dist():
         _passage("p", [1.0], source="web")
     with pytest.raises(ValidationError):
         _passage("p", [1.0], token_dist=np.array([0.5, 0.6]))
+    for bad in ([np.nan, 0.5], [np.inf, 0.0], [1.0, np.nan]):
+        with pytest.raises(ValidationError, match="token_dist is not a distribution"):
+            _passage("p", [1.0], token_dist=np.array(bad))
 
 
 # --- merging and weights ------------------------------------------------------------
@@ -154,6 +157,8 @@ def test_marginalize_rejects_mismatch_and_bad_dist():
         marginalize_token_dists([1.0], [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValidationError):
         marginalize_token_dists([1.0], [[0.5, 0.6]])
+    with pytest.raises(ValidationError, match="distribution 0"):
+        marginalize_token_dists([1.0], [[np.nan, 1.0]])
 
 
 # --- memory cache --------------------------------------------------------------------
@@ -278,6 +283,14 @@ def test_passage_file_wrong_key_dimension_names_line(tmp_path):
     path.write_text('{"dim":2}\n{"id":"a","source":"kb","key":[1.0,0.0],"payload":"x"}\n'
                     '{"id":"b","source":"kb","key":[1.0],"payload":"y"}\n')
     with pytest.raises(ParseError, match=re.escape(f"{path} line 3: ") + ".*key dimension 1"):
+        read_passages(path)
+
+
+def test_passage_file_nan_token_dist_names_line(tmp_path):
+    path = tmp_path / "bad.psg"
+    path.write_text('{"dim":1}\n{"id":"a","source":"kb","key":[1.0],"payload":"x",'
+                    '"token_dist":[NaN,0.5]}\n')
+    with pytest.raises(ParseError, match=re.escape(f"{path} line 2: ") + ".*token_dist"):
         read_passages(path)
 
 

@@ -1,5 +1,6 @@
 """Surprise/suspense measure arithmetic and invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,10 +17,11 @@ from storymetrics.suspense import (DistanceKind, MetricConfig, alpha_weight,
                                    ely_surprise, ely_suspense,
                                    entropy,
                                    hale_surprise, hale_uncertainty_reduction,
-                                   jaccard_similarity, metric_series,
+                                   jaccard_similarity, METRIC_NAMES, metric_series,
                                    perplexity, sample_ely_surprise,
                                    sample_ely_suspense, softmax,
                                    weighted_surprise, weighted_suspense)
+from strategies import traces
 
 ALL_KINDS = (DistanceKind.L1, DistanceKind.L2, DistanceKind.SQUARED_L2,
              DistanceKind.COSINE)
@@ -330,3 +332,120 @@ def test_metric_series_suspense_uses_probabilities():
     series = metric_series(trace, "ely_suspense", MetricConfig())
     assert series.values[0] == pytest.approx(1.75)
     assert series.values[1] == 0.0
+
+
+# --- the whole-trace curves against the per-record oracle --------------------
+#
+# The oracle scores sentence by sentence with the scalar functions; the
+# whole-trace curves of metric_series must equal it bit for bit.
+
+def _continuation_probs(e_t, cont):
+    if cont.probabilities is not None:
+        return cont.probabilities
+    return continuation_distribution(e_t, cont.sample_embeddings())
+
+
+def _alpha(rec, cfg):
+    return alpha_weight(rec.sentiment, cfg) if rec.sentiment is not None else 0.0
+
+
+def _oracle_hale_surprise(rec, prev, cfg):
+    if prev is None or prev.continuations is None:
+        return None
+    cont = prev.continuations
+    probs = _continuation_probs(prev.embedding, cont)
+    sims = [cosine_similarity(rec.embedding, emb) for emb in cont.sample_embeddings()]
+    p = float(probs[int(np.argmax(sims))])
+    return hale_surprise(p) if p > 0 else None
+
+
+def _oracle_word_overlap(rec, prev, cfg):
+    if prev is None or rec.text is None or prev.text is None:
+        return None
+    a, b = set(rec.text.lower().split()), set(prev.text.lower().split())
+    return jaccard_similarity(a, b) if a or b else None
+
+
+# name -> value(rec, prev, cfg), None where the sentence lacks the inputs
+_ORACLE = {
+    "ely_surprise": lambda rec, prev, cfg: None if prev is None else
+        ely_surprise(rec.embedding, prev.embedding, cfg.distance),
+    "ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
+        ely_suspense(rec.embedding, rec.continuations, cfg.distance),
+    "alpha_ely_surprise": lambda rec, prev, cfg: None if prev is None else
+        weighted_surprise(_alpha(rec, cfg),
+                          ely_surprise(rec.embedding, prev.embedding, cfg.distance)),
+    "alpha_ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
+        weighted_suspense(rec.embedding, rec.continuations,
+                          np.full(len(rec.continuations.samples), _alpha(rec, cfg)),
+                          cfg.distance),
+    "hale_surprise": _oracle_hale_surprise,
+    "hale_uncertainty_reduction": lambda rec, prev, cfg:
+        None if prev is None or prev.continuations is None or rec.continuations is None else
+        hale_uncertainty_reduction(
+            entropy(_continuation_probs(prev.embedding, prev.continuations)),
+            entropy(_continuation_probs(rec.embedding, rec.continuations))),
+    "sample_ely_surprise": lambda rec, prev, cfg:
+        None if prev is None or prev.continuations is None else
+        sample_ely_surprise(rec.embedding, prev.continuations.sample_embeddings(),
+                            cfg.distance),
+    "sample_ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
+        sample_ely_suspense(rec.embedding, rec.continuations.sample_embeddings(),
+                            cfg.distance),
+    "word_overlap": _oracle_word_overlap,
+    "embedding_similarity": lambda rec, prev, cfg: None if prev is None else
+        cosine_similarity(rec.embedding, prev.embedding),
+    "alpha_sentiment": lambda rec, prev, cfg: None if rec.sentiment is None else
+        alpha_weight(rec.sentiment, cfg),
+    "perplexity": lambda rec, prev, cfg: None if rec.avg_log_likelihood is None else
+        perplexity(-rec.avg_log_likelihood),
+}
+
+
+def oracle_series(trace, name, cfg) -> np.ndarray:
+    values = np.zeros(len(trace))
+    available = 0
+    prev = None
+    for t, rec in enumerate(trace.sentences):
+        v = _ORACLE[name](rec, prev, cfg)
+        if v is not None:
+            values[t] = v
+            available += 1
+        prev = rec
+    if available == 0:
+        raise ValidationError(
+            f"metric {name!r}: required inputs absent for every sentence of {trace.story_id!r}")
+    return values
+
+
+def _outcome(series):
+    """repr of the curve's values (exact to the bit and the sign of zero),
+    or the message it was refused with."""
+    try:
+        return repr(series().tolist())
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def test_oracle_covers_every_metric():
+    assert tuple(_ORACLE) == METRIC_NAMES
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace=traces(),
+       weights=st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * 3))
+def test_metric_series_equals_per_record_oracle(trace, weights):
+    for name, kind in itertools.product(METRIC_NAMES, DistanceKind):
+        cfg = MetricConfig(kind, *weights)
+        assert (_outcome(lambda: metric_series(trace, name, cfg).values)
+                == _outcome(lambda: oracle_series(trace, name, cfg))), (name, kind)
+
+
+def test_hale_surprise_takes_the_scalar_log():
+    # np.log of an array and math.log round 0.662 differently
+    trace = StoryTrace(story_id="t", sentences=(
+        SentenceRecord(index=0, embedding=np.array([1.0, 0.0]),
+                       continuations=_cont([[1.0, 0.0], [0.0, 1.0]], probs=[0.662, 0.338])),
+        SentenceRecord(index=1, embedding=np.array([1.0, 0.1])),
+    ), embedding_dim=2)
+    assert metric_series(trace, "hale_surprise", MetricConfig()).values[1] == -math.log(0.662)
