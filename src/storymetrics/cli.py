@@ -30,8 +30,12 @@ DEFAULT_METRICS = ("ely_surprise", "ely_suspense", "alpha_ely_suspense",
 DEFAULT_MEASURES = ("like", "swap", "know_diff", "emb_surp", "emb_sal", "clus")
 
 
-def _thread_map(fn, items) -> list:
-    """fn over items on NARR_THREADS worker threads (default 4), in order."""
+def _thread_map(fn, items: list) -> list:
+    """fn over items on NARR_THREADS worker threads (default 4), in order.
+    A single item runs in the calling thread: a worker thread allocates in
+    its own malloc arena, which stays resident after the pool is gone."""
+    if len(items) == 1:
+        return [fn(items[0])]
     try:
         workers = int(os.environ.get("NARR_THREADS", ""))
     except ValueError:
@@ -264,7 +268,7 @@ def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = 
                                           f"for the {n_rows} sentences of {pred_path}")
         trace = None
         if trace_path is not None:
-            trace = read_trace(trace_path)
+            trace = read_trace(trace_path, full=False)
             if n_rows != len(trace):
                 raise ValidationError(f"{pred_path} has {n_rows} rows but {trace_path} "
                                       f"has {len(trace)} sentences")
@@ -292,8 +296,8 @@ def cmd_evaluate(args) -> int:
 def cmd_align(args) -> int:
     if len(args.trace) != 2:
         raise ValidationError("align needs exactly two --trace files: summary then full text")
-    summary = read_trace(args.trace[0])
-    fulltext = read_trace(args.trace[1])
+    summary = read_trace(args.trace[0], full=False)
+    fulltext = read_trace(args.trace[1], full=False)
     cfg = alignment.AlignConfig(window_fraction=args.rho, min_sim=args.mu,
                                 slack=args.theta, max_matches=args.max_matches)
     result = alignment.align([r.embedding for r in summary.sentences],

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -138,6 +138,10 @@ def _length_mismatch(rec: SentenceRecord, embedding_dim: int) -> Optional[str]:
     if rec.continuations is not None and rec.continuations.embedding_dim != embedding_dim:
         return (f"continuation sample length {rec.continuations.embedding_dim} does not "
                 f"match embedding_dim={embedding_dim}")
+    for variant, vec in (rec.window_embedding or {}).items():
+        if vec.shape[0] != embedding_dim:
+            return (f"window_embedding[{variant!r}] length {vec.shape[0]} does not "
+                    f"match embedding_dim={embedding_dim}")
     return None
 
 
@@ -319,16 +323,37 @@ def _json_number(value, what: str) -> Optional[float]:
     return value
 
 
+_NUMBER_TYPES = {float, int}
+
+
+def _json_numbers(value, what: str):
+    """A JSON array is refused if it holds a string or bool, which numpy
+    would convert; anything else is left for the vector checks."""
+    if type(value) is list and not set(map(type, value)) <= _NUMBER_TYPES:
+        bad = next(v for v in value if type(v) not in _NUMBER_TYPES)
+        raise ValidationError(f"{what} must hold only numbers, got {bad!r}")
+    return value
+
+
+def _json_windows(windows, name: str):
+    """A per-variant window mapping whose vectors hold only numbers."""
+    if windows is None:
+        return None
+    return {variant: _json_numbers(vec, f"{name}[{variant!r}]")
+            for variant, vec in windows.items()}
+
+
 def _parse_continuations(obj) -> ContinuationSet:
     try:
         samples = tuple(
-            ContinuationSample(embedding=np.asarray(s["e"], float),
+            ContinuationSample(embedding=np.asarray(_json_numbers(s["e"], "sample embedding"),
+                                                    float),
                                raw_score=_json_number(s.get("score"), "sample score"))
             for s in obj["samples"]
         )
         probs = obj.get("probs")
         if probs is not None:
-            probs = np.asarray(probs, float)
+            probs = np.asarray(_json_numbers(probs, "continuation probabilities"), float)
             total = float(probs.sum())
             if abs(total - 1.0) > PROB_RENORM_TOL:
                 raise ValidationError(f"continuation probabilities sum to {total}, "
@@ -341,59 +366,106 @@ def _parse_continuations(obj) -> ContinuationSet:
         raise ParseError(f"malformed continuation set: {exc}") from exc
 
 
+def _numbered_lines(fh) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of an open text file with their 1-based line
+    numbers, so a message about a record names the line it is on in the file."""
+    return ((no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if not ln.isspace())
+
+
 def content_lines(path) -> list[tuple[int, str]]:
-    """The non-blank lines of a text file with their 1-based line numbers,
-    so a message about a record names the line it is on in the file."""
+    """The numbered non-blank lines of the text file at `path`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if not ln.isspace()]
+        return list(_numbered_lines(fh))
 
 
-def read_trace(path) -> StoryTrace:
-    lines = content_lines(path)
-    if not lines:
-        raise ParseError(f"{path}: empty trace file")
-    head_no, head = lines[0]
+# Decodes a JSON float to the bytes of its literal and a JSON string to a
+# str, so a projected read converts only the floats it keeps, and can still
+# tell a number from a string.
+_PROJECTING_DECODER = json.JSONDecoder(parse_float=str.encode)
+
+
+def _projected_record(raw: str, embedding_dim: int, index: int) -> Optional[SentenceRecord]:
+    """The index, e and text of a record line, or None unless the line is a
+    JSON object whose `index` is the integer `index`, whose `e` holds
+    `embedding_dim` finite JSON floats and whose `text` is a string or absent."""
     try:
-        header = json.loads(head)
-        story_id = header["story_id"]
-        embedding_dim = _json_int(header["embedding_dim"], "embedding_dim")
-        meta = dict(header.get("meta", {}))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc
+        obj = _PROJECTING_DECODER.decode(raw)
+    except json.JSONDecodeError:
+        return None
+    if type(obj) is not dict:
+        return None
+    e = obj.get("e")
+    if (type(obj.get("index")) is not int or obj["index"] != index
+            or type(e) is not list or len(e) != embedding_dim or set(map(type, e)) != {bytes}):
+        return None
+    try:  # refuses a non-string text, and a float literal out of range (read as inf)
+        return SentenceRecord(index=index, embedding=np.array(e, float), text=obj.get("text"))
+    except ValidationError:
+        return None
 
-    records = []
-    for line_no, raw in lines[1:]:
+
+def _full_record(path, line_no: int, raw: str, embedding_dim: int, index: int) -> SentenceRecord:
+    """Every field of a record line, checked; a malformed one raises a
+    ParseError that names the line."""
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
+    try:
+        emb = np.asarray(_json_numbers(obj["e"], "embedding"), float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} line {line_no}: missing or malformed embedding: {exc}") from exc
+    cont = obj.get("cont")
+    try:
+        rec = SentenceRecord(
+            index=_json_int(obj["index"], "index"),
+            embedding=emb,
+            text=obj.get("text"),
+            avg_log_likelihood=_json_number(obj.get("avg_ll"), "avg_ll"),
+            window_token_loglikes=_json_windows(obj.get("win_ll"), "window_token_loglikes"),
+            window_embedding=_json_windows(obj.get("win_emb"), "window_embedding"),
+            sentiment=_json_number(obj.get("sentiment"), "sentiment"),
+            continuations=_parse_continuations(cont) if cont is not None else None,
+        )
+    except ValidationError as exc:
+        raise ParseError(f"{path} line {line_no}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"{path} line {line_no}: malformed record: {exc}") from exc
+    mismatch = _length_mismatch(rec, embedding_dim)
+    if mismatch:
+        raise ParseError(f"{path} line {line_no}: {mismatch}")
+    if rec.index != index:
+        raise ParseError(f"{path} line {line_no}: sentence index {rec.index}, expected "
+                         f"{index}; indices must be contiguous from 0")
+    return rec
+
+
+def read_trace(path, *, full: bool = True) -> StoryTrace:
+    """The trace in `path`. With full=False its records carry only `index`,
+    `e` and `text`, and only those fields (with the header and the JSON
+    syntax of every line) are checked; a line the projection does not
+    accept is judged by the full read, so both give the same errors."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _numbered_lines(fh)  # streamed: a chapter trace is tens of MB
+        head_no, head = next(lines, (None, None))
+        if head is None:
+            raise ParseError(f"{path}: empty trace file")
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
-        try:
-            emb = np.asarray(obj["e"], float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path} line {line_no}: missing or malformed embedding: {exc}") from exc
-        cont = obj.get("cont")
-        try:
-            rec = SentenceRecord(
-                index=_json_int(obj["index"], "index"),
-                embedding=emb,
-                text=obj.get("text"),
-                avg_log_likelihood=_json_number(obj.get("avg_ll"), "avg_ll"),
-                window_token_loglikes=obj.get("win_ll"),
-                window_embedding=obj.get("win_emb"),
-                sentiment=_json_number(obj.get("sentiment"), "sentiment"),
-                continuations=_parse_continuations(cont) if cont is not None else None,
-            )
-        except ValidationError as exc:
-            raise ParseError(f"{path} line {line_no}: {exc}") from exc
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ParseError(f"{path} line {line_no}: malformed record: {exc}") from exc
-        mismatch = _length_mismatch(rec, embedding_dim)
-        if mismatch:
-            raise ParseError(f"{path} line {line_no}: {mismatch}")
-        if rec.index != len(records):
-            raise ParseError(f"{path} line {line_no}: sentence index {rec.index}, expected "
-                             f"{len(records)}; indices must be contiguous from 0")
-        records.append(rec)
+            header = json.loads(head)
+            story_id = header["story_id"]
+            embedding_dim = _json_int(header["embedding_dim"], "embedding_dim")
+            meta = dict(header.get("meta", {}))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc
+
+        records = []
+        for line_no, raw in lines:
+            rec = None if full else _projected_record(raw, embedding_dim, len(records))
+            if rec is None:
+                rec = _full_record(path, line_no, raw, embedding_dim, len(records))
+                if not full:
+                    rec = SentenceRecord(index=rec.index, embedding=rec.embedding, text=rec.text)
+            records.append(rec)
     if not records:
         raise ValidationError(f"{path}: trace has no sentences")
     return StoryTrace(story_id=story_id, sentences=tuple(records),

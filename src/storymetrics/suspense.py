@@ -81,7 +81,8 @@ def entropy(dist) -> float:
     probs = np.asarray(dist, float)
     if probs.ndim != 1 or probs.size == 0:
         raise ValidationError("distribution must be a non-empty 1-d vector")
-    if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-9:
+    if (not np.all(np.isfinite(probs)) or np.any(probs < 0)
+            or abs(float(probs.sum()) - 1.0) > 1e-9):
         raise ValidationError("invalid probability distribution")
     nz = probs[probs > 0]
     return float(-np.sum(nz * np.log(nz)))

@@ -89,7 +89,16 @@ _BAD_RECORDS = {"index_not_int": ("index", "abc"),
                 "avg_ll_bool": ("avg_ll", False),
                 "cont_n_fraction": ("cont", {"n": 1.5, "samples": [{"e": [0.5] * 8}]}),
                 "cont_score_bool": ("cont", {"n": 1, "samples": [{"e": [0.5] * 8, "score": True}]}),
-                "cont_sample_length": ("cont", {"n": 1, "samples": [{"e": [0.5] * 3}]})}
+                "cont_sample_length": ("cont", {"n": 1, "samples": [{"e": [0.5] * 3}]}),
+                # a string or bool inside a vector is refused, not converted
+                "e_numeric_string": ("e", ["1.5"] + [0.5] * 7),
+                "e_bool": ("e", [True] + [0.5] * 7),
+                "win_ll_numeric_string": ("win_ll", {"base": ["-1"]}),
+                "win_emb_bool": ("win_emb", {"base": [False] + [0.5] * 7}),
+                "cont_sample_e_string": ("cont", {"n": 1, "samples": [{"e": ["0.5"] * 8}]}),
+                "cont_probs_bool": ("cont", {"n": 1, "samples": [{"e": [0.5] * 8}],
+                                             "probs": [True]}),
+                "win_emb_short": ("win_emb", {"base": [0.5] * 8, "deleted": [0.5] * 2})}
 
 # header fields of the trace, on line 1
 _BAD_HEADERS = {"header_dim_float": ("embedding_dim", 8.0),
@@ -156,6 +165,33 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
     err = capsys.readouterr().err
     assert line in err
     assert named is None or str(named) in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cont", {"n": 1, "samples": [{"e": ["0.5"] * 8}]}),
+    ("win_ll", {"base": ["-1"]}),
+    ("win_emb", {"base": [0.5] * 2}),
+])
+def test_evaluate_and_align_skip_fields_they_do_not_read(tmp_path, demo_trace, capsys,
+                                                          field, value):
+    """evaluate --trace and align read only index, e and text, so a
+    malformed field they do not read fails analyze alone."""
+    curves, gold = tmp_path / "curves", tmp_path / "gold.txt"
+    assert main(["analyze", "--trace", str(demo_trace), "--metrics", "ely_surprise",
+                 "--measures", "like", "--out", str(curves)]) == 0
+    write_gold(GoldLabels(kind="salience", salient_indices=frozenset({1, 3})), gold)
+    lines = demo_trace.read_text().splitlines()
+    record = json.loads(lines[2])
+    record[field] = value
+    lines[2] = json.dumps(record)
+    demo_trace.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--trace", str(demo_trace), "--out", str(tmp_path / "x")]) == 2
+    assert f"{demo_trace} line 3: " in capsys.readouterr().err
+    assert main(["evaluate", str(curves / "story.csv"), "--mode", "salience",
+                 "--gold", str(gold), "--trace", str(demo_trace),
+                 "--out", str(tmp_path / "sal.csv")]) == 0
+    assert main(["align", "--trace", str(demo_trace), "--trace", str(demo_trace),
+                 "--out", str(tmp_path / "aligned")]) == 0
 
 
 def test_series_csv_without_rows_exit_2(tmp_path, capsys):
@@ -414,9 +450,14 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
         write_gold(GoldLabels(kind="salience", salient_indices=frozenset({1, 3})), gold)
         assert main(["analyze", "--trace", str(demo_trace), "--measures", "like",
                      "--metrics", "ely_surprise", "--out", str(curves)]) == 0
+        before = dict(rec.counts)
+        # evaluate reads its trace with full=False, through the same hook
         assert main(["evaluate", str(curves / "story.csv"), "--mode", "salience",
                      "--gold", str(gold), "--trace", str(demo_trace),
                      "--out", str(tmp_path / "sal.csv")]) == 0
+        for counter, grew_by in (("model.read_trace.calls", 1),
+                                 ("model.read_trace.bytes", demo_trace.stat().st_size)):
+            assert rec.counts[counter] - before[counter] == grew_by
         kb = retrieval.PassageStore(2, [retrieval.Passage("a", [1.0, 0.0], "", "kb"),
                                         retrieval.Passage("b", [0.0, 1.0], "", "kb")])
         cache = retrieval.MemoryCache(2)

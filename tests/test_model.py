@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from storymetrics.model import (AnnotationSet, ContinuationSample,
                                 ContinuationSet, GoldLabels, Judgment,
                                 MetricSeries, ParseError, SentenceRecord,
-                                StoryTrace, ValidationError, read_annotations,
-                                read_gold, read_trace, write_annotations,
-                                write_gold, write_trace)
+                                StoryTrace, ValidationError, _projected_record,
+                                read_annotations, read_gold, read_trace,
+                                write_annotations, write_gold, write_trace)
+
+from strategies import traces
 
 
 def _record(index, emb, **kwargs):
@@ -142,6 +144,14 @@ def test_trace_rejects_continuation_dim_mismatch():
     rec = SentenceRecord(index=0, embedding=np.array([1.0, 0.0]), continuations=cont)
     with pytest.raises(ValidationError, match="sentence 0: continuation sample length 3"):
         StoryTrace(story_id="s", sentences=(rec,), embedding_dim=2)
+
+
+def test_trace_rejects_window_embedding_dim_mismatch():
+    rec = _record(0, [1.0, 0.0, 2.0],
+                  window_embedding={"base": [1.0, 0.0, 2.0], "deleted": [1.0, 0.5]})
+    with pytest.raises(ValidationError, match=re.escape(
+            "sentence 0: window_embedding['deleted'] length 2 does not match embedding_dim=3")):
+        StoryTrace(story_id="s", sentences=(rec,), embedding_dim=3)
 
 
 def test_sentiment_out_of_range_rejected():
@@ -279,6 +289,65 @@ def test_window_loglikes_read_as_exact_float_arrays(tmp_path_factory, win_ll):
     for raw, want in zip((d / "a.trace").read_text().splitlines()[1:], win_ll):
         assert json.loads(raw)["win_ll"] == {k: [float(v) for v in vals]
                                              for k, vals in want.items()}
+
+
+# A header and a valid first record come before each line, which is line 3
+# and must carry index 1 with two entries in `e`. The second item is a
+# fragment of the error both reads give, or None where both accept the line.
+_IRREGULAR_LINES = {
+    "text_float": ('{"index":1,"e":[1.0,0.0],"text":1.5}', "sentence text must be a string"),
+    "text_int": ('{"index":1,"e":[1.0,0.0],"text":3}', "sentence text must be a string"),
+    "index_bool": ('{"index":true,"e":[1.0,0.0]}', "index must be an integer, got True"),
+    "index_float": ('{"index":1.0,"e":[1.0,0.0]}', "index must be an integer, got 1.0"),
+    "e_int": ('{"index":1,"e":[1,0.0],"avg_ll":-1.0}', None),
+    "e_string": ('{"index":1,"e":["1.5",0.0]}', "embedding must hold only numbers, got '1.5'"),
+    "e_bool": ('{"index":1,"e":[true,0.0]}', "embedding must hold only numbers, got True"),
+    "e_nan": ('{"index":1,"e":[NaN,0.0]}', "embedding contains non-finite values"),
+    "e_overflow": ('{"index":1,"e":[1e400,0.0]}', "embedding contains non-finite values"),
+    "e_missing": ('{"index":1,"text":"a"}', "missing or malformed embedding"),
+    "e_short": ('{"index":1,"e":[1.0]}', "embedding length 1 does not match embedding_dim=2"),
+    "not_object": ('[1.0,0.0]', "missing or malformed embedding"),
+    "bad_json": ('{"index":1,"e":[1.0,', "invalid JSON"),
+    "index_gap": ('{"index":2,"e":[1.0,0.0]}', "sentence index 2, expected 1"),
+}
+
+
+@pytest.mark.parametrize("line, message", _IRREGULAR_LINES.values(), ids=_IRREGULAR_LINES)
+def test_projected_read_judges_irregular_lines_as_the_full_read(tmp_path, line, message):
+    path = tmp_path / "t.trace"
+    path.write_text('{"story_id":"s","embedding_dim":2,"meta":{}}\n'
+                    '{"index":0,"e":[1.0,0.0]}\n' + line + "\n")
+    if message is None:
+        full, projected = read_trace(path), read_trace(path, full=False)
+        assert ([r.embedding.tobytes() for r in projected.sentences]
+                == [r.embedding.tobytes() for r in full.sentences])
+        assert full.sentences[1].avg_log_likelihood == -1.0
+        assert projected.sentences[1].avg_log_likelihood is None
+        return
+    errors = []
+    for full in (True, False):
+        with pytest.raises(ParseError) as info:
+            read_trace(path, full=full)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{path} line 3: ") and message in errors[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=traces())
+def test_projected_read_equals_full_read(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("proj") / "t.trace"
+    write_trace(trace, path)
+    full, projected = read_trace(path), read_trace(path, full=False)
+    assert projected.story_id == full.story_id and len(projected) == len(full)
+    for a, b in zip(projected.sentences, full.sentences):
+        assert (repr(a.index), repr(a.text)) == (repr(b.index), repr(b.text))
+        assert a.embedding.tobytes() == b.embedding.tobytes()
+        assert a.continuations is None and a.window_token_loglikes is None
+    # every record write_trace emits takes the projection, not the fallback
+    records = path.read_text().splitlines()[1:]
+    assert all(_projected_record(raw, trace.embedding_dim, i) is not None
+               for i, raw in enumerate(records))
 
 
 # --- annotation and gold files -----------------------------------------------

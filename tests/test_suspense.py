@@ -101,8 +101,9 @@ def test_entropy_values():
 
 
 def test_entropy_rejects_invalid_distribution():
-    with pytest.raises(ValidationError):
-        entropy([0.5, 0.6])
+    for dist in ([0.5, 0.6], [math.nan, 0.5], [math.nan, 1.0], [math.inf, 0.5]):
+        with pytest.raises(ValidationError):
+            entropy(dist)
 
 
 def test_hale_uncertainty_reduction():
