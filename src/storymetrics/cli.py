@@ -12,8 +12,12 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from functools import cache
+import threading
+# Not used here. perfbench's traced run patches cli.ThreadPoolExecutor and
+# fails with a KeyError when the name is missing.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from dataclasses import dataclass
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,18 +34,44 @@ DEFAULT_METRICS = ("ely_surprise", "ely_suspense", "alpha_ely_suspense",
 DEFAULT_MEASURES = ("like", "swap", "know_diff", "emb_surp", "emb_sal", "clus")
 
 
-def _thread_map(fn, items: list) -> list:
-    """fn over items on NARR_THREADS worker threads (default 4), in order.
-    A single item runs in the calling thread: a worker thread allocates in
-    its own malloc arena, which stays resident after the pool is gone."""
-    if len(items) == 1:
-        return [fn(items[0])]
-    try:
-        workers = int(os.environ.get("NARR_THREADS", ""))
-    except ValueError:
-        workers = 0
-    with ThreadPoolExecutor(max_workers=workers if workers > 0 else 4) as pool:
+def _map(fn, items: list) -> list:
+    """fn over items, in order. Two or more items run in worker processes
+    forked from this one, one per usable CPU and at most one per item. They
+    run in the calling thread instead when there is one item or one usable
+    CPU, when this process runs other threads (a fork copies only the
+    calling one), or where os has no sched_getaffinity (not Linux)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(items) < 2 or cpus < 2 or threading.active_count() > 1:
+        return [fn(item) for item in items]
+    # imported here, so that every `import storymetrics.cli` does not pay for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork is pinned (Python 3.14 makes forkserver the Linux default): the
+    # workers start with this process's modules already imported
+    with ProcessPoolExecutor(min(len(items), cpus),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(fn, items))
+
+
+# the errors main() reports with an exit code
+_USER_ERRORS = (ValidationError, DegenerateStatisticsError, OSError)
+_READING, _SCORING = 0, 1
+
+
+@dataclass(frozen=True)
+class _Failed:
+    """An error a job met at a stage (_READING its inputs, or _SCORING them).
+    Jobs return it instead of raising it, so that the parent sees every
+    job's outcome and raises what a serial run would have raised."""
+    stage: int
+    error: Exception
+
+
+def _raise_first(results: list, stage: int) -> None:
+    """Raise the error of the first job, in input order, that failed at `stage`."""
+    for result in results:
+        if isinstance(result, _Failed) and result.stage == stage:
+            raise result.error
 
 
 def _fmt_value(v: float) -> str:
@@ -84,28 +114,47 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def analyze(traces: Sequence[StoryTrace], out_dir, metrics: Sequence[str],
+def _columns(trace: StoryTrace, metrics: Sequence[str], measures: Sequence[str],
+             cfg: suspense.MetricConfig, seed: int, zscore: bool) -> dict[str, np.ndarray]:
+    cols = {name: suspense.metric_series(trace, name, cfg).values for name in metrics}
+    for measure in measures:
+        scfg = salience.SalienceConfig(measure=measure, rng_seed=seed)
+        cols[measure] = salience.salience_series(trace, scfg).values
+    if zscore:
+        cols = {name: annotation.zscore(MetricSeries(name, vals)).values
+                for name, vals in cols.items()}
+    return cols
+
+
+def _analyze_job(path, **options):
+    """Read the trace at `path` and compute its columns: `(story_id,
+    columns)`, or a _Failed."""
+    try:
+        trace = read_trace(path)
+    except _USER_ERRORS as exc:
+        return _Failed(_READING, exc)
+    try:
+        return trace.story_id, _columns(trace, **options)
+    except _USER_ERRORS as exc:
+        return _Failed(_SCORING, exc)
+
+
+def analyze(trace_paths: Sequence, out_dir, metrics: Sequence[str],
             measures: Sequence[str], cfg: suspense.MetricConfig, seed: int,
             zscore: bool) -> list[dict[str, np.ndarray]]:
-    """Write `<story_id>.csv` per trace into out_dir: one column per metric,
-    then one per salience measure (seeded by `seed`), all z-scored if
-    asked. Returns the columns, in trace order."""
-    def columns(trace: StoryTrace) -> dict[str, np.ndarray]:
-        cols = {name: suspense.metric_series(trace, name, cfg).values for name in metrics}
-        for measure in measures:
-            scfg = salience.SalienceConfig(measure=measure, rng_seed=seed)
-            cols[measure] = salience.salience_series(trace, scfg).values
-        if zscore:
-            cols = {name: annotation.zscore(MetricSeries(name, vals)).values
-                    for name, vals in cols.items()}
-        return cols
-
+    """Write `<story_id>.csv` per trace file into out_dir: one column per
+    metric, then one per salience measure (seeded by `seed`), all z-scored
+    if asked. Returns the columns, in trace order. Every trace is read
+    before any error of a computation is reported."""
+    results = _map(partial(_analyze_job, metrics=metrics, measures=measures, cfg=cfg,
+                           seed=seed, zscore=zscore), list(trace_paths))
+    _raise_first(results, _READING)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _thread_map(columns, traces)
-    for trace, cols in zip(traces, results):
-        _write_series_csv(out_dir / f"{trace.story_id}.csv", cols)
-    return results
+    _raise_first(results, _SCORING)
+    for story_id, cols in results:
+        _write_series_csv(out_dir / f"{story_id}.csv", cols)
+    return [cols for _, cols in results]
 
 
 def cmd_analyze(args) -> int:
@@ -114,8 +163,7 @@ def cmd_analyze(args) -> int:
     if not metrics and not measures:
         metrics = list(DEFAULT_METRICS)
     cfg = suspense.MetricConfig(distance=suspense.DistanceKind(args.distance))
-    analyze([read_trace(p) for p in args.trace], args.out, metrics, measures, cfg,
-            args.seed, args.zscore)
+    analyze(args.trace, args.out, metrics, measures, cfg, args.seed, args.zscore)
     return 0
 
 
@@ -223,20 +271,71 @@ def _aggregate_rows(rows: list[dict]) -> list[dict]:
     return agg
 
 
-def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = None,
-             gold: Optional[Sequence] = None, traces: Optional[Sequence] = None,
-             k: Optional[int] = None) -> None:
-    """Score each prediction CSV against its reference file and write one
-    row per story and measure, then the per-measure means, to `out`."""
-    given = {"--annotations": annotations, "--gold": gold, "--trace": traces, "--k": k}
-    # mode -> (options it reads, the reference-file option first; loader;
-    # required gold kind; per-story scorer). Built per call, so the readers
-    # are looked up when the command runs.
-    reads, load, gold_kind, score = {
+def _evaluation_mode(mode: str) -> tuple:
+    """(options the mode reads, the reference-file option first; loader;
+    required gold kind; per-story scorer). Built per call, so the readers
+    are looked up when the command runs."""
+    return {
         "suspense": (("--annotations",), read_annotations, None, _eval_suspense),
         "turning-points": (("--gold",), read_gold, "turning_points", _eval_turning_points),
         "salience": (("--gold", "--trace", "--k"), read_gold, "salience", _eval_salience),
     }[mode]
+
+
+def _read_story(mode: str, pred_path, ref_path, trace_path) -> tuple:
+    """One story's prediction columns, reference and trace (or None), each
+    checked against the others."""
+    _, load, gold_kind, _ = _evaluation_mode(mode)
+    pred = read_series_csv(pred_path)
+    ref = load(ref_path)
+    if gold_kind is not None and ref.kind != gold_kind:
+        raise ValidationError(f"{mode} mode needs {gold_kind} gold labels")
+    n_rows = len(next(iter(pred.values())))
+    if gold_kind is None and ref.length != n_rows:
+        raise ValidationError(f"{pred_path} has {n_rows} rows but {ref_path} has "
+                              f"{ref.length} judgments per annotator")
+    if gold_kind == "turning_points":
+        # the windows first: each contains its position
+        spans = [("window", w, w[1]) for w in ref.tp_windows or ()]
+        spans += [("position", p, p) for p in ref.tp_positions]
+        for what, label, last in spans:
+            if last >= n_rows:
+                raise ValidationError(f"{ref_path}: gold {what} {label} is out of range "
+                                      f"for the {n_rows} sentences of {pred_path}")
+    trace = None
+    if trace_path is not None:
+        trace = read_trace(trace_path, full=False)
+        if n_rows != len(trace):
+            raise ValidationError(f"{pred_path} has {n_rows} rows but {trace_path} "
+                                  f"has {len(trace)} sentences")
+        if max(ref.salient_indices, default=-1) >= len(trace):
+            raise ValidationError(f"{ref_path}: gold index {max(ref.salient_indices)} "
+                                  f"is beyond the {len(trace)} sentences of {trace_path}")
+    return pred, ref, trace
+
+
+def _evaluate_job(paths: tuple, mode: str, k: Optional[int]):
+    """Read and score one story's (prediction CSV, reference file, trace or
+    None): its result rows, or a _Failed."""
+    try:
+        inputs = _read_story(mode, *paths)
+    except _USER_ERRORS as exc:
+        return _Failed(_READING, exc)
+    try:
+        *_, score = _evaluation_mode(mode)
+        return score(Path(paths[0]).stem, *inputs, k)
+    except _USER_ERRORS as exc:
+        return _Failed(_SCORING, exc)
+
+
+def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = None,
+             gold: Optional[Sequence] = None, traces: Optional[Sequence] = None,
+             k: Optional[int] = None) -> None:
+    """Score each prediction CSV against its reference file and write one
+    row per story and measure, then the per-measure means, to `out`. Every
+    story is read before any error of a computation is reported."""
+    given = {"--annotations": annotations, "--gold": gold, "--trace": traces, "--k": k}
+    reads = _evaluation_mode(mode)[0]
     stray = [option for option, value in given.items()
              if value is not None and option not in reads]
     if stray:
@@ -248,36 +347,11 @@ def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = 
         raise ValidationError(f"one {reads[0]} file per prediction CSV required")
     if traces and len(traces) != len(preds):
         raise ValidationError("one --trace per prediction CSV required when given")
-    jobs = []
-    for pred_path, ref_path, trace_path in zip(preds, refs, traces or [None] * len(preds)):
-        pred = read_series_csv(pred_path)
-        ref = load(ref_path)
-        if gold_kind is not None and ref.kind != gold_kind:
-            raise ValidationError(f"{mode} mode needs {gold_kind} gold labels")
-        n_rows = len(next(iter(pred.values())))
-        if gold_kind is None and ref.length != n_rows:
-            raise ValidationError(f"{pred_path} has {n_rows} rows but {ref_path} has "
-                                  f"{ref.length} judgments per annotator")
-        if gold_kind == "turning_points":
-            # the windows first: each contains its position
-            spans = [("window", w, w[1]) for w in ref.tp_windows or ()]
-            spans += [("position", p, p) for p in ref.tp_positions]
-            for what, label, last in spans:
-                if last >= n_rows:
-                    raise ValidationError(f"{ref_path}: gold {what} {label} is out of range "
-                                          f"for the {n_rows} sentences of {pred_path}")
-        trace = None
-        if trace_path is not None:
-            trace = read_trace(trace_path, full=False)
-            if n_rows != len(trace):
-                raise ValidationError(f"{pred_path} has {n_rows} rows but {trace_path} "
-                                      f"has {len(trace)} sentences")
-            if max(ref.salient_indices, default=-1) >= len(trace):
-                raise ValidationError(f"{ref_path}: gold index {max(ref.salient_indices)} "
-                                      f"is beyond the {len(trace)} sentences of {trace_path}")
-        jobs.append((Path(pred_path).stem, pred, ref, trace))
-    rows = [row for story_rows in _thread_map(lambda job: score(*job, k), jobs)
-            for row in story_rows]
+    results = _map(partial(_evaluate_job, mode=mode, k=k),
+                   list(zip(preds, refs, traces or [None] * len(preds))))
+    _raise_first(results, _READING)
+    _raise_first(results, _SCORING)
+    rows = [row for story_rows in results for row in story_rows]
     rows.extend(_aggregate_rows(rows))
     out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -410,8 +484,9 @@ def cmd_demo(args) -> int:
         traces[story_id] = trace
         write_trace(trace, traces_dir / f"{story_id}.trace")
 
-    columns = analyze(list(traces.values()), curves_dir, DEFAULT_METRICS, DEFAULT_MEASURES,
-                      suspense.MetricConfig(), seed, zscore=False)
+    columns = analyze([traces_dir / f"{sid}.trace" for sid in traces], curves_dir,
+                      DEFAULT_METRICS, DEFAULT_MEASURES, suspense.MetricConfig(), seed,
+                      zscore=False)
 
     # suspense evaluation against synthetic annotators
     ann_paths = []

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
@@ -372,10 +373,28 @@ def _numbered_lines(fh) -> Iterator[tuple[int, str]]:
     return ((no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if not ln.isspace())
 
 
+def _not_utf8(path) -> ParseError:
+    """The error for a file that is not UTF-8, naming the line of its first
+    bad byte. Text I/O decodes in chunks, so the line is found by reading
+    the file again as bytes."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+        bad = len(data)  # the file changed after it failed to decode
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+    head = data[:bad]  # text I/O ends a line at \n, \r or \r\n
+    line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    return ParseError(f"{path} line {line_no}: not valid UTF-8")
+
+
 def content_lines(path) -> list[tuple[int, str]]:
     """The numbered non-blank lines of the text file at `path`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(_numbered_lines(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return list(_numbered_lines(fh))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 # Decodes a JSON float to the bytes of its literal and a JSON string to a
@@ -440,32 +459,46 @@ def _full_record(path, line_no: int, raw: str, embedding_dim: int, index: int) -
     return rec
 
 
+def _file_name(story_id) -> str:
+    """A story_id that names output files: a plain file name, never a path."""
+    if (type(story_id) is not str or story_id in ("", ".", "..")
+            or any(c in story_id for c in "/\\\0")):
+        raise ValidationError(f"story_id must be a plain file name, got {story_id!r}")
+    return story_id
+
+
 def read_trace(path, *, full: bool = True) -> StoryTrace:
     """The trace in `path`. With full=False its records carry only `index`,
     `e` and `text`, and only those fields (with the header and the JSON
     syntax of every line) are checked; a line the projection does not
     accept is judged by the full read, so both give the same errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _numbered_lines(fh)  # streamed: a chapter trace is tens of MB
-        head_no, head = next(lines, (None, None))
-        if head is None:
-            raise ParseError(f"{path}: empty trace file")
-        try:
-            header = json.loads(head)
-            story_id = header["story_id"]
-            embedding_dim = _json_int(header["embedding_dim"], "embedding_dim")
-            meta = dict(header.get("meta", {}))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_trace_lines(path, _numbered_lines(fh), full)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
-        records = []
-        for line_no, raw in lines:
-            rec = None if full else _projected_record(raw, embedding_dim, len(records))
-            if rec is None:
-                rec = _full_record(path, line_no, raw, embedding_dim, len(records))
-                if not full:
-                    rec = SentenceRecord(index=rec.index, embedding=rec.embedding, text=rec.text)
-            records.append(rec)
+
+def _read_trace_lines(path, lines: Iterator[tuple[int, str]], full: bool) -> StoryTrace:
+    head_no, head = next(lines, (None, None))
+    if head is None:
+        raise ParseError(f"{path}: empty trace file")
+    try:
+        header = json.loads(head)
+        story_id = _file_name(header["story_id"])
+        embedding_dim = _json_int(header["embedding_dim"], "embedding_dim")
+        meta = dict(header.get("meta", {}))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc
+
+    records = []
+    for line_no, raw in lines:  # streamed: a chapter trace is tens of MB
+        rec = None if full else _projected_record(raw, embedding_dim, len(records))
+        if rec is None:
+            rec = _full_record(path, line_no, raw, embedding_dim, len(records))
+            if not full:
+                rec = SentenceRecord(index=rec.index, embedding=rec.embedding, text=rec.text)
+        records.append(rec)
     if not records:
         raise ValidationError(f"{path}: trace has no sentences")
     return StoryTrace(story_id=story_id, sentences=tuple(records),

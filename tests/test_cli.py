@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from storymetrics import baseline
+from storymetrics import baseline, cli
 from storymetrics.cli import build_parser, main, read_series_csv
 from storymetrics.model import (AnnotationSet, GoldLabels, Judgment,
                                 read_gold, write_annotations, write_gold,
@@ -102,7 +103,16 @@ _BAD_RECORDS = {"index_not_int": ("index", "abc"),
 
 # header fields of the trace, on line 1
 _BAD_HEADERS = {"header_dim_float": ("embedding_dim", 8.0),
-                "header_dim_fraction": ("embedding_dim", 8.9)}
+                "header_dim_fraction": ("embedding_dim", 8.9),
+                # story_id names output files, so it must be a plain file name
+                "header_id_parent_path": ("story_id", "../escaped"),
+                "header_id_dir_path": ("story_id", "sub/story"),
+                "header_id_backslash": ("story_id", "sub\\story"),
+                "header_id_nul": ("story_id", "st\0ory"),
+                "header_id_dot": ("story_id", "."),
+                "header_id_dotdot": ("story_id", ".."),
+                "header_id_empty": ("story_id", ""),
+                "header_id_int": ("story_id", 5)}
 
 
 _BAD_CELLS = {"csv_not_numeric": "abc", "csv_nan": "nan", "csv_inf": "inf"}
@@ -392,14 +402,123 @@ def test_plot_deterministic(tmp_path, demo_trace):
     assert (a / "story.svg").read_bytes() == (b / "story.svg").read_bytes()
 
 
-def test_worker_count_does_not_change_results(tmp_path, demo_trace, monkeypatch):
-    outs = []
-    for threads in ("1", "8"):
-        monkeypatch.setenv("NARR_THREADS", threads)
-        out = tmp_path / f"t{threads}"
-        assert main(["analyze", "--trace", str(demo_trace), "--out", str(out)]) == 0
-        outs.append((out / "story.csv").read_bytes())
-    assert outs[0] == outs[1]
+@pytest.fixture(params=[1, 2], ids=["inline", "pool"])
+def cpus(request, monkeypatch):
+    """Runs the test with one usable CPU (every map inline) and with two (a
+    map of two or more items in forked worker processes)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def test_map_keeps_order_and_forks_only_for_several_items(cpus, monkeypatch):
+    assert cli._map(abs, [-3, 2, -1, 0]) == [3, 2, 1, 0]
+    assert cli._map(_pid, [0]) == [os.getpid()]
+    pids = cli._map(_pid, [0, 1, 2])
+    assert (os.getpid() in pids) == (cpus == 1)
+    # a process with other threads is not forked
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        assert cli._map(_pid, [0, 1, 2]) == [os.getpid()] * 3
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    # a system without sched_getaffinity is not Linux: nothing is forked
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._map(_pid, [0, 1, 2]) == [os.getpid()] * 3
+
+
+def _three_traces(tmp_path) -> list[Path]:
+    embedder = baseline.HashEmbedder(dim=8, seed=2)
+    paths = []
+    for s in range(3):
+        sentences = [f"the {w} {s} watched the river" for w in ("storm", "door", "fire")]
+        sentences += ["an old letter waited", f"night {s} returned slowly"][:1 + s % 2]
+        trace = baseline.build_trace(sentences, embedder, window_tokens=16, seed=s,
+                                     story_id=f"s{s}")
+        paths.append(tmp_path / f"s{s}.trace")
+        write_trace(trace, paths[-1])
+    return paths
+
+
+def test_several_inputs_equal_one_at_a_time(tmp_path, cpus):
+    traces = _three_traces(tmp_path)
+    gold = [tmp_path / f"s{s}_gold.txt" for s in range(3)]
+    for s, path in enumerate(gold):
+        write_gold(GoldLabels(kind="salience", salient_indices=frozenset({s, 3})), path)
+    assert main(["analyze", *(a for t in traces for a in ("--trace", str(t))),
+                 "--out", str(tmp_path / "all")]) == 0
+    assert main(["evaluate", *(str(tmp_path / "all" / f"s{s}.csv") for s in range(3)),
+                 "--mode", "salience", *(a for g in gold for a in ("--gold", str(g))),
+                 *(a for t in traces for a in ("--trace", str(t))),
+                 "--out", str(tmp_path / "all.csv")]) == 0
+    story_rows = []
+    for s, trace in enumerate(traces):
+        one = tmp_path / f"one{s}"
+        assert main(["analyze", "--trace", str(trace), "--out", str(one)]) == 0
+        assert (one / f"s{s}.csv").read_bytes() == (tmp_path / "all" / f"s{s}.csv").read_bytes()
+        assert main(["evaluate", str(one / f"s{s}.csv"), "--mode", "salience",
+                     "--gold", str(gold[s]), "--trace", str(trace),
+                     "--out", str(one / "r.csv")]) == 0
+        story_rows += [r for r in (one / "r.csv").read_text().splitlines()[1:]
+                       if not r.startswith("ALL,")]
+    rows = (tmp_path / "all.csv").read_text().splitlines()[1:]
+    assert [r for r in rows if not r.startswith("ALL,")] == story_rows
+
+
+def _flat_trace(path: Path, story_id: str) -> Path:
+    """Equal embeddings: ely_surprise is constant, so --zscore of it fails."""
+    lines = [json.dumps({"story_id": story_id, "embedding_dim": 2, "meta": {}})]
+    lines += [json.dumps({"index": i, "e": [1.0, 0.5]}) for i in range(4)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("second, code", [("malformed", 2), ("missing", 3), ("flat", 4)])
+def test_read_errors_of_any_trace_come_before_compute_errors(tmp_path, capsys, cpus,
+                                                             second, code):
+    """The first trace fails only when scored (--zscore of a constant
+    series, exit 4); a read error of the second trace still wins."""
+    first = _flat_trace(tmp_path / "first.trace", "first")
+    other = tmp_path / "second.trace"
+    if second == "malformed":
+        _flat_trace(other, "second")
+        lines = other.read_text().splitlines()
+        lines[2] = lines[2].replace('"index": 1', '"index": "1"')
+        other.write_text("\n".join(lines) + "\n")
+    elif second == "flat":
+        _flat_trace(other, "second")
+    argv = ["analyze", "--trace", str(first), "--trace", str(other), "--metrics",
+            "ely_surprise", "--zscore", "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert {2: f"{other} line 3: ", 3: str(other), 4: "is constant"}[code] in err
+    assert (tmp_path / "out").exists() == (code == 4)  # made after the reads
+
+
+@pytest.mark.parametrize("case", ["trace", "second_trace", "csv_lf", "csv_crlf", "csv_cr"])
+def test_not_utf8_exit_2_names_line(tmp_path, demo_trace, capsys, cpus, case):
+    if case.startswith("csv"):
+        eol = {"csv_lf": b"\n", "csv_crlf": b"\r\n", "csv_cr": b"\r"}[case]
+        bad = tmp_path / "story.csv"
+        bad.write_bytes(eol.join([b"sentence,like", b"0,0.5", b"1,0.\xff", b""]))
+        argv = ["plot", str(bad), "--out", str(tmp_path / "plots")]
+    else:
+        bad = tmp_path / "bad.trace"
+        lines = demo_trace.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"text":"', b'"text":"\xe9', 1)
+        bad.write_bytes(b"\n".join(lines))
+        first = [str(demo_trace)] if case == "second_trace" else []
+        argv = ["analyze", *(a for t in [*first, str(bad)] for a in ("--trace", t)),
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"{bad} line 3: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_every_analyze_flag_changes_the_output(tmp_path, demo_trace):
@@ -477,9 +596,13 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
     assert rec.counts["retrieval.score.calls"] == 1
 
 
-def test_cli_import_does_not_load_scipy():
+# `import storymetrics.cli` loads none of these: scipy is a test extra, and
+# the process pool is imported only when a command maps several inputs
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures.process"])
+def test_cli_import_does_not_load(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, storymetrics.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    code = ("import sys, storymetrics.cli; print(sorted(m for m in sys.modules "
+            f"if m == {module!r} or m.startswith({module!r} + '.')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "[]"
