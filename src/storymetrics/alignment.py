@@ -57,24 +57,24 @@ def align(summary_emb, fulltext_emb, cfg: AlignConfig = AlignConfig()) -> Alignm
     n_s, n_f = summary.shape[0], fulltext.shape[0]
     sims = summary @ fulltext.T
 
+    positions = np.arange(n_f) / n_f  # each the IEEE quotient y / n_f
+
     per_summary: list[tuple[int, ...]] = []
     labeled: set[int] = set()
     empty_windows = 0
     for x in range(n_s):
-        pos_x = x / n_s
-        window = [y for y in range(n_f) if abs(y / n_f - pos_x) <= cfg.window_fraction]
-        if not window:
+        window = np.flatnonzero(np.abs(positions - x / n_s) <= cfg.window_fraction)
+        if window.size == 0:
             empty_windows += 1
             per_summary.append(())
             continue
         window_sims = sims[x, window]
         best = float(window_sims.max())
-        candidates = [
-            (float(sims[x, y]), y) for y in window
-            if sims[x, y] >= cfg.min_sim and sims[x, y] >= best - cfg.slack
-        ]
-        candidates.sort(key=lambda sy: (-sy[0], sy[1]))
-        chosen = tuple(y for _, y in candidates[:cfg.max_matches])
+        keep = (window_sims >= cfg.min_sim) & (window_sims >= best - cfg.slack)
+        candidates, candidate_sims = window[keep], window_sims[keep]
+        # by similarity, descending; a stable sort keeps ties in position order
+        order = np.argsort(-candidate_sims, kind="stable")
+        chosen = tuple(candidates[order[:cfg.max_matches]].tolist())
         per_summary.append(chosen)
         labeled.update(chosen)
     labels = GoldLabels(kind="salience", salient_indices=frozenset(labeled))

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-import threading
 # Not used here. perfbench's traced run patches cli.ThreadPoolExecutor and
 # fails with a KeyError when the name is missing.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -25,32 +23,13 @@ import numpy as np
 
 from . import alignment, annotation, baseline, evaluation, salience, suspense, svgplot
 from .model import (AnnotationSet, DegenerateStatisticsError, GoldLabels, Judgment,
-                    MetricSeries, StoryTrace, ValidationError, content_lines,
+                    MetricSeries, StoryTrace, ValidationError, _map, content_lines,
                     read_annotations, read_gold, read_trace, write_annotations,
                     write_gold, write_trace)
 
 DEFAULT_METRICS = ("ely_surprise", "ely_suspense", "alpha_ely_suspense",
                    "hale_surprise", "sample_ely_suspense", "embedding_similarity")
 DEFAULT_MEASURES = ("like", "swap", "know_diff", "emb_surp", "emb_sal", "clus")
-
-
-def _map(fn, items: list) -> list:
-    """fn over items, in order. Two or more items run in worker processes
-    forked from this one, one per usable CPU and at most one per item. They
-    run in the calling thread instead when there is one item or one usable
-    CPU, when this process runs other threads (a fork copies only the
-    calling one), or where os has no sched_getaffinity (not Linux)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(items) < 2 or cpus < 2 or threading.active_count() > 1:
-        return [fn(item) for item in items]
-    # imported here, so that every `import storymetrics.cli` does not pay for it
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # fork is pinned (Python 3.14 makes forkserver the Linux default): the
-    # workers start with this process's modules already imported
-    with ProcessPoolExecutor(min(len(items), cpus),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items))
 
 
 # the errors main() reports with an exit code
@@ -587,6 +566,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # the last resort for a bad input no check names
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

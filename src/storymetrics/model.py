@@ -8,10 +8,16 @@ across workers.
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
@@ -48,13 +54,14 @@ def _as_vector(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite values")
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+# slots: a chapter trace holds tens of thousands of records, sets and samples
+@dataclass(frozen=True, slots=True)
 class ContinuationSample:
     embedding: np.ndarray
     raw_score: Optional[float] = None
@@ -65,7 +72,7 @@ class ContinuationSample:
             raise ValidationError("sample raw_score must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuationSet:
     """Imagined continuations n sentences ahead, optionally with an
     explicit probability vector over the samples."""
@@ -102,7 +109,7 @@ class ContinuationSet:
         return np.stack([s.embedding for s in self.samples])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceRecord:
     index: int
     embedding: np.ndarray
@@ -467,11 +474,50 @@ def _file_name(story_id) -> str:
     return story_id
 
 
+def _json_meta(meta) -> dict:
+    """A header's meta: a JSON object whose values are strings."""
+    if type(meta) is not dict or not all(type(v) is str for v in meta.values()):
+        raise ValidationError(f"meta must be an object of strings, got {meta!r}")
+    return meta
+
+
+def _trace_header(path, head_no: int, head: str) -> tuple[str, int, dict]:
+    """The story_id, embedding_dim and meta of a trace header line."""
+    try:
+        header = json.loads(head)
+        story_id = _file_name(header["story_id"])
+        embedding_dim = _json_int(header["embedding_dim"], "embedding_dim")
+        meta = _json_meta(header.get("meta", {}))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc
+    return story_id, embedding_dim, meta
+
+
+def _record(path, line_no: int, raw: str, embedding_dim: int, index: int,
+            full: bool) -> SentenceRecord:
+    """The record on a line, which must carry `index`: every field, or with
+    full=False its index, e and text."""
+    rec = None if full else _projected_record(raw, embedding_dim, index)
+    if rec is None:
+        rec = _full_record(path, line_no, raw, embedding_dim, index)
+        if not full:
+            rec = SentenceRecord(index=rec.index, embedding=rec.embedding, text=rec.text)
+    return rec
+
+
 def read_trace(path, *, full: bool = True) -> StoryTrace:
     """The trace in `path`. With full=False its records carry only `index`,
     `e` and `text`, and only those fields (with the header and the JSON
     syntax of every line) are checked; a line the projection does not
-    accept is judged by the full read, so both give the same errors."""
+    accept is judged by the full read, so both give the same errors.
+
+    A file of PARALLEL_READ_BYTES or more is parsed in byte ranges by
+    worker processes (see _read_in_ranges). Wherever a range meets anything
+    irregular, the file is read again serially, so the records, errors and
+    messages are always those of the serial read."""
+    trace = _read_in_ranges(path, full)
+    if trace is not None:
+        return trace
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _read_trace_lines(path, _numbered_lines(fh), full)
@@ -483,26 +529,224 @@ def _read_trace_lines(path, lines: Iterator[tuple[int, str]], full: bool) -> Sto
     head_no, head = next(lines, (None, None))
     if head is None:
         raise ParseError(f"{path}: empty trace file")
-    try:
-        header = json.loads(head)
-        story_id = _file_name(header["story_id"])
-        embedding_dim = _json_int(header["embedding_dim"], "embedding_dim")
-        meta = dict(header.get("meta", {}))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc
-
+    story_id, embedding_dim, meta = _trace_header(path, head_no, head)
     records = []
     for line_no, raw in lines:  # streamed: a chapter trace is tens of MB
-        rec = None if full else _projected_record(raw, embedding_dim, len(records))
-        if rec is None:
-            rec = _full_record(path, line_no, raw, embedding_dim, len(records))
-            if not full:
-                rec = SentenceRecord(index=rec.index, embedding=rec.embedding, text=rec.text)
-        records.append(rec)
+        records.append(_record(path, line_no, raw, embedding_dim, len(records), full))
     if not records:
         raise ValidationError(f"{path}: trace has no sentences")
     return StoryTrace(story_id=story_id, sentences=tuple(records),
                       embedding_dim=embedding_dim, meta=meta)
+
+
+# ---------------------------------------------------------------------------
+# worker processes and the parallel trace read
+
+# A trace file this large is parsed in byte ranges by worker processes.
+# Below it, the forks and the pickle round trip cost more than they save:
+# on 2 CPUs the ranges first won on a full read at about 1.9 MB and on a
+# projected one at about 3.7 MB.
+PARALLEL_READ_BYTES = 4 << 20
+
+_in_worker = False  # set in each worker process of _map, whose own maps run inline
+
+
+def _cpus() -> int:
+    """How many processes a _map may run at once: one per usable CPU, but
+    only the calling thread inside a worker of _map (no nested forks), in a
+    process that runs other threads (a fork copies only the calling one),
+    or where os has no sched_getaffinity (not Linux)."""
+    if _in_worker or threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _map(fn, items: list) -> list:
+    """fn over items, in order. Two or more items are dealt round-robin to
+    worker processes forked from this one, at most one per item and _cpus()
+    in all; they run in the calling thread instead where _cpus() is 1. The
+    first Exception that fn raised, in item order, is raised here.
+
+    The workers send their results through pipes that this thread reads,
+    pickled with protocol 5, which keeps arrays read-only. (A pool's reader
+    thread would unpickle them in a malloc arena of its own, which keeps
+    the memory after the results are gone.)"""
+    workers = min(len(items), _cpus())
+    if workers < 2:
+        return [fn(item) for item in items]
+    children = []
+    try:
+        for k in range(workers):
+            children.append(_fork_worker(fn, items[k::workers]))
+        shares = [_worker_outcomes(pid, pipe) for pid, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()  # a worker still writing gets EPIPE and exits
+            os.waitpid(pid, 0)
+    results = []
+    for k in range(len(items)):
+        raised, value = shares[k % workers][k // workers]
+        if raised:
+            raise value
+        results.append(value)
+    return results
+
+
+def _outcome(fn, item) -> tuple[bool, object]:
+    try:
+        return False, fn(item)
+    except Exception as exc:  # raised again by _map, in the calling process
+        return True, exc
+
+
+def _fork_worker(fn, items: list):
+    """A worker process forked from this one, which pickles the outcome of
+    fn for each of items to a pipe: its pid and the pipe's read end."""
+    global _in_worker
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the worker, which exits here and never returns to the caller
+        status = 1
+        try:
+            os.close(read_fd)
+            _in_worker = True
+            with open(write_fd, "wb") as pipe:
+                pickle.dump([_outcome(fn, item) for item in items], pipe, protocol=5)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _worker_outcomes(pid: int, pipe) -> list:
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise RuntimeError(f"worker process {pid} of _map exited without its results") from exc
+
+
+def _text(data: bytes) -> Optional[str]:
+    """data decoded, or None if it is not UTF-8 or holds a \r, where text
+    I/O would end a line that a split at \n does not."""
+    if b"\r" in data:
+        return None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _read_in_ranges(path, full: bool) -> Optional[StoryTrace]:
+    """The trace in `path`, its record lines parsed in one byte range per
+    process _map may run, or None where the serial read must read it: a
+    small file, one process, or anything irregular. Each range starts just
+    after a \n, so no cut falls inside a line or a UTF-8 character."""
+    n = _cpus()
+    try:
+        if n < 2 or os.path.getsize(path) < PARALLEL_READ_BYTES:
+            return None
+    except OSError:
+        return None  # reported by the serial read
+    with open(path, "rb") as fh:
+        for head_no, line in enumerate(iter(fh.readline, b""), start=1):
+            head = _text(line)
+            if head is None:
+                return None
+            if not head.isspace():
+                break
+        else:
+            return None
+        try:
+            story_id, embedding_dim, meta = _trace_header(path, head_no, head.rstrip("\n"))
+        except ParseError:
+            return None  # the serial read may meet a bad byte first
+        cuts = [fh.tell()]
+        size = os.fstat(fh.fileno()).st_size
+        for k in range(1, n):
+            fh.seek(max(cuts[-1], cuts[0] + (size - cuts[0]) * k // n) - 1)
+            cuts.append(fh.tell() + len(fh.readline()))  # just after the next \n
+        cuts.append(size)
+    parts = _map(partial(_range_records, path, embedding_dim, full), list(zip(cuts, cuts[1:])))
+    records: list[SentenceRecord] = []
+    for part in parts:
+        part = None if part is None else _VectorUnpickler(*part).load()
+        if part is None or (part and part[0].index != len(records)):
+            return None
+        records.extend(part)
+    if not records:
+        return None
+    return StoryTrace(story_id=story_id, sentences=tuple(records),
+                      embedding_dim=embedding_dim, meta=meta)
+
+
+def _range_records(path, embedding_dim: int, full: bool, span: tuple[int, int]):
+    """The records on the lines in bytes [start, end) of `path`, as
+    _VectorPickler packs them; or None where the serial read must judge the
+    range: a line that _text refuses or that is no record. The first line's
+    own index starts the count, and _read_in_ranges checks that it continues
+    the range before."""
+    start, end = span
+    records: list[SentenceRecord] = []
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while fh.tell() < end:
+            raw = _text(fh.readline())
+            if raw is None:
+                return None
+            if raw.isspace():
+                continue
+            raw = raw.rstrip("\n")
+            if not records:
+                try:
+                    first = json.loads(raw)["index"]
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    return None
+                if type(first) is not int:
+                    return None
+            try:  # no line numbers here: the serial read makes the messages
+                records.append(_record(path, 0, raw, embedding_dim, first + len(records), full))
+            except ParseError:
+                return None
+    out = io.BytesIO()
+    pickler = _VectorPickler(out)
+    pickler.dump(records)
+    vectors = pickler.vectors or [np.empty(0)]
+    return out.getvalue(), np.concatenate(vectors), [v.size for v in vectors]
+
+
+class _VectorPickler(pickle.Pickler):
+    """Pickles records with their vectors held out, in `vectors`, so that
+    they travel as one flat array: one pickled array instead of thousands."""
+
+    def __init__(self, file):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.vectors: list[np.ndarray] = []
+
+    def persistent_id(self, obj):
+        if type(obj) is not np.ndarray:
+            return None
+        self.vectors.append(obj)
+        return len(self.vectors) - 1
+
+
+class _VectorUnpickler(pickle.Unpickler):
+    """Loads what _VectorPickler packed, each vector a read-only view of
+    the flat array, as read-only as the serial read's vectors."""
+
+    def __init__(self, data: bytes, flat: np.ndarray, sizes: list[int]):
+        super().__init__(io.BytesIO(data))
+        flat.setflags(write=False)  # before any view of it is taken
+        self.vectors = [flat[end - size:end]
+                        for end, size in zip(itertools.accumulate(sizes), sizes)]
+
+    def persistent_load(self, pid):
+        return self.vectors[pid]
 
 
 _TOKEN_TO_JUDGMENT = {j.value: j for j in Judgment}

@@ -26,7 +26,7 @@ from .suspense import softmax
 def _is_distribution(dist: np.ndarray) -> bool:
     """Finite, non-negative and summing to 1 (NaN fails every comparison,
     so it is tested for first)."""
-    return bool(np.all(np.isfinite(dist)) and np.all(dist >= 0)
+    return bool(np.isfinite(dist).all() and np.all(dist >= 0)
                 and abs(float(dist.sum()) - 1.0) <= 1e-9)
 
 
@@ -43,7 +43,7 @@ class Passage:
         if self.source not in ("kb", "memory"):
             raise ValidationError(f"unknown passage source {self.source!r}")
         key = np.asarray(self.key, float, order="C")  # contiguous, as a key matrix row is
-        if key.ndim != 1 or key.size == 0 or not np.all(np.isfinite(key)):
+        if key.ndim != 1 or key.size == 0 or not np.isfinite(key).all():
             raise ValidationError(f"passage {self.id!r}: key must be a finite 1-d vector")
         key.setflags(write=False)
         object.__setattr__(self, "key", key)
@@ -175,7 +175,7 @@ def _top_k(passages: Sequence[Passage], keys: np.ndarray, query,
     if k < 1:
         raise ValidationError("k must be >= 1")
     q = np.asarray(query, float)
-    if q.ndim != 1 or not np.all(np.isfinite(q)):
+    if q.ndim != 1 or not np.isfinite(q).all():
         raise ValidationError("query must be a finite 1-d vector")
     if not passages:
         return []
@@ -183,7 +183,7 @@ def _top_k(passages: Sequence[Passage], keys: np.ndarray, query,
         raise ValidationError("query/key dimension mismatch")
     # np.dot of one-element vectors is a plain product, which keeps the sign of a zero
     scores = keys[:, 0] * q[0] if q.shape[0] == 1 else np.vecdot(keys, q)
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValidationError("retrieval scores overflow")
     n = len(passages)
     if k < n:  # keep every score tied with the k-th largest

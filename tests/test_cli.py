@@ -112,7 +112,11 @@ _BAD_HEADERS = {"header_dim_float": ("embedding_dim", 8.0),
                 "header_id_dot": ("story_id", "."),
                 "header_id_dotdot": ("story_id", ".."),
                 "header_id_empty": ("story_id", ""),
-                "header_id_int": ("story_id", 5)}
+                "header_id_int": ("story_id", 5),
+                # meta maps names to strings
+                "header_meta_nested": ("meta", {"k": [1, {"x": None}]}),
+                "header_meta_pairs": ("meta", [["a", "b"]]),
+                "header_meta_number": ("meta", {"k": 1})}
 
 
 _BAD_CELLS = {"csv_not_numeric": "abc", "csv_nan": "nan", "csv_inf": "inf"}
@@ -402,14 +406,6 @@ def test_plot_deterministic(tmp_path, demo_trace):
     assert (a / "story.svg").read_bytes() == (b / "story.svg").read_bytes()
 
 
-@pytest.fixture(params=[1, 2], ids=["inline", "pool"])
-def cpus(request, monkeypatch):
-    """Runs the test with one usable CPU (every map inline) and with two (a
-    map of two or more items in forked worker processes)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
-    return request.param
-
-
 def _pid(_):
     return os.getpid()
 
@@ -432,6 +428,52 @@ def test_map_keeps_order_and_forks_only_for_several_items(cpus, monkeypatch):
     # a system without sched_getaffinity is not Linux: nothing is forked
     monkeypatch.delattr(os, "sched_getaffinity")
     assert cli._map(_pid, [0, 1, 2]) == [os.getpid()] * 3
+
+
+def _nested_pids(_):
+    """This process's pid, and the pids that a map inside it runs on."""
+    return os.getpid(), cli._map(_pid, [0, 1])
+
+
+def test_map_inside_a_worker_runs_inline(cpus):
+    """A worker of _map forks no workers of its own."""
+    for pid, nested in cli._map(_nested_pids, [0, 1]):
+        assert nested == [pid, pid]
+        assert (pid == os.getpid()) == (cpus == 1)
+
+
+def _odd_fails(i):
+    if i % 2:
+        raise ValueError(f"item {i}")
+    return i
+
+
+def _exit_in_a_worker(parent_pid):
+    if os.getpid() != parent_pid:
+        os._exit(3)
+
+
+def test_map_raises_the_first_error_in_item_order(cpus):
+    with pytest.raises(ValueError, match="item 1"):
+        cli._map(_odd_fails, [0, 2, 4, 1, 3])  # dealt to two workers: 1 is in the second
+    if cpus > 1:
+        with pytest.raises(RuntimeError, match="exited without its results"):
+            cli._map(_exit_in_a_worker, [os.getpid()] * 2)
+
+
+def _bare_value_error(*args, **kwargs):
+    raise ValueError("a check that no reader makes")
+
+
+def test_leftover_value_error_exit_2(tmp_path, demo_trace, capsys, monkeypatch, cpus):
+    """main() reports a ValueError that no handler names with exit 2, raised
+    in this process (one CPU) or in a worker of _map (two)."""
+    monkeypatch.setattr(cli, "_columns", _bare_value_error)
+    second = tmp_path / "second.trace"
+    second.write_text(demo_trace.read_text())
+    assert main(["analyze", "--trace", str(demo_trace), "--trace", str(second),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: a check that no reader makes\n"
 
 
 def _three_traces(tmp_path) -> list[Path]:

@@ -5,9 +5,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from storymetrics import model
 from storymetrics.model import (AnnotationSet, ContinuationSample,
                                 ContinuationSet, GoldLabels, Judgment,
                                 MetricSeries, ParseError, SentenceRecord,
@@ -16,6 +17,7 @@ from storymetrics.model import (AnnotationSet, ContinuationSample,
                                 write_annotations, write_gold, write_trace)
 
 from strategies import traces
+from test_cli import _BAD_RECORDS
 
 
 def _record(index, emb, **kwargs):
@@ -348,6 +350,166 @@ def test_projected_read_equals_full_read(tmp_path_factory, trace):
     records = path.read_text().splitlines()[1:]
     assert all(_projected_record(raw, trace.embedding_dim, i) is not None
                for i, raw in enumerate(records))
+
+
+# --- the read in byte ranges -------------------------------------------------
+
+def _vectors(rec):
+    """(name, array) for every vector of a record."""
+    yield "e", rec.embedding
+    for name in ("window_token_loglikes", "window_embedding"):
+        for variant, vec in (getattr(rec, name) or {}).items():
+            yield f"{name}[{variant}]", vec
+    if rec.continuations is not None:
+        for k, sample in enumerate(rec.continuations.samples):
+            yield f"sample {k}", sample.embedding
+        if rec.continuations.probabilities is not None:
+            yield "probs", rec.continuations.probabilities
+
+
+def _assert_same_trace(ranged, serial):
+    assert ((ranged.story_id, ranged.embedding_dim, ranged.meta)
+            == (serial.story_id, serial.embedding_dim, serial.meta))
+    assert len(ranged) == len(serial)
+    for a, b in zip(ranged.sentences, serial.sentences):
+        assert (repr((a.index, a.text, a.avg_log_likelihood, a.sentiment))
+                == repr((b.index, b.text, b.avg_log_likelihood, b.sentiment)))
+        assert ([name for name, _ in _vectors(a)] == [name for name, _ in _vectors(b)])
+        for (name, x), (_, y) in zip(_vectors(a), _vectors(b)):
+            assert repr(x) == repr(y) and x.tobytes() == y.tobytes(), name
+            assert x.dtype == np.float64 and x.flags.writeable is False, name
+        if a.continuations is not None:
+            assert a.continuations.horizon == b.continuations.horizon
+            assert ([repr(s.raw_score) for s in a.continuations.samples]
+                    == [repr(s.raw_score) for s in b.continuations.samples])
+
+
+def _outcome(path, full):
+    try:
+        return read_trace(path, full=full)
+    except ValidationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _both_reads(monkeypatch, path, full=True):
+    """What the serial read and the read in byte ranges make of the trace
+    at path: each a StoryTrace, or the message of the error it raised."""
+    monkeypatch.setattr(model, "PARALLEL_READ_BYTES", 1 << 62)
+    serial = _outcome(path, full)
+    monkeypatch.setattr(model, "PARALLEL_READ_BYTES", 0)
+    return serial, _outcome(path, full)
+
+
+def _assert_same_outcome(serial, ranged):
+    if isinstance(serial, str):
+        assert ranged == serial
+    else:
+        _assert_same_trace(ranged, serial)
+
+
+_RANDOM_TRACES = st.builds(make_random_trace, st.integers(0, 10_000).map(np.random.default_rng),
+                           st.integers(1, 12), st.integers(2, 5))
+
+
+@pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trace=traces() | _RANDOM_TRACES)
+def test_read_in_ranges_equals_serial_read(tmp_path_factory, monkeypatch, cpus, trace):
+    path = tmp_path_factory.mktemp("ranges") / "t.trace"
+    write_trace(trace, path)
+    for full in (True, False):
+        serial, ranged = _both_reads(monkeypatch, path, full)
+        assert model._read_in_ranges(path, full) is not None  # read in ranges, no fallback
+        _assert_same_trace(ranged, serial)
+
+
+def _written(tmp_path, n=9, dim=8) -> list[str]:
+    """The lines of a trace file with n records that carry every field."""
+    path = tmp_path / "base.trace"
+    write_trace(make_random_trace(np.random.default_rng(n), n, dim), path)
+    return path.read_text().splitlines()
+
+
+def _record_with(line: str, field: str, value) -> str:
+    record = json.loads(line)
+    record[field] = value
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+@pytest.mark.parametrize("case", [*_BAD_RECORDS, *_IRREGULAR_LINES])
+def test_read_in_ranges_judges_a_bad_last_line_as_the_serial_read(tmp_path, monkeypatch,
+                                                                  cpus, case):
+    if case in _BAD_RECORDS:
+        lines = _written(tmp_path)
+        lines[-1] = _record_with(lines[-1], *_BAD_RECORDS[case])
+    else:  # the line of that test, which carries index 1 and two entries in e
+        lines = _written(tmp_path, dim=2)
+        last = len(lines) - 2
+        lines[-1] = (_IRREGULAR_LINES[case][0].replace('"index":2', f'"index":{last + 1}')
+                     .replace('"index":1', f'"index":{last}'))
+    path = tmp_path / "t.trace"
+    path.write_text("\n".join(lines) + "\n")
+    serial, ranged = _both_reads(monkeypatch, path)
+    _assert_same_outcome(serial, ranged)
+    if isinstance(serial, str):
+        assert f"{path} line {len(lines)}: " in serial
+
+
+@pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+def test_read_in_ranges_index_gap_at_any_line(tmp_path, monkeypatch, cpus):
+    """A gap at every line in turn, so also at each range cut."""
+    for gap in range(2, 10):
+        lines = _written(tmp_path)
+        lines[gap:] = [_record_with(ln, "index", json.loads(ln)["index"] + 1)
+                       for ln in lines[gap:]]
+        path = tmp_path / "t.trace"
+        path.write_text("\n".join(lines) + "\n")
+        serial, ranged = _both_reads(monkeypatch, path)
+        assert f"line {gap + 1}: sentence index" in serial and ranged == serial
+
+
+@pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_in_ranges_blank_lines_and_line_ends(tmp_path, monkeypatch, cpus, eol):
+    lines = _written(tmp_path)
+    for at in (8, 5, 2, 1):  # blank lines, one of them Unicode whitespace
+        lines.insert(at, ["", "   ", "\t", "\u2003"][at % 4])
+    path = tmp_path / "t.trace"
+    path.write_text(eol.join(lines) + eol, newline="")
+    serial, ranged = _both_reads(monkeypatch, path)
+    assert not isinstance(serial, str)
+    _assert_same_trace(ranged, serial)
+    # a bad record after the blank lines: the message names its line in the file
+    lines[-1] = _record_with(lines[-1], "sentiment", 2.0)
+    path.write_text(eol.join(lines) + eol, newline="")
+    serial, ranged = _both_reads(monkeypatch, path)
+    assert f"line {len(lines)}: " in serial and ranged == serial
+
+
+@pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+@pytest.mark.parametrize("field, value", [("meta", {"k": [1, {"x": None}]}),
+                                          ("meta", [["a", "b"]]), ("embedding_dim", 8.0)])
+def test_read_in_ranges_judges_the_header_as_the_serial_read(tmp_path, monkeypatch, cpus,
+                                                            field, value):
+    lines = _written(tmp_path)
+    lines[0] = _record_with(lines[0], field, value)
+    path = tmp_path / "t.trace"
+    path.write_text("\n".join(lines) + "\n")
+    serial, ranged = _both_reads(monkeypatch, path)
+    assert f"{path} line 1: malformed trace header" in serial and ranged == serial
+
+
+@pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+def test_read_in_ranges_not_utf8_in_the_second_range(tmp_path, monkeypatch, cpus):
+    lines = _written(tmp_path)
+    data = "\n".join(lines).encode() + b"\n"
+    at = data.rindex(b'"text":"') + len(b'"text":"')
+    path = tmp_path / "t.trace"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    serial, ranged = _both_reads(monkeypatch, path)
+    assert serial.endswith(": not valid UTF-8") and ranged == serial
 
 
 # --- annotation and gold files -----------------------------------------------
