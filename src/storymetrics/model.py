@@ -250,20 +250,31 @@ class GoldLabels:
                 raise ValidationError("salient indices must be >= 0")
         else:
             if len(self.tp_positions) != 5:
-                raise ValidationError("turning-point labels need exactly 5 positions")
-            if any(p < 0 for p in self.tp_positions):
-                raise ValidationError("turning-point positions must be >= 0")
+                raise ValidationError("turning-point labels need exactly 5 positions, "
+                                      f"got {len(self.tp_positions)}")
             if self.tp_windows is not None:
                 windows = tuple((int(lo), int(hi)) for lo, hi in self.tp_windows)
                 if len(windows) != 5:
-                    raise ValidationError("turning-point windows need exactly 5 entries")
-                for (lo, hi), pos in zip(windows, self.tp_positions):
-                    if lo > hi:
-                        raise ValidationError(f"window ({lo}, {hi}) has lo > hi")
-                    if not (lo <= pos <= hi):
-                        raise ValidationError(
-                            f"window ({lo}, {hi}) does not contain its position {pos}")
+                    raise ValidationError("turning-point windows need exactly 5 entries, "
+                                          f"got {len(windows)}")
                 object.__setattr__(self, "tp_windows", windows)
+            for pos, window in zip(self.tp_positions, self.tp_windows or itertools.repeat(None)):
+                problem = _turning_point_problem(pos, window)
+                if problem:
+                    raise ValidationError(problem)
+
+
+def _turning_point_problem(pos: int, window: Optional[tuple[int, int]]) -> Optional[str]:
+    """What is wrong with one turning-point entry, if anything."""
+    if pos < 0:
+        return "turning-point positions must be >= 0"
+    if window is not None:
+        lo, hi = window
+        if lo > hi:
+            return f"window ({lo}, {hi}) has lo > hi"
+        if not lo <= pos <= hi:
+            return f"window ({lo}, {hi}) does not contain its position {pos}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -826,23 +837,30 @@ def read_gold(path) -> GoldLabels:
         indices = set()
         for line_no, raw in body:
             try:
-                indices.update(int(tok) for tok in raw.split())
+                entry = [int(tok) for tok in raw.split()]
             except ValueError as exc:
                 raise ParseError(f"{path} line {line_no}: bad salience index: {exc}") from exc
+            if min(entry) < 0:
+                raise ParseError(f"{path} line {line_no}: salient indices must be >= 0")
+            indices.update(entry)
         return GoldLabels(kind="salience", salient_indices=frozenset(indices))
     positions, windows = [], []
     for line_no, raw in body:
         parts = raw.split()
         try:
-            if len(parts) == 1:
-                positions.append(int(parts[0]))
-            elif len(parts) == 3:
-                positions.append(int(parts[0]))
-                windows.append((int(parts[1]), int(parts[2])))
-            else:
+            if len(parts) not in (1, 3):
                 raise ValueError(f"expected 'pos' or 'pos lo hi', got {raw!r}")
+            pos, *window = map(int, parts)
         except ValueError as exc:
             raise ParseError(f"{path} line {line_no}: bad turning-point entry: {exc}") from exc
-    return GoldLabels(kind="turning_points",
-                      tp_positions=tuple(positions),
-                      tp_windows=tuple(windows) if windows else None)
+        problem = _turning_point_problem(pos, tuple(window) or None)
+        if problem:
+            raise ParseError(f"{path} line {line_no}: {problem}")
+        positions.append(pos)
+        if window:
+            windows.append(tuple(window))
+    try:
+        return GoldLabels(kind="turning_points", tp_positions=tuple(positions),
+                          tp_windows=tuple(windows) if windows else None)
+    except ValidationError as exc:  # every entry passed its line's checks, so a count is off
+        raise ParseError(f"{path}: {exc}") from None

@@ -1,6 +1,8 @@
 """Deterministic hashed embeddings and the smoothed n-gram trace builder."""
 
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,79 +47,131 @@ def test_embed_rejects_empty_and_small_dim():
         HashEmbedder(dim=8).embed("   ")
 
 
+def _loop_embed(embedder: HashEmbedder, text: str) -> np.ndarray:
+    """The embedding as a per-token loop: each token adds its sign at its
+    hashed slot, one scalar at a time (the oracle of embed's bincount)."""
+    vec, slots = np.zeros(embedder.dim), []
+    for token in text.lower().split():
+        digest = hashlib.sha256(f"{embedder.seed}|{token}".encode("utf-8")).digest()
+        index = int.from_bytes(digest[:8], "big") % embedder.dim
+        vec[index] += 1.0 if digest[8] % 2 == 0 else -1.0
+        slots.append(index)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[slots[0]] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+def test_embed_cancelled_tokens_fall_back_to_first_slot():
+    # at seed 1 and dim 8, t0 and t2 hash to slot 4 with opposite signs
+    embedder = HashEmbedder(dim=8, seed=1)
+    assert embedder.embed("t0 t2").tolist() == np.eye(8)[4].tolist()
+
+
+_TOKENS = st.sampled_from(["t0", "t1", "t2", "T2", "t3", "storm", "Door", "ß"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.lists(_TOKENS, min_size=1, max_size=24).flatmap(
+           lambda toks: st.permutations(toks + toks[:len(toks) // 2])).map(" ".join),
+           min_size=1, max_size=4),
+       dim=st.integers(2, 9), seed=st.integers(0, 3))
+@example(texts=["t0 t2", "t2 t0 t0", "t0 t2 t0 t2"], dim=8, seed=1)
+def test_embed_equals_per_token_loop(texts, dim, seed):
+    embedder = HashEmbedder(dim=dim, seed=seed)  # one embedder: its slot table is reused
+    for text in texts:
+        got, want = embedder.embed(text), _loop_embed(embedder, text)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 # --- n-gram language model -----------------------------------------------------------
 
+def _trained(vocab: str, *sentences: str) -> tuple[NgramLM, dict[str, int]]:
+    """A bigram LM over the words of `vocab` (ids in that order), trained
+    on `sentences` as one chain, and the word -> id map."""
+    ids = {word: i for i, word in enumerate(vocab.split())}
+    lm = NgramLM(len(ids))
+    lm.train([np.array([ids[w] for w in s.split()]) for s in sentences])
+    return lm, ids
+
+
+def _score(lm: NgramLM, ids: dict[str, int], text: str, prev=None) -> list[float]:
+    return lm_loglik(np.array([ids[w] for w in text.split()]), lm,
+                     None if prev is None else ids[prev])
+
+
 def test_unigram_add_one_probabilities():
-    lm = NgramLM(order=1)
-    lm.train([tokenize("a a b")])
-    assert lm.token_logprob("a") == pytest.approx(math.log(0.6), abs=1e-12)
-    assert lm.token_logprob("b") == pytest.approx(math.log(2 / 5), abs=1e-12)
+    lm, ids = _trained("a b", "a a b")
+    # with no previous token the first token is scored by its unigram count
+    assert _score(lm, ids, "a")[0] == pytest.approx(math.log(0.6), abs=1e-12)
+    assert lm.unigram_loglik(np.array([ids["a"], ids["b"]])) == pytest.approx(
+        [math.log(0.6), math.log(2 / 5)], abs=1e-12)
 
 
 def test_unseen_token_smoothing():
-    lm = NgramLM(order=1)
-    lm.train([tokenize("a a b")])
-    # N=3, V=2: unseen mass is 1/(N+V)
-    assert lm.token_logprob("c") == pytest.approx(math.log(1 / 5), abs=1e-12)
+    lm, ids = _trained("a b c", "a a b")
+    # N=3, V=3: an unseen token gets the add-one mass 1/(N+V)
+    assert _score(lm, ids, "c")[0] == pytest.approx(math.log(1 / 6), abs=1e-12)
 
 
 def test_empty_corpus_uniform_with_explicit_vocab():
-    lm = NgramLM(order=1, vocabulary={"a", "b"})
-    assert lm.token_logprob("a") == pytest.approx(math.log(0.5), abs=1e-12)
+    lm = NgramLM(2)
+    assert lm_loglik(np.array([0]), lm) == pytest.approx([math.log(0.5)], abs=1e-12)
 
 
 def test_empty_vocabulary_rejected():
-    lm = NgramLM(order=1)
     with pytest.raises(ValidationError):
-        lm.token_logprob("a")
+        NgramLM(0)
+    with pytest.raises(ValidationError):
+        lm_loglik(np.array([], dtype=int), NgramLM(2))
 
 
 def test_bigram_conditional_probability():
-    lm = NgramLM(order=2)
-    lm.train([tokenize("a b a b")])
+    lm, ids = _trained("a b", "a b a b")
     # c(a->b)=2, c(a as context)=2, V=2
-    assert lm.token_logprob("b", prev="a") == pytest.approx(math.log(3 / 4), abs=1e-12)
-    assert lm.token_logprob("a", prev="a") == pytest.approx(math.log(1 / 4), abs=1e-12)
+    assert _score(lm, ids, "b", prev="a")[0] == pytest.approx(math.log(3 / 4), abs=1e-12)
+    assert _score(lm, ids, "a", prev="a")[0] == pytest.approx(math.log(1 / 4), abs=1e-12)
 
 
 def test_conditional_probabilities_sum_to_one():
-    lm = NgramLM(order=2)
-    lm.train([tokenize("a b b c a c b a")])
+    lm, ids = _trained("a b c", "a b b c a c b a")
     for prev in (None, "a", "b", "c"):
-        total = sum(math.exp(lm.token_logprob(tok, prev)) for tok in sorted(lm.vocabulary))
+        total = sum(math.exp(_score(lm, ids, tok, prev)[0]) for tok in ids)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scoring_does_not_mutate_counts():
-    lm = NgramLM(order=2)
-    lm.train([tokenize("a b a b")])
-    bigrams = {k: dict(v) for k, v in lm.bigram_counts.items()}
-    contexts = dict(lm.context_counts)
-    for prev in ("a", "b", "unseen"):
+    lm, ids = _trained("a b other unseen", "a b a b")
+    counts = (lm.unigram_counts.copy(), lm.context_counts.copy(), dict(lm.bigram_counts))
+    for prev in (None, "a", "b", "unseen"):
         for token in ("a", "b", "other"):
-            lm.token_logprob(token, prev)
-    assert {k: dict(v) for k, v in lm.bigram_counts.items()} == bigrams
-    assert dict(lm.context_counts) == contexts
+            _score(lm, ids, token, prev)
+        lm.unigram_loglik(np.array([ids["a"], ids["other"]]))
+    np.testing.assert_array_equal(lm.unigram_counts, counts[0])
+    np.testing.assert_array_equal(lm.context_counts, counts[1])
+    assert dict(lm.bigram_counts) == counts[2]
 
 
 def test_lm_loglik_threads_context():
-    lm = NgramLM(order=2)
-    lm.train([tokenize("a b a b")])
-    logliks = lm_loglik(tokenize("b a"), lm, prev="a")
-    assert logliks[0] == pytest.approx(lm.token_logprob("b", prev="a"))
-    assert logliks[1] == pytest.approx(lm.token_logprob("a", prev="b"))
+    lm, ids = _trained("a b", "a b a b")
+    logliks = _score(lm, ids, "b a", prev="a")
+    assert logliks[0] == _score(lm, ids, "b", prev="a")[0]
+    assert logliks[1] == _score(lm, ids, "a", prev="b")[0]
+    # with no previous token, only the first token falls back to its unigram count
+    assert _score(lm, ids, "b a") == [lm.unigram_loglik(np.array([ids["b"]]))[0], logliks[1]]
 
 
-def test_oov_sentence_is_invisible_to_training():
-    # a sentence whose tokens fall outside the fixed vocabulary contributes no
-    # counts, so deleting it cannot change window likelihood: Like-Sal is 0
-    vocab = {"x", "y"}
-    window = tokenize("x y x y")
-    base_lm = NgramLM(order=1, vocabulary=vocab)
-    base_lm.train([tokenize("x y"), tokenize("q q q")])
-    deleted_lm = NgramLM(order=1, vocabulary=vocab)
-    deleted_lm.train([tokenize("x y")])
-    assert lm_loglik(window, base_lm) == lm_loglik(window, deleted_lm)
+def test_logprobs_are_math_log_of_the_exact_quotient():
+    # 3/353 is a quotient whose np.log is one ulp away from its math.log
+    assert np.log(3 / 353) != math.log(3 / 353)
+    unigram = NgramLM(351)
+    unigram.train([np.array([0, 0])])  # count 2 of 2 tokens, V = 351
+    assert lm_loglik(np.array([0]), unigram) == [math.log(3 / 353)]
+    bigram = NgramLM(351)
+    bigram.train([np.array([0, 0, 0])])  # 0 -> 0 twice, 0 as a context twice
+    assert lm_loglik(np.array([0]), bigram, prev=0) == [math.log(3 / 353)]
 
 
 # --- trace builder ------------------------------------------------------------------
@@ -202,45 +256,84 @@ def test_build_trace_continuations_include_true_next():
     assert trace.sentences[2].continuations is None
 
 
+def _counted_loglik(prefix, window, prev, vocab_size, unigram=False):
+    """Oracle: add-one smoothed log-likelihoods of the tokens `window`
+    after counting the token lists `prefix` as one bigram chain, with
+    Counters, Python int division and math.log, one token at a time."""
+    unigrams, bigrams, contexts = Counter(), Counter(), Counter()
+    before = None
+    for token in (tok for sent in prefix for tok in sent):
+        unigrams[token] += 1
+        if before is not None:
+            bigrams[before, token] += 1
+            contexts[before] += 1
+        before = token
+    total, out = sum(unigrams.values()), []
+    for token in window:
+        if unigram or prev is None:
+            out.append(math.log((unigrams[token] + 1) / (total + vocab_size)))
+        else:
+            out.append(math.log((bigrams[prev, token] + 1) / (contexts[prev] + vocab_size)))
+        prev = token
+    return out
+
+
 def _retrained_trace(sentences, embedder, window_tokens, n_continuations, seed):
-    """Reference: retrain every variant's LM from scratch on its prefix."""
+    """Reference: recount every variant's LM from scratch on its prefix."""
     token_sents = [tokenize(s) for s in sentences]
     n = len(sentences)
-    vocab = {tok for sent in token_sents for tok in sent}
+    v = len({tok for sent in token_sents for tok in sent})
     rng = np.random.default_rng(seed)
-    embeddings = [embedder.embed(s) for s in sentences]
-
-    def trained(prefix, order=2):
-        lm = NgramLM(order=order, vocabulary=vocab)
-        lm.train(prefix)
-        return lm
+    embeddings = [_loop_embed(embedder, s) for s in sentences]
 
     out = []
     for t in range(n):
         window = [tok for sent in token_sents[t + 1:] for tok in sent][:window_tokens]
         prev = token_sents[t - 1][-1] if t > 0 else None
-        avg_ll = float(np.mean(lm_loglik(token_sents[t], trained(token_sents[:t]), prev=prev)))
+        avg_ll = float(np.mean(_counted_loglik(token_sents[:t], token_sents[t], prev, v)))
         win_ll = win_emb = None
         if window:
             prefix = token_sents[:t + 1]
             swapped = prefix[:t - 1] + [prefix[t], prefix[t - 1]] if t > 0 else prefix
             win_ll = {
-                "base": tuple(lm_loglik(window, trained(prefix), prev=token_sents[t][-1])),
-                "deleted": tuple(lm_loglik(window, trained(token_sents[:t]), prev=prev)),
-                "swapped": tuple(lm_loglik(window, trained(swapped), prev=swapped[-1][-1])),
-                "no_knowledge": tuple(lm_loglik(window, trained(prefix, order=1))),
+                "base": _counted_loglik(prefix, window, token_sents[t][-1], v),
+                "deleted": _counted_loglik(token_sents[:t], window, prev, v),
+                "swapped": _counted_loglik(swapped, window, swapped[-1][-1], v),
+                "no_knowledge": _counted_loglik(prefix, window, None, v, unigram=True),
             }
             text = " ".join(window)
-            win_emb = {"base": embedder.embed(sentences[t] + " " + text),
-                       "deleted": embedder.embed(text)}
+            win_emb = {"base": _loop_embed(embedder, sentences[t] + " " + text),
+                       "deleted": _loop_embed(embedder, text)}
         conts = None
         if t + 1 < n:
             others = [i for i in range(n) if i != t + 1]
             conts = [embeddings[t + 1]] + [
                 embeddings[others[int(rng.integers(0, len(others)))]]
-                for _ in range(max(0, n_continuations - 1))]
+                for _ in range(n_continuations - 1)]
         out.append((avg_ll, win_ll, win_emb, conts))
     return out
+
+
+def _assert_matches_reference(sentences, window_tokens, n_continuations, seed, dim=6):
+    embedder = HashEmbedder(dim=dim, seed=seed)
+    trace = build_trace(sentences, embedder, window_tokens=window_tokens,
+                        n_continuations=n_continuations, seed=seed)
+    reference = _retrained_trace(sentences, embedder, window_tokens, n_continuations, seed)
+    for rec, (avg_ll, win_ll, win_emb, conts) in zip(trace.sentences, reference, strict=True):
+        np.testing.assert_array_equal(rec.embedding, _loop_embed(embedder, rec.text))
+        assert rec.avg_log_likelihood == avg_ll
+        _assert_same_windows(rec.window_token_loglikes, win_ll)
+        if win_emb is None:
+            assert rec.window_embedding is None
+        else:
+            assert set(rec.window_embedding) == set(win_emb)
+            for key, vec in win_emb.items():
+                np.testing.assert_array_equal(rec.window_embedding[key], vec)
+        if conts is None:
+            assert rec.continuations is None
+        else:
+            np.testing.assert_array_equal(rec.continuations.sample_embeddings(),
+                                          np.asarray(conts))
 
 
 _WORDS = st.sampled_from(["a", "b", "c", "storm", "door"])
@@ -258,23 +351,38 @@ _SENTENCES = st.lists(st.lists(_WORDS, min_size=1, max_size=4).map(" ".join),
          n_continuations=4, seed=2)
 @example(sentences=["a b c storm", "c b a door", "a"], window_tokens=2,
          n_continuations=1, seed=3)
+# a token repeated inside one sentence (a fancy-index += would count it once)
+@example(sentences=["storm a storm a a", "a a door", "storm storm"], window_tokens=6,
+         n_continuations=2, seed=0)
+# swap boundary bigrams the story never contains: "c a" at t = 1, "a c" and "b b" at t = 2
+@example(sentences=["a b", "c", "b a", "door"], window_tokens=3, n_continuations=1, seed=1)
+# a one-token sentence at t = 1
+@example(sentences=["a b c", "storm", "door a", "b"], window_tokens=2, n_continuations=3,
+         seed=2)
+# windows that run off the story's end
+@example(sentences=["a b", "b c", "c storm", "door"], window_tokens=12, n_continuations=4,
+         seed=3)
 def test_build_trace_matches_retrained_reference(sentences, window_tokens,
                                                  n_continuations, seed):
-    embedder = HashEmbedder(dim=6, seed=seed)
-    trace = build_trace(sentences, embedder, window_tokens=window_tokens,
-                        n_continuations=n_continuations, seed=seed)
-    reference = _retrained_trace(sentences, embedder, window_tokens, n_continuations, seed)
-    for rec, (avg_ll, win_ll, win_emb, conts) in zip(trace.sentences, reference):
-        assert rec.avg_log_likelihood == avg_ll
-        _assert_same_windows(rec.window_token_loglikes, win_ll)
-        if win_emb is None:
-            assert rec.window_embedding is None
-        else:
-            assert set(rec.window_embedding) == set(win_emb)
-            for key, vec in win_emb.items():
-                np.testing.assert_array_equal(rec.window_embedding[key], vec)
-        if conts is None:
-            assert rec.continuations is None
-        else:
-            np.testing.assert_array_equal(rec.continuations.sample_embeddings(),
-                                          np.asarray(conts))
+    _assert_matches_reference(sentences, window_tokens, n_continuations, seed)
+
+
+def test_build_trace_matches_retrained_reference_on_a_long_story():
+    # 60 sentences over a power-law vocabulary of 199 words: deep counts and
+    # many distinct quotients
+    rng = np.random.default_rng(2024)
+    lengths = rng.integers(1, 17, size=60)
+    weights = 1 / np.arange(1, 401) ** 0.8
+    words = [f"w{i}" for i in rng.choice(400, size=lengths.sum(), p=weights / weights.sum())]
+    ends = np.cumsum(lengths)
+    sentences = [" ".join(words[end - k:end]) for end, k in zip(ends, lengths)]
+    assert len(set(words)) == 199
+    _assert_matches_reference(sentences, window_tokens=40, n_continuations=4, seed=5, dim=16)
+
+
+@pytest.mark.parametrize("argument, value", [("window_tokens", 0), ("window_tokens", -2),
+                                             ("n_continuations", 0), ("n_continuations", -5)])
+def test_build_trace_rejects_sizes_below_one(argument, value):
+    with pytest.raises(ValidationError, match=argument):
+        build_trace(["the storm came", "the harbor waited"], HashEmbedder(dim=4),
+                    **{argument: value})

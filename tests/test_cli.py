@@ -130,9 +130,27 @@ _ANN_LINES = {"csv_nan": "a1\tS I\na2\tS D",
               "ann_longer_than_csv": "a1\tS I D\na2\tS D I"}
 
 
+_TP = '{"kind": "turning_points"}\n'
+# gold file text, and the line (or, from ":", the file-level message) the error names
+_BAD_GOLD = {
+    "gold_kind_unknown": ('{"kind": 5}\n1\n', "line 1"),
+    "gold_salient_negative": ('{"kind": "salience"}\n0\n1 -2\n',
+                              "line 3: salient indices must be >= 0"),
+    "gold_tp_negative": (_TP + "0\n-1\n2\n3\n4\n",
+                         "line 3: turning-point positions must be >= 0"),
+    "gold_window_lo_above_hi": (_TP + "0\n1 3 2\n2\n3\n4\n", "line 3: window (3, 2) has lo > hi"),
+    "gold_window_misses_position": (_TP + "0\n1\n2\n3\n4 0 3\n",
+                                    "line 6: window (0, 3) does not contain its position 4"),
+    "gold_one_window_among_bare": (_TP + "0\n1 0 1\n2\n3\n4\n",
+                                   ": turning-point windows need exactly 5 entries, got 1"),
+    "gold_three_positions": (_TP + "0\n1\n2\n",
+                             ": turning-point labels need exactly 5 positions, got 3"),
+}
+
+
 @pytest.mark.parametrize("case", [*_BAD_RECORDS, *_BAD_HEADERS, "blank_line_before_bad_record",
                                   *_BAD_CELLS,
-                                  "gold_kind_unknown",
+                                  *_BAD_GOLD,
                                   *(c for c in _ANN_LINES if c.startswith("ann_"))])
 def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
     line, named = "line 3", None
@@ -170,11 +188,14 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
                 line = "line 2: annotator 'a1' has no judgments"
             if case == "ann_longer_than_csv":  # no line: both files and both counts
                 line, named = f"{csv} has 2 rows but {ann} has 3 judgments", None
-        if case == "gold_kind_unknown":
+        if case in _BAD_GOLD:
             gold = tmp_path / "gold.txt"
-            gold.write_text('{"kind": 5}\n1\n')
+            text, line = _BAD_GOLD[case]
+            gold.write_text(text)
             argv += ["--gold", str(gold)]
-            line, named = "line 1", gold
+            named = gold
+            if line.startswith(":"):  # a count: the message names the file, not a line
+                line = f"{gold}{line}"
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert line in err
@@ -625,6 +646,20 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
         cache.add(retrieval.Passage("m", [1.0, 1.0], "", "memory"))
         retrieval.retrieve([1.0, 0.5], kb, cache, 1, 1, 1)
         retrieval.score([1.0, 0.5], [0.0, 1.0])  # the oracle; the scan itself calls no score()
+        # 3 sentences of 3, 2 and 5 tokens with 4-token windows after the first
+        # two: 3 + 2 * 2 embeddings; each sentence scored once, then deleted and
+        # base windows for both and a swapped window for the second
+        before = dict(rec.counts)
+        baseline.build_trace(["the storm came", "a door", "rain fell on the river"],
+                             baseline.HashEmbedder(dim=4), window_tokens=4)
+        built = {k: v - before.get(k, 0) for k, v in rec.counts.items()}
+        assert {k: built.get(k) for k in ("baseline.build_trace.calls",
+                                          "baseline.HashEmbedder.embed.calls",
+                                          "baseline.lm_loglik.calls",
+                                          "baseline.lm_loglik.tokens")} == {
+            "baseline.build_trace.calls": 1, "baseline.HashEmbedder.embed.calls": 7,
+            "baseline.lm_loglik.calls": 3 + 2 + 3,
+            "baseline.lm_loglik.tokens": (3 + 2 + 5) + 4 * 2 + 4 * 3}
     finally:
         patcher.restore()
     assert (cli.cmd_evaluate, cli.ThreadPoolExecutor, retrieval.score,
@@ -634,7 +669,8 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
             "model.read_trace", "model.read_gold", "suspense.metric_series.ely_surprise",
             "salience.salience_series.like", "evaluation.rouge_l",
             "retrieval.PassageStore.top_k", "retrieval.MemoryCache.top_k",
-            "retrieval.MemoryCache.add"} <= names
+            "retrieval.MemoryCache.add", "baseline.build_trace", "baseline.HashEmbedder.embed",
+            "baseline.lm_loglik"} <= names
     assert rec.counts["retrieval.score.calls"] == 1
 
 
