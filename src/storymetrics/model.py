@@ -60,6 +60,35 @@ def _as_vector(value, name: str) -> np.ndarray:
     return arr
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer: a float, bool or string is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value, what: str) -> Optional[float]:
+    """An optional JSON number (None when absent or null); a bool is no number."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _file_name(story_id) -> str:
+    """A story_id that names output files: a plain file name, never a path."""
+    if (type(story_id) is not str or story_id in ("", ".", "..")
+            or any(c in story_id for c in "/\\\0")):
+        raise ValidationError(f"story_id must be a plain file name, got {story_id!r}")
+    return story_id
+
+
+def _json_meta(meta) -> dict:
+    """A trace's meta: a JSON object of strings."""
+    if type(meta) is not dict or not all(type(x) is str for kv in meta.items() for x in kv):
+        raise ValidationError(f"meta must be an object of strings, got {meta!r}")
+    return meta
+
+
 # slots: a chapter trace holds tens of thousands of records, sets and samples
 @dataclass(frozen=True, slots=True)
 class ContinuationSample:
@@ -68,7 +97,8 @@ class ContinuationSample:
 
     def __post_init__(self):
         object.__setattr__(self, "embedding", _as_vector(self.embedding, "sample embedding"))
-        if self.raw_score is not None and not math.isfinite(self.raw_score):
+        score = _json_number(self.raw_score, "sample score")
+        if score is not None and not math.isfinite(score):
             raise ValidationError("sample raw_score must be finite")
 
 
@@ -82,7 +112,7 @@ class ContinuationSet:
     probabilities: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.horizon < 1:
+        if _json_int(self.horizon, "continuation n") < 1:
             raise ValidationError("continuation horizon must be >= 1")
         samples = tuple(self.samples)
         if not samples:
@@ -121,18 +151,22 @@ class SentenceRecord:
     continuations: Optional[ContinuationSet] = None
 
     def __post_init__(self):
-        if self.index < 0:
+        if _json_int(self.index, "index") < 0:
             raise ValidationError("sentence index must be >= 0")
         if self.text is not None and not isinstance(self.text, str):
             raise ValidationError(f"sentence text must be a string, got {self.text!r}")
         object.__setattr__(self, "embedding", _as_vector(self.embedding, "embedding"))
-        if self.avg_log_likelihood is not None and not math.isfinite(self.avg_log_likelihood):
+        avg_ll = _json_number(self.avg_log_likelihood, "avg_ll")
+        if avg_ll is not None and not math.isfinite(avg_ll):
             raise ValidationError("avg_log_likelihood must be finite")
-        if self.sentiment is not None and not (-1.0 <= self.sentiment <= 1.0):
+        sentiment = _json_number(self.sentiment, "sentiment")
+        if sentiment is not None and not -1.0 <= sentiment <= 1.0:
             raise ValidationError("sentiment must lie in [-1, 1]")
         for name in ("window_token_loglikes", "window_embedding"):
             windows = getattr(self, name)
             if windows is not None:
+                if not all(type(variant) is str for variant in windows):
+                    raise ValidationError(f"{name} variants must be strings, got {list(windows)}")
                 object.__setattr__(self, name, {
                     variant: _as_vector(vec, f"{name}[{variant!r}]")
                     for variant, vec in windows.items()})
@@ -161,10 +195,11 @@ class StoryTrace:
     meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        _file_name(self.story_id)
         sentences = tuple(self.sentences)
         if not sentences:
             raise ValidationError("a trace needs at least one sentence")
-        if self.embedding_dim < 1:
+        if _json_int(self.embedding_dim, "embedding_dim") < 1:
             raise ValidationError("embedding_dim must be positive")
         for pos, rec in enumerate(sentences):
             if rec.index != pos:
@@ -174,7 +209,7 @@ class StoryTrace:
             if mismatch:
                 raise ValidationError(f"sentence {pos}: {mismatch}")
         object.__setattr__(self, "sentences", sentences)
-        object.__setattr__(self, "meta", dict(self.meta))
+        object.__setattr__(self, "meta", dict(_json_meta(self.meta)))
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -281,65 +316,46 @@ def _turning_point_problem(pos: int, window: Optional[tuple[int, int]]) -> Optio
 # serialization
 
 
-def _dump_line(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+_dump_line = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
-def _vector_list(vec: np.ndarray) -> list[float]:
-    return vec.tolist()
-
-
-def _record_to_json(rec: SentenceRecord) -> dict:
-    out: dict = {"index": rec.index}
-    if rec.text is not None:
-        out["text"] = rec.text
-    out["e"] = _vector_list(rec.embedding)
-    if rec.avg_log_likelihood is not None:
-        out["avg_ll"] = rec.avg_log_likelihood
-    if rec.window_token_loglikes is not None:
-        out["win_ll"] = {k: _vector_list(v) for k, v in sorted(rec.window_token_loglikes.items())}
-    if rec.window_embedding is not None:
-        out["win_emb"] = {k: _vector_list(v) for k, v in sorted(rec.window_embedding.items())}
-    if rec.sentiment is not None:
-        out["sentiment"] = rec.sentiment
-    if rec.continuations is not None:
-        cont = rec.continuations
-        samples = []
-        for s in cont.samples:
-            entry: dict = {"e": _vector_list(s.embedding)}
-            if s.raw_score is not None:
-                entry["score"] = s.raw_score
-            samples.append(entry)
-        cont_json: dict = {"n": cont.horizon, "samples": samples}
-        if cont.probabilities is not None:
-            cont_json["probs"] = _vector_list(cont.probabilities)
-        out["cont"] = cont_json
-    return out
+def _record_line(rec: SentenceRecord) -> str:
+    """rec as one line of JSON: its vectors' floats by float.__repr__, as json.dumps
+    writes them, each distinct bit pattern (-0.0 == 0.0) formatted once."""
+    def optional(key: str, value) -> str:
+        return "" if value is None else f',"{key}":{_dump_line(value)}'
+    parts = ['{"index":', _dump_line(rec.index), optional("text", rec.text),
+             ',"e":', rec.embedding, optional("avg_ll", rec.avg_log_likelihood)]
+    for name, windows in (("win_ll", rec.window_token_loglikes), ("win_emb", rec.window_embedding)):
+        if windows is not None:
+            parts.append(f',"{name}":{{')
+            for k, (variant, vec) in enumerate(sorted(windows.items())):
+                parts += [("," if k else "") + _dump_line(variant) + ":", vec]
+            parts.append("}")
+    parts.append(optional("sentiment", rec.sentiment))
+    cont = rec.continuations
+    if cont is not None:
+        parts += [',"cont":{"n":', _dump_line(cont.horizon), ',"samples":[']
+        for k, sample in enumerate(cont.samples):
+            parts += [',{"e":' if k else '{"e":', sample.embedding,
+                      optional("score", sample.raw_score) + "}"]
+        probs = [] if cont.probabilities is None else [',"probs":', cont.probabilities]
+        parts += ["]", *probs, "}"]
+    vectors = [part for part in parts if type(part) is not str]
+    bits, inverse = np.unique(np.concatenate(vectors).view(np.uint64), return_inverse=True)
+    reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    floats = iter(reprs[inverse].tolist())
+    return "".join(part if type(part) is str else
+                   f"[{','.join(itertools.islice(floats, part.size))}]" for part in parts) + "}"
 
 
 def write_trace(trace: StoryTrace, path) -> None:
-    lines = [_dump_line({
-        "story_id": trace.story_id,
-        "embedding_dim": trace.embedding_dim,
-        "meta": {k: trace.meta[k] for k in sorted(trace.meta)},
-    })]
-    lines.extend(_dump_line(_record_to_json(rec)) for rec in trace.sentences)
+    """trace as a file: its header line, then each record's line as it is made."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _json_int(value, what: str) -> int:
-    """A JSON integer: a float, bool or string is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_number(value, what: str) -> Optional[float]:
-    """An optional JSON number (None when absent or null); a bool is no number."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    return value
+        fh.write(_dump_line({"story_id": trace.story_id, "embedding_dim": trace.embedding_dim,
+                             "meta": {k: trace.meta[k] for k in sorted(trace.meta)}}) + "\n")
+        for rec in trace.sentences:
+            fh.write(_record_line(rec) + "\n")
 
 
 _NUMBER_TYPES = {float, int}
@@ -367,7 +383,7 @@ def _parse_continuations(obj) -> ContinuationSet:
         samples = tuple(
             ContinuationSample(embedding=np.asarray(_json_numbers(s["e"], "sample embedding"),
                                                     float),
-                               raw_score=_json_number(s.get("score"), "sample score"))
+                               raw_score=s.get("score"))
             for s in obj["samples"]
         )
         probs = obj.get("probs")
@@ -379,8 +395,7 @@ def _parse_continuations(obj) -> ContinuationSet:
                                       f"outside renormalization tolerance")
             if total != 1.0 and total > 0:
                 probs = probs / total
-        return ContinuationSet(horizon=_json_int(obj["n"], "continuation n"), samples=samples,
-                               probabilities=probs)
+        return ContinuationSet(horizon=obj["n"], samples=samples, probabilities=probs)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed continuation set: {exc}") from exc
 
@@ -455,13 +470,13 @@ def _full_record(path, line_no: int, raw: str, embedding_dim: int, index: int) -
     cont = obj.get("cont")
     try:
         rec = SentenceRecord(
-            index=_json_int(obj["index"], "index"),
+            index=obj["index"],
             embedding=emb,
             text=obj.get("text"),
-            avg_log_likelihood=_json_number(obj.get("avg_ll"), "avg_ll"),
+            avg_log_likelihood=obj.get("avg_ll"),
             window_token_loglikes=_json_windows(obj.get("win_ll"), "window_token_loglikes"),
             window_embedding=_json_windows(obj.get("win_emb"), "window_embedding"),
-            sentiment=_json_number(obj.get("sentiment"), "sentiment"),
+            sentiment=obj.get("sentiment"),
             continuations=_parse_continuations(cont) if cont is not None else None,
         )
     except ValidationError as exc:
@@ -475,21 +490,6 @@ def _full_record(path, line_no: int, raw: str, embedding_dim: int, index: int) -
         raise ParseError(f"{path} line {line_no}: sentence index {rec.index}, expected "
                          f"{index}; indices must be contiguous from 0")
     return rec
-
-
-def _file_name(story_id) -> str:
-    """A story_id that names output files: a plain file name, never a path."""
-    if (type(story_id) is not str or story_id in ("", ".", "..")
-            or any(c in story_id for c in "/\\\0")):
-        raise ValidationError(f"story_id must be a plain file name, got {story_id!r}")
-    return story_id
-
-
-def _json_meta(meta) -> dict:
-    """A header's meta: a JSON object whose values are strings."""
-    if type(meta) is not dict or not all(type(v) is str for v in meta.values()):
-        raise ValidationError(f"meta must be an object of strings, got {meta!r}")
-    return meta
 
 
 def _trace_header(path, head_no: int, head: str) -> tuple[str, int, dict]:

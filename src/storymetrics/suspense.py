@@ -129,12 +129,6 @@ def alpha_weight(sentiment: float, cfg: MetricConfig) -> float:
     return cfg.alpha_floor + weight * abs(sentiment)
 
 
-def weighted_surprise(alpha: float, surprise: float) -> float:
-    if alpha < 0:
-        raise ValidationError("alpha must be non-negative")
-    return alpha * surprise
-
-
 def weighted_suspense(e_t, cont: ContinuationSet, alphas, kind: DistanceKind) -> float:
     alphas = np.asarray(alphas, float)
     if alphas.shape[0] != len(cont.samples):

@@ -621,7 +621,7 @@ def perfbench_modules(monkeypatch):
 
 def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modules):
     """The traced benchmark wraps functions by name; a rename fails here."""
-    from storymetrics import cli, retrieval
+    from storymetrics import cli, model, retrieval
     instrument, spans = perfbench_modules
     originals = (cli.cmd_evaluate, cli.ThreadPoolExecutor, retrieval.score,
                  retrieval.PassageStore.top_k)
@@ -650,9 +650,12 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
         # two: 3 + 2 * 2 embeddings; each sentence scored once, then deleted and
         # base windows for both and a swapped window for the second
         before = dict(rec.counts)
-        baseline.build_trace(["the storm came", "a door", "rain fell on the river"],
-                             baseline.HashEmbedder(dim=4), window_tokens=4)
+        trace = baseline.build_trace(["the storm came", "a door", "rain fell on the river"],
+                                     baseline.HashEmbedder(dim=4), window_tokens=4)
+        model.write_trace(trace, tmp_path / "built.trace")
         built = {k: v - before.get(k, 0) for k, v in rec.counts.items()}
+        assert (built["model.write_trace.calls"], built["model.write_trace.bytes"]) == (
+            1, (tmp_path / "built.trace").stat().st_size)
         assert {k: built.get(k) for k in ("baseline.build_trace.calls",
                                           "baseline.HashEmbedder.embed.calls",
                                           "baseline.lm_loglik.calls",
@@ -670,7 +673,7 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
             "salience.salience_series.like", "evaluation.rouge_l",
             "retrieval.PassageStore.top_k", "retrieval.MemoryCache.top_k",
             "retrieval.MemoryCache.add", "baseline.build_trace", "baseline.HashEmbedder.embed",
-            "baseline.lm_loglik"} <= names
+            "baseline.lm_loglik", "model.write_trace"} <= names
     assert rec.counts["retrieval.score.calls"] == 1
 
 

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from storymetrics import model
@@ -63,6 +63,10 @@ def make_random_trace(rng, n_sentences, dim):
         records.append(_record(t, rng.normal(size=dim), **kwargs))
     return StoryTrace(story_id="rnd", sentences=tuple(records),
                       embedding_dim=dim, meta={"corpus": "unit-test"})
+
+
+_RANDOM_TRACES = st.builds(make_random_trace, st.integers(0, 10_000).map(np.random.default_rng),
+                           st.integers(1, 12), st.integers(2, 5))
 
 
 def traces_equal(a, b):
@@ -156,6 +160,40 @@ def test_trace_rejects_window_embedding_dim_mismatch():
         StoryTrace(story_id="s", sentences=(rec,), embedding_dim=3)
 
 
+# Objects whose files read_trace would refuse, or read back changed (a JSON
+# object's keys are strings)
+_UNREADABLE = {
+    "path_story_id": (lambda: StoryTrace("../x", (_record(0, [1.0]),), 1),
+                      "story_id must be a plain file name, got '../x'"),
+    "meta_value_not_string": (lambda: StoryTrace("s", (_record(0, [1.0]),), 1, meta={"k": 1}),
+                              "meta must be an object of strings, got {'k': 1}"),
+    "meta_key_not_string": (lambda: StoryTrace("s", (_record(0, [1.0]),), 1, meta={1: "a"}),
+                            "meta must be an object of strings, got {1: 'a'}"),
+    "bool_embedding_dim": (lambda: StoryTrace("s", (_record(0, [1.0]),), True),
+                           "embedding_dim must be an integer, got True"),
+    "bool_sentiment": (lambda: _record(0, [1.0], sentiment=True),
+                       "sentiment must be a number, got True"),
+    "string_avg_ll": (lambda: _record(0, [1.0], avg_log_likelihood="-1.5"),
+                      "avg_ll must be a number, got '-1.5'"),
+    "numpy_index": (lambda: _record(np.int64(0), [1.0]),
+                    "index must be an integer, got np.int64(0)"),
+    "int_variant": (lambda: _record(0, [1.0], window_token_loglikes={0: [-1.0]}),
+                    "window_token_loglikes variants must be strings, got [0]"),
+    "bool_horizon": (lambda: ContinuationSet(horizon=True,
+                                             samples=(ContinuationSample(np.array([1.0])),)),
+                     "continuation n must be an integer, got True"),
+    "bool_score": (lambda: ContinuationSample(np.array([1.0]), raw_score=False),
+                   "sample score must be a number, got False"),
+}
+
+
+@pytest.mark.parametrize("case", _UNREADABLE)
+def test_construction_refuses_what_read_trace_refuses(case):
+    make, message = _UNREADABLE[case]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()
+
+
 def test_sentiment_out_of_range_rejected():
     with pytest.raises(ValidationError):
         _record(0, [1, 0], sentiment=1.5)
@@ -216,6 +254,91 @@ def test_trace_omits_absent_optionals(tmp_path):
     body = path.read_text().splitlines()[1]
     for key in ("text", "avg_ll", "win_ll", "win_emb", "sentiment", "cont"):
         assert f'"{key}"' not in body
+
+
+# The encoder write_trace had before, kept as its oracle: json.dumps of one
+# dict per record, whose vectors are lists of Python floats.
+def _vector_list(vec: np.ndarray) -> list[float]:
+    return vec.tolist()
+
+
+def _record_to_json(rec: SentenceRecord) -> dict:
+    out: dict = {"index": rec.index}
+    if rec.text is not None:
+        out["text"] = rec.text
+    out["e"] = _vector_list(rec.embedding)
+    if rec.avg_log_likelihood is not None:
+        out["avg_ll"] = rec.avg_log_likelihood
+    if rec.window_token_loglikes is not None:
+        out["win_ll"] = {k: _vector_list(v) for k, v in sorted(rec.window_token_loglikes.items())}
+    if rec.window_embedding is not None:
+        out["win_emb"] = {k: _vector_list(v) for k, v in sorted(rec.window_embedding.items())}
+    if rec.sentiment is not None:
+        out["sentiment"] = rec.sentiment
+    if rec.continuations is not None:
+        cont = rec.continuations
+        samples = []
+        for s in cont.samples:
+            entry: dict = {"e": _vector_list(s.embedding)}
+            if s.raw_score is not None:
+                entry["score"] = s.raw_score
+            samples.append(entry)
+        cont_json: dict = {"n": cont.horizon, "samples": samples}
+        if cont.probabilities is not None:
+            cont_json["probs"] = _vector_list(cont.probabilities)
+        out["cont"] = cont_json
+    return out
+
+
+def _oracle_bytes(trace: StoryTrace) -> bytes:
+    def dump(obj):
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    lines = [dump({"story_id": trace.story_id, "embedding_dim": trace.embedding_dim,
+                   "meta": {k: trace.meta[k] for k in sorted(trace.meta)}})]
+    lines.extend(dump(_record_to_json(rec)) for rec in trace.sentences)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _one_record(rec: SentenceRecord, **meta) -> StoryTrace:
+    return StoryTrace(story_id="s", sentences=(rec,), embedding_dim=rec.embedding.shape[0],
+                      meta=meta)
+
+
+_SHARED = np.array([0.5, -0.0, 0.5, 3.0])  # one array for a record and its samples, and a view
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=traces() | _RANDOM_TRACES)
+@example(trace=_one_record(_record(0, [-0.0, 0.0, 0.0, -0.0],
+                                   window_token_loglikes={"base": [0.0, -0.0]})))
+@example(trace=_one_record(_record(0, [5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                                      1e308, -1e308, 1.7976931348623157e308, -0.1])))
+@example(trace=_one_record(_record(
+    0, [0.25, 0.25, -1.5, 0.25], text="s", avg_log_likelihood=-1.5, sentiment=0.25,
+    window_token_loglikes={"deleted": [-1.5], "base": [0.25, -1.5, -1.5]},
+    window_embedding={"base": [0.25, 0.25, -1.5, 0.25], "deleted": [-1.5, -1.5, 0.25, 0.25]},
+    continuations=ContinuationSet(horizon=2, samples=(
+        ContinuationSample(np.array([-1.5, 0.25, 0.25, 0.25]), raw_score=0.25),)))))
+@example(trace=_one_record(SentenceRecord(
+    index=0, embedding=_SHARED, continuations=ContinuationSet(horizon=1, samples=(
+        ContinuationSample(_SHARED), ContinuationSample(_SHARED[::-1]),
+        ContinuationSample(_SHARED))))))
+@example(trace=_one_record(_record(0, [1.0], avg_log_likelihood=np.float64(-1.5),
+                                   sentiment=np.float64(-0.0))))
+@example(trace=_one_record(_record(0, [1.0], avg_log_likelihood=-3, sentiment=1)))
+@example(trace=_one_record(_record(0, [1.0, 0.0], continuations=ContinuationSet(
+    horizon=1, samples=(ContinuationSample(np.array([1.0, 0.0]), raw_score=-2.5),
+                        ContinuationSample(np.array([0.0, 1.0])),
+                        ContinuationSample(np.array([1.0, 0.0]), raw_score=7)),
+    probabilities=np.array([0.25, 0.0, 0.75])))))
+@example(trace=_one_record(_record(0, [1.0], text='café — 北京 😀 "q" \\ \n\t\x00\u2028',
+                                   window_embedding={}), ключ="значение", k="\ud800"))
+def test_write_trace_equals_old_encoder(tmp_path_factory, trace):
+    """write_trace formats each distinct float of a record once; the bytes
+    are those of json.dumps over the record's dict."""
+    path = tmp_path_factory.mktemp("write") / "t.trace"
+    write_trace(trace, path)
+    assert path.read_bytes() == _oracle_bytes(trace)
 
 
 def test_parse_error_names_line(tmp_path):
@@ -405,10 +528,6 @@ def _assert_same_outcome(serial, ranged):
         assert ranged == serial
     else:
         _assert_same_trace(ranged, serial)
-
-
-_RANDOM_TRACES = st.builds(make_random_trace, st.integers(0, 10_000).map(np.random.default_rng),
-                           st.integers(1, 12), st.integers(2, 5))
 
 
 @pytest.mark.parametrize("cpus", [2, 3], indirect=True)

@@ -20,7 +20,7 @@ from storymetrics.suspense import (DistanceKind, MetricConfig, alpha_weight,
                                    jaccard_similarity, METRIC_NAMES, metric_series,
                                    perplexity, sample_ely_surprise,
                                    sample_ely_suspense, softmax,
-                                   weighted_surprise, weighted_suspense)
+                                   weighted_suspense)
 from strategies import traces
 
 ALL_KINDS = (DistanceKind.L1, DistanceKind.L2, DistanceKind.SQUARED_L2,
@@ -199,13 +199,6 @@ def test_alpha_weight_rejects_out_of_range():
         alpha_weight(1.5, MetricConfig())
 
 
-def test_weighted_surprise():
-    assert weighted_surprise(0.0, 3.0) == 0.0
-    assert weighted_surprise(1.0, 3.0) == 3.0
-    with pytest.raises(ValidationError):
-        weighted_surprise(-0.1, 3.0)
-
-
 def test_weighted_suspense_alpha_one_identity():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -374,8 +367,7 @@ _ORACLE = {
     "ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
         ely_suspense(rec.embedding, rec.continuations, cfg.distance),
     "alpha_ely_surprise": lambda rec, prev, cfg: None if prev is None else
-        weighted_surprise(_alpha(rec, cfg),
-                          ely_surprise(rec.embedding, prev.embedding, cfg.distance)),
+        _alpha(rec, cfg) * ely_surprise(rec.embedding, prev.embedding, cfg.distance),
     "alpha_ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
         weighted_suspense(rec.embedding, rec.continuations,
                           np.full(len(rec.continuations.samples), _alpha(rec, cfg)),
