@@ -69,14 +69,15 @@ def _write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
     lines = content_lines(path)
-    if not lines:
+    _, head = next(lines, (None, None))
+    if head is None:
         raise ValidationError(f"{path}: empty series CSV")
-    header = lines[0][1].split(",")
+    header = head.split(",")
     if header[0] != "sentence" or len(header) < 2:
         raise ValidationError(f"{path}: expected header 'sentence,<series...>'")
     names = header[1:]
     rows = []
-    for ln_no, line in lines[1:]:
+    for ln_no, line in lines:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValidationError(f"{path} line {ln_no}: wrong column count")

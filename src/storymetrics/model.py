@@ -18,7 +18,6 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
@@ -400,34 +399,38 @@ def _parse_continuations(obj) -> ContinuationSet:
         raise ParseError(f"malformed continuation set: {exc}") from exc
 
 
-def _numbered_lines(fh) -> Iterator[tuple[int, str]]:
-    """The non-blank lines of an open text file with their 1-based line
-    numbers, so a message about a record names the line it is on in the file."""
-    return ((no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if not ln.isspace())
+# Binary readline gathers a line longer than its file's buffer piece by
+# piece: with the default 8 KiB, the lines of a trace, about 19 KB each,
+# took twice as long to read as with this.
+_LINE_BUFFER = 1 << 20
 
 
-def _not_utf8(path) -> ParseError:
-    """The error for a file that is not UTF-8, naming the line of its first
-    bad byte. Text I/O decodes in chunks, so the line is found by reading
-    the file again as bytes."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-        bad = len(data)  # the file changed after it failed to decode
-    except UnicodeDecodeError as exc:
-        bad = exc.start
-    head = data[:bad]  # text I/O ends a line at \n, \r or \r\n
-    line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-    return ParseError(f"{path} line {line_no}: not valid UTF-8")
-
-
-def content_lines(path) -> list[tuple[int, str]]:
-    """The numbered non-blank lines of the text file at `path`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return list(_numbered_lines(fh))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+def content_lines(path, fh=None, end: float = math.inf) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of the text file at `path`, each with its line
+    number; given `fh`, those of that open binary file from its position up
+    to byte `end` (just after a \\n), numbered from 1 there. \\n, \\r\\n and a
+    lone \\r each end a line, as in text I/O. A line that is not UTF-8 raises
+    a ParseError that names it, with its number as `line_no`."""
+    if fh is None:
+        with open(path, "rb", buffering=_LINE_BUFFER) as fh:
+            yield from content_lines(path, fh)
+        return
+    no, at = 0, fh.tell()
+    while at < end:
+        chunk = fh.readline()  # streamed: a chapter trace is tens of MB
+        if not chunk:
+            return
+        at += len(chunk)
+        for line in chunk.splitlines() if b"\r" in chunk else (chunk,):
+            no += 1
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError:
+                fault = ParseError(f"{path} line {no}: not valid UTF-8")
+                fault.line_no = no
+                raise fault from None
+            if text and not text.isspace():
+                yield no, text.rstrip("\n")
 
 
 # Decodes a JSON float to the bytes of its literal and a JSON string to a
@@ -436,10 +439,12 @@ def content_lines(path) -> list[tuple[int, str]]:
 _PROJECTING_DECODER = json.JSONDecoder(parse_float=str.encode)
 
 
-def _projected_record(raw: str, embedding_dim: int, index: int) -> Optional[SentenceRecord]:
+def _projected_record(raw: str, embedding_dim: int,
+                      index: Optional[int]) -> Optional[SentenceRecord]:
     """The index, e and text of a record line, or None unless the line is a
-    JSON object whose `index` is the integer `index`, whose `e` holds
-    `embedding_dim` finite JSON floats and whose `text` is a string or absent."""
+    JSON object whose `index` is the integer `index` (any, if None), whose
+    `e` holds `embedding_dim` finite JSON floats and whose `text` is a
+    string or absent."""
     try:
         obj = _PROJECTING_DECODER.decode(raw)
     except json.JSONDecodeError:
@@ -447,16 +452,18 @@ def _projected_record(raw: str, embedding_dim: int, index: int) -> Optional[Sent
     if type(obj) is not dict:
         return None
     e = obj.get("e")
-    if (type(obj.get("index")) is not int or obj["index"] != index
+    if (type(obj.get("index")) is not int or index not in (None, obj["index"])
             or type(e) is not list or len(e) != embedding_dim or set(map(type, e)) != {bytes}):
         return None
     try:  # refuses a non-string text, and a float literal out of range (read as inf)
-        return SentenceRecord(index=index, embedding=np.array(e, float), text=obj.get("text"))
+        return SentenceRecord(index=obj["index"], embedding=np.array(e, float),
+                              text=obj.get("text"))
     except ValidationError:
         return None
 
 
-def _full_record(path, line_no: int, raw: str, embedding_dim: int, index: int) -> SentenceRecord:
+def _full_record(path, line_no: int, raw: str, embedding_dim: int,
+                 index: Optional[int]) -> SentenceRecord:
     """Every field of a record line, checked; a malformed one raises a
     ParseError that names the line."""
     try:
@@ -486,7 +493,7 @@ def _full_record(path, line_no: int, raw: str, embedding_dim: int, index: int) -
     mismatch = _length_mismatch(rec, embedding_dim)
     if mismatch:
         raise ParseError(f"{path} line {line_no}: {mismatch}")
-    if rec.index != index:
+    if index not in (None, rec.index):
         raise ParseError(f"{path} line {line_no}: sentence index {rec.index}, expected "
                          f"{index}; indices must be contiguous from 0")
     return rec
@@ -504,10 +511,10 @@ def _trace_header(path, head_no: int, head: str) -> tuple[str, int, dict]:
     return story_id, embedding_dim, meta
 
 
-def _record(path, line_no: int, raw: str, embedding_dim: int, index: int,
+def _record(path, line_no: int, raw: str, embedding_dim: int, index: Optional[int],
             full: bool) -> SentenceRecord:
-    """The record on a line, which must carry `index`: every field, or with
-    full=False its index, e and text."""
+    """The record on a line, which must carry `index` (any, if None): every
+    field, or with full=False its index, e and text."""
     rec = None if full else _projected_record(raw, embedding_dim, index)
     if rec is None:
         rec = _full_record(path, line_no, raw, embedding_dim, index)
@@ -522,41 +529,94 @@ def read_trace(path, *, full: bool = True) -> StoryTrace:
     syntax of every line) are checked; a line the projection does not
     accept is judged by the full read, so both give the same errors.
 
-    A file of PARALLEL_READ_BYTES or more is parsed in byte ranges by
-    worker processes (see _read_in_ranges). Wherever a range meets anything
-    irregular, the file is read again serially, so the records, errors and
-    messages are always those of the serial read."""
-    trace = _read_in_ranges(path, full)
-    if trace is not None:
-        return trace
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _read_trace_lines(path, _numbered_lines(fh), full)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-
-
-def _read_trace_lines(path, lines: Iterator[tuple[int, str]], full: bool) -> StoryTrace:
-    head_no, head = next(lines, (None, None))
-    if head is None:
-        raise ParseError(f"{path}: empty trace file")
-    story_id, embedding_dim, meta = _trace_header(path, head_no, head)
-    records = []
-    for line_no, raw in lines:  # streamed: a chapter trace is tens of MB
-        records.append(_record(path, line_no, raw, embedding_dim, len(records), full))
+    The record lines are read in byte ranges, each cut just after a \\n: one,
+    read here, or in a file of PARALLEL_READ_BYTES or more one per process
+    _map may run. Each range reads up to its first fault, and the first
+    fault in line order is raised, so the error is the same at any CPU count."""
+    with open(path, "rb") as fh:
+        head_no, head = next(content_lines(path, fh), (None, None))
+        if head is None:
+            raise ParseError(f"{path}: empty trace file")
+        story_id, embedding_dim, meta = _trace_header(path, head_no, head)
+        head_end, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        n = _cpus() if size >= PARALLEL_READ_BYTES else 1
+        cuts = [0]  # the range at 0 holds the header's line
+        for k in range(1, n):
+            cuts.append(fh.seek(max(cuts[-1], head_end, size * k // n) - 1) + len(fh.readline()))
+    spans = list(zip(cuts, cuts[1:] + [size]))
+    if n == 1:
+        parts = [_range_records(path, embedding_dim, full, spans[0])]
+    else:
+        parts = [_VectorUnpickler(*part).load()
+                 for part in _map(partial(_packed_range, path, embedding_dim, full), spans)]
+    records: list[SentenceRecord] = []
+    for (start, _), (part, fault) in zip(spans, parts):
+        if part and part[0].index != len(records):  # a gap at the cut, before any later fault
+            raise _line_fault(path, embedding_dim, full, start, None, len(records))
+        records += part
+        if fault is not None:
+            raise _line_fault(path, embedding_dim, full, start, fault, len(records))
     if not records:
         raise ValidationError(f"{path}: trace has no sentences")
     return StoryTrace(story_id=story_id, sentences=tuple(records),
                       embedding_dim=embedding_dim, meta=meta)
 
 
+def _range_records(path, embedding_dim: int, full: bool, span: tuple[int, int]):
+    """The records on the lines in bytes [start, end) of `path` up to the
+    first fault, and that fault's line, or None: its number counted from
+    `start`, and its text (None where it is not UTF-8). The range at 0
+    starts with the header, which read_trace has read, and its first record
+    must carry index 0; another range's first record carries its own index,
+    which read_trace checks against the records before it."""
+    start, end = span
+    records: list[SentenceRecord] = []
+    index = 0 if start == 0 else None
+    with open(path, "rb", buffering=_LINE_BUFFER) as fh:
+        fh.seek(start)
+        lines = content_lines(path, fh, end)
+        if start == 0:
+            next(lines, None)
+        try:
+            for no, raw in lines:
+                try:
+                    records.append(_record(path, no, raw, embedding_dim, index, full))
+                except ParseError:
+                    return records, (no, raw)
+                index = records[-1].index + 1
+        except ParseError as fault:  # a line that is not UTF-8
+            return records, (fault.line_no, None)
+    return records, None
+
+
+def _line_fault(path, embedding_dim: int, full: bool, start: int,
+                line: Optional[tuple[int, Optional[str]]], index: int) -> ParseError:
+    """The error of a line of the range at byte `start`: `line` as
+    _range_records gives a fault, or, if None, the range's first line. Only
+    here are the line ends before `start` counted, for its number in the
+    file; a record line is judged again with that number and the index it
+    must carry, and fails again."""
+    with open(path, "rb") as fh:
+        head = fh.read(start)
+        no, raw = line or next(content_lines(path, fh))
+    no += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+    if raw is None:
+        return ParseError(f"{path} line {no}: not valid UTF-8")
+    try:
+        _record(path, no, raw, embedding_dim, index, full)
+    except ParseError as exc:
+        return exc
+    raise AssertionError(f"{path} line {no} was judged a fault, and then not")
+
+
 # ---------------------------------------------------------------------------
 # worker processes and the parallel trace read
 
-# A trace file this large is parsed in byte ranges by worker processes.
-# Below it, the forks and the pickle round trip cost more than they save:
-# on 2 CPUs the ranges first won on a full read at about 1.9 MB and on a
-# projected one at about 3.7 MB.
+# A trace file this large is parsed in one byte range per CPU, by worker
+# processes; a smaller one in one range, in the calling process. Below it,
+# the forks and the pickle round trip cost more than they save: on 2 CPUs
+# the ranges first won on a full read at about 1.9 MB and on a projected
+# one at about 3.7 MB.
 PARALLEL_READ_BYTES = 4 << 20
 
 _in_worker = False  # set in each worker process of _map, whose own maps run inline
@@ -642,91 +702,12 @@ def _worker_outcomes(pid: int, pipe) -> list:
         raise RuntimeError(f"worker process {pid} of _map exited without its results") from exc
 
 
-def _text(data: bytes) -> Optional[str]:
-    """data decoded, or None if it is not UTF-8 or holds a \r, where text
-    I/O would end a line that a split at \n does not."""
-    if b"\r" in data:
-        return None
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-
-
-def _read_in_ranges(path, full: bool) -> Optional[StoryTrace]:
-    """The trace in `path`, its record lines parsed in one byte range per
-    process _map may run, or None where the serial read must read it: a
-    small file, one process, or anything irregular. Each range starts just
-    after a \n, so no cut falls inside a line or a UTF-8 character."""
-    n = _cpus()
-    try:
-        if n < 2 or os.path.getsize(path) < PARALLEL_READ_BYTES:
-            return None
-    except OSError:
-        return None  # reported by the serial read
-    with open(path, "rb") as fh:
-        for head_no, line in enumerate(iter(fh.readline, b""), start=1):
-            head = _text(line)
-            if head is None:
-                return None
-            if not head.isspace():
-                break
-        else:
-            return None
-        try:
-            story_id, embedding_dim, meta = _trace_header(path, head_no, head.rstrip("\n"))
-        except ParseError:
-            return None  # the serial read may meet a bad byte first
-        cuts = [fh.tell()]
-        size = os.fstat(fh.fileno()).st_size
-        for k in range(1, n):
-            fh.seek(max(cuts[-1], cuts[0] + (size - cuts[0]) * k // n) - 1)
-            cuts.append(fh.tell() + len(fh.readline()))  # just after the next \n
-        cuts.append(size)
-    parts = _map(partial(_range_records, path, embedding_dim, full), list(zip(cuts, cuts[1:])))
-    records: list[SentenceRecord] = []
-    for part in parts:
-        part = None if part is None else _VectorUnpickler(*part).load()
-        if part is None or (part and part[0].index != len(records)):
-            return None
-        records.extend(part)
-    if not records:
-        return None
-    return StoryTrace(story_id=story_id, sentences=tuple(records),
-                      embedding_dim=embedding_dim, meta=meta)
-
-
-def _range_records(path, embedding_dim: int, full: bool, span: tuple[int, int]):
-    """The records on the lines in bytes [start, end) of `path`, as
-    _VectorPickler packs them; or None where the serial read must judge the
-    range: a line that _text refuses or that is no record. The first line's
-    own index starts the count, and _read_in_ranges checks that it continues
-    the range before."""
-    start, end = span
-    records: list[SentenceRecord] = []
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        while fh.tell() < end:
-            raw = _text(fh.readline())
-            if raw is None:
-                return None
-            if raw.isspace():
-                continue
-            raw = raw.rstrip("\n")
-            if not records:
-                try:
-                    first = json.loads(raw)["index"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    return None
-                if type(first) is not int:
-                    return None
-            try:  # no line numbers here: the serial read makes the messages
-                records.append(_record(path, 0, raw, embedding_dim, first + len(records), full))
-            except ParseError:
-                return None
+def _packed_range(path, embedding_dim: int, full: bool, span: tuple[int, int]):
+    """_range_records of a range, for the pipe from a worker: pickled by
+    _VectorPickler, with the flat array of its vectors and their sizes."""
     out = io.BytesIO()
     pickler = _VectorPickler(out)
-    pickler.dump(records)
+    pickler.dump(_range_records(path, embedding_dim, full, span))
     vectors = pickler.vectors or [np.empty(0)]
     return out.getvalue(), np.concatenate(vectors), [v.size for v in vectors]
 
@@ -774,15 +755,15 @@ def write_annotations(annotations: AnnotationSet, path) -> None:
 
 def read_annotations(path) -> AnnotationSet:
     lines = content_lines(path)
-    if not lines:
+    head_no, head = next(lines, (None, None))
+    if head is None:
         raise ParseError(f"{path}: empty annotation file")
-    head_no, head = lines[0]
     try:
         story_id = json.loads(head)["story_id"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"{path} line {head_no}: malformed annotation header: {exc}") from exc
     annotators, given_on = {}, {}  # annotator -> judgments, line number
-    for line_no, raw in lines[1:]:
+    for line_no, raw in lines:
         parts = raw.split("\t", 1)
         if len(parts) != 2:
             raise ParseError(f"{path} line {line_no}: expected 'annotator<TAB>tokens'")
@@ -803,6 +784,8 @@ def read_annotations(path) -> AnnotationSet:
                              f"judgments, but {first!r} on line {given_on[first]} has "
                              f"{len(annotators[first])}")
         annotators[aid], given_on[aid] = tuple(judgments), line_no
+    if not annotators:
+        raise ParseError(f"{path}: annotation file has no annotators")
     return AnnotationSet(story_id=story_id, annotators=annotators)
 
 
@@ -823,19 +806,18 @@ def write_gold(labels: GoldLabels, path) -> None:
 
 def read_gold(path) -> GoldLabels:
     lines = content_lines(path)
-    if not lines:
+    head_no, head = next(lines, (None, None))
+    if head is None:
         raise ParseError(f"{path}: empty gold file")
-    head_no, head = lines[0]
     try:
         kind = json.loads(head)["kind"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"{path} line {head_no}: malformed gold header: {exc}") from exc
     if kind not in ("salience", "turning_points"):
         raise ParseError(f"{path} line {head_no}: unknown gold label kind {kind!r}")
-    body = lines[1:]
     if kind == "salience":
         indices = set()
-        for line_no, raw in body:
+        for line_no, raw in lines:
             try:
                 entry = [int(tok) for tok in raw.split()]
             except ValueError as exc:
@@ -845,7 +827,7 @@ def read_gold(path) -> GoldLabels:
             indices.update(entry)
         return GoldLabels(kind="salience", salient_indices=frozenset(indices))
     positions, windows = [], []
-    for line_no, raw in body:
+    for line_no, raw in lines:
         parts = raw.split()
         try:
             if len(parts) not in (1, 3):

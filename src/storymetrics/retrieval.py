@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ParseError, ValidationError, content_lines
+from .model import ParseError, ValidationError, _json_int, _json_numbers, content_lines
 from .suspense import softmax
 
 
@@ -266,23 +266,28 @@ def write_passages(store: PassageStore, path) -> None:
 
 
 def read_passages(path) -> PassageStore:
+    """The passage file at `path`. `dim` and a `position` must be JSON
+    integers, `id`, `source` and `payload` strings, and `key` and
+    `token_dist` arrays of JSON numbers: nothing is converted."""
     lines = content_lines(path)
-    if not lines:
+    head_no, head = next(lines, (None, None))
+    if head is None:
         raise ParseError(f"{path}: empty passage file")
-    head_no, head = lines[0]
     try:
-        dim = int(json.loads(head)["dim"])
-        store = PassageStore(dim=dim)
+        store = PassageStore(dim=_json_int(json.loads(head)["dim"], "dim"))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path} line {head_no}: malformed passage header: {exc}") from exc
-    for line_no, raw in lines[1:]:
+    for line_no, raw in lines:
         try:
             obj = json.loads(raw)
+            for name in ("id", "source", "payload"):
+                if type(obj[name]) is not str:
+                    raise ValidationError(f"{name} must be a string, got {obj[name]!r}")
             store.add(Passage(
-                id=obj["id"], key=np.asarray(obj["key"], float),
+                id=obj["id"], key=np.asarray(_json_numbers(obj["key"], "key"), float),
                 payload=obj["payload"], source=obj["source"],
-                position=obj.get("position"),
-                token_dist=(np.asarray(obj["token_dist"], float)
+                position=_json_int(obj["position"], "position") if "position" in obj else None,
+                token_dist=(np.asarray(_json_numbers(obj["token_dist"], "token_dist"), float)
                             if "token_dist" in obj else None),
             ))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

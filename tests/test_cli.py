@@ -127,7 +127,8 @@ _ANN_LINES = {"csv_nan": "a1\tS I\na2\tS D",
               "ann_lengths_differ": "a1\tS I\na2\tS",
               "ann_duplicate_annotator": "a1\tS I\na1\tS D\na2\tS I",
               "ann_no_judgments": "a1\t\na2\t",
-              "ann_longer_than_csv": "a1\tS I D\na2\tS D I"}
+              "ann_longer_than_csv": "a1\tS I D\na2\tS D I",
+              "ann_no_annotators": ""}
 
 
 _TP = '{"kind": "turning_points"}\n'
@@ -186,6 +187,8 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
                 line = "line 3: annotator 'a1' already given on line 2"
             if case == "ann_no_judgments":
                 line = "line 2: annotator 'a1' has no judgments"
+            if case == "ann_no_annotators":  # no line: the file has none to name
+                line = f"{ann}: annotation file has no annotators"
             if case == "ann_longer_than_csv":  # no line: both files and both counts
                 line, named = f"{csv} has 2 rows but {ann} has 3 judgments", None
         if case in _BAD_GOLD:

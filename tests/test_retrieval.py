@@ -1,5 +1,6 @@
 """Dense retrieval, cache eviction policies, and RAG-style marginalization."""
 
+import json
 import re
 from collections import OrderedDict
 
@@ -75,7 +76,8 @@ def test_non_finite_or_non_vector_query_rejected(query):
 def test_overflowing_scores_rejected():
     # inf - inf is NaN, which would drop out of the partition's candidates
     store = PassageStore(dim=2, passages=[_passage("a", [1e200, 1e200])])
-    with pytest.raises(ValidationError, match="overflow"):
+    with pytest.raises(ValidationError, match="overflow"), \
+            pytest.warns(RuntimeWarning, match="overflow"):
         store.top_k([1e200, -1e200], k=1)
 
 
@@ -291,6 +293,48 @@ def test_passage_file_nan_token_dist_names_line(tmp_path):
     path.write_text('{"dim":1}\n{"id":"a","source":"kb","key":[1.0],"payload":"x",'
                     '"token_dist":[NaN,0.5]}\n')
     with pytest.raises(ParseError, match=re.escape(f"{path} line 2: ") + ".*token_dist"):
+        read_passages(path)
+
+
+_PASSAGE = {"id": "a", "source": "kb", "key": [1.0, 0.0], "payload": "x"}
+# a header and a passage line, and what the error says of the line it names;
+# none of them is converted, as a trace's fields are not
+_BAD_PASSAGE_FILES = {
+    "dim_fraction": ({"dim": 2.7}, _PASSAGE, "line 1: malformed passage header: "
+                     "dim must be an integer, got 2.7"),
+    "dim_string": ({"dim": "2"}, _PASSAGE, "line 1: malformed passage header: "
+                   "dim must be an integer, got '2'"),
+    "dim_bool": ({"dim": True}, _PASSAGE, "line 1: malformed passage header: "
+                 "dim must be an integer, got True"),
+    "key_string": ({"dim": 2}, {**_PASSAGE, "key": ["1.0", "0.0"]},
+                   "line 2: malformed passage: key must hold only numbers, got '1.0'"),
+    "key_bool": ({"dim": 2}, {**_PASSAGE, "key": [1.0, False]},
+                 "line 2: malformed passage: key must hold only numbers, got False"),
+    "token_dist_string": ({"dim": 2}, {**_PASSAGE, "token_dist": ["1.0", "0.0"]},
+                          "line 2: malformed passage: token_dist must hold only numbers, "
+                          "got '1.0'"),
+    "token_dist_bool": ({"dim": 2}, {**_PASSAGE, "token_dist": [True, 0.0]},
+                        "line 2: malformed passage: token_dist must hold only numbers, "
+                        "got True"),
+    "id_int": ({"dim": 2}, {**_PASSAGE, "id": 7},
+               "line 2: malformed passage: id must be a string, got 7"),
+    "source_list": ({"dim": 2}, {**_PASSAGE, "source": ["kb"]},
+                    "line 2: malformed passage: source must be a string, got ['kb']"),
+    "payload_null": ({"dim": 2}, {**_PASSAGE, "payload": None},
+                     "line 2: malformed passage: payload must be a string, got None"),
+    "position_string": ({"dim": 2}, {**_PASSAGE, "position": "3"},
+                        "line 2: malformed passage: position must be an integer, got '3'"),
+    "position_fraction": ({"dim": 2}, {**_PASSAGE, "position": 1.5},
+                          "line 2: malformed passage: position must be an integer, got 1.5"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_PASSAGE_FILES)
+def test_passage_file_refuses_what_it_would_convert(tmp_path, case):
+    header, passage, message = _BAD_PASSAGE_FILES[case]
+    path = tmp_path / "bad.psg"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(passage) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path} {message}")):
         read_passages(path)
 
 
