@@ -3,13 +3,15 @@
 import hashlib
 import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from storymetrics.baseline import (HashEmbedder, NgramLM, build_trace,
+from storymetrics import baseline
+from storymetrics.baseline import (HashEmbedder, NgramLM, _log_quotients, build_trace,
                                    lm_loglik, tokenize)
 from storymetrics.model import ValidationError
 from storymetrics.salience import SalienceConfig, salience_series
@@ -142,16 +144,21 @@ def test_conditional_probabilities_sum_to_one():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def _index_arrays(lm: NgramLM) -> list[np.ndarray]:
+    return [lm.pairs, lm.unigrams.entries, lm.unigrams.begins,
+            lm.bigrams.entries, lm.bigrams.begins]
+
+
 def test_scoring_does_not_mutate_counts():
     lm, ids = _trained("a b other unseen", "a b a b")
-    counts = (lm.unigram_counts.copy(), lm.context_counts.copy(), dict(lm.bigram_counts))
+    before = [a.copy() for a in _index_arrays(lm)]
     for prev in (None, "a", "b", "unseen"):
         for token in ("a", "b", "other"):
             _score(lm, ids, token, prev)
         lm.unigram_loglik(np.array([ids["a"], ids["other"]]))
-    np.testing.assert_array_equal(lm.unigram_counts, counts[0])
-    np.testing.assert_array_equal(lm.context_counts, counts[1])
-    assert dict(lm.bigram_counts) == counts[2]
+    for got, want in zip(_index_arrays(lm), before, strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert lm.total == 4
 
 
 def test_lm_loglik_threads_context():
@@ -160,7 +167,22 @@ def test_lm_loglik_threads_context():
     assert logliks[0] == _score(lm, ids, "b", prev="a")[0]
     assert logliks[1] == _score(lm, ids, "a", prev="b")[0]
     # with no previous token, only the first token falls back to its unigram count
-    assert _score(lm, ids, "b a") == [lm.unigram_loglik(np.array([ids["b"]]))[0], logliks[1]]
+    assert _score(lm, ids, "b a").tolist() == [lm.unigram_loglik(np.array([ids["b"]]))[0],
+                                               logliks[1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=1,
+                      max_size=40).flatmap(lambda ps: st.permutations(ps + ps[:len(ps) // 2])),
+       v=st.integers(1, 400))
+@example(pairs=[(2, 2), (2, 2), (0, 1)], v=351)  # 3/353, twice
+@example(pairs=[(0, 0), (1, 2), (2, 5), (0, 1)], v=1)  # 1/1, and 1/2 from two pairs
+def test_log_quotients_are_math_log_of_each_quotient(pairs, v):
+    counts, totals = np.array(pairs, dtype=np.int64).T
+    want = [math.log(q) for q in ((counts + 1) / (totals + v)).tolist()]
+    got = _log_quotients(counts, totals, v)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_logprobs_are_math_log_of_the_exact_quotient():
@@ -362,9 +384,32 @@ _SENTENCES = st.lists(st.lists(_WORDS, min_size=1, max_size=4).map(" ".join),
 # windows that run off the story's end
 @example(sentences=["a b", "b c", "c storm", "door"], window_tokens=12, n_continuations=4,
          seed=3)
+# one-token windows, three sentences to a 3-token block: the swaps at t = 3
+# and t = 6 open a block and take t - 1 and t - 2 from the one before
+@example(sentences=["a b", "b a", "c", "a c", "b", "c a", "a", "b b"], window_tokens=1,
+         n_continuations=2, seed=0)
+# windows that end inside a later block
+@example(sentences=["a b", "c", "a", "b c", "door storm", "a"], window_tokens=7,
+         n_continuations=3, seed=1)
+# t = 0 and t = 1 only
+@example(sentences=["a a", "a b"], window_tokens=3, n_continuations=1, seed=2)
+# at seed 1 and dim 6, "b" and "door" hash to slot 1 with opposite signs, and
+# "storm" and "x" to slot 3: sentences, deleted windows and base windows that
+# cancel out, and fall back to their first token's slot, not their last's
+@example(sentences=["b door", "door b", "a", "b"], window_tokens=2, n_continuations=2,
+         seed=1)
+@example(sentences=["b door storm x", "storm x b door", "a"], window_tokens=4,
+         n_continuations=2, seed=1)
+# a final capital sigma (lowercased to ς) ends a sentence, and İ lowercases
+# to two code points: window embeddings come from token spans, not from
+# re-tokenized text
+@example(sentences=["ΟΔΟΣ", "İ a ΑΣ", "b İ", "ΣΑΣ"], window_tokens=3, n_continuations=2,
+         seed=0)
 def test_build_trace_matches_retrained_reference(sentences, window_tokens,
                                                  n_continuations, seed):
-    _assert_matches_reference(sentences, window_tokens, n_continuations, seed)
+    for block_tokens in (1, 3, baseline._BLOCK_TOKENS):
+        with patch.object(baseline, "_BLOCK_TOKENS", block_tokens):
+            _assert_matches_reference(sentences, window_tokens, n_continuations, seed)
 
 
 def test_build_trace_matches_retrained_reference_on_a_long_story():

@@ -650,22 +650,27 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
         retrieval.retrieve([1.0, 0.5], kb, cache, 1, 1, 1)
         retrieval.score([1.0, 0.5], [0.0, 1.0])  # the oracle; the scan itself calls no score()
         # 3 sentences of 3, 2 and 5 tokens with 4-token windows after the first
-        # two: 3 + 2 * 2 embeddings; each sentence scored once, then deleted and
-        # base windows for both and a swapped window for the second
+        # two: one block, so one index of the 10 tokens and one scoring call
+        # over the 10 sentence tokens and 4 variants of both windows; the
+        # builder embeds token spans, so embed is called here once directly
         before = dict(rec.counts)
         trace = baseline.build_trace(["the storm came", "a door", "rain fell on the river"],
                                      baseline.HashEmbedder(dim=4), window_tokens=4)
         model.write_trace(trace, tmp_path / "built.trace")
+        baseline.HashEmbedder(dim=4).embed("the storm came")
         built = {k: v - before.get(k, 0) for k, v in rec.counts.items()}
         assert (built["model.write_trace.calls"], built["model.write_trace.bytes"]) == (
             1, (tmp_path / "built.trace").stat().st_size)
         assert {k: built.get(k) for k in ("baseline.build_trace.calls",
                                           "baseline.HashEmbedder.embed.calls",
+                                          "baseline.NgramLM.train.calls",
+                                          "baseline.NgramLM.train.tokens",
                                           "baseline.lm_loglik.calls",
                                           "baseline.lm_loglik.tokens")} == {
-            "baseline.build_trace.calls": 1, "baseline.HashEmbedder.embed.calls": 7,
-            "baseline.lm_loglik.calls": 3 + 2 + 3,
-            "baseline.lm_loglik.tokens": (3 + 2 + 5) + 4 * 2 + 4 * 3}
+            "baseline.build_trace.calls": 1, "baseline.HashEmbedder.embed.calls": 1,
+            "baseline.NgramLM.train.calls": 1, "baseline.NgramLM.train.tokens": 10,
+            "baseline.lm_loglik.calls": 1,
+            "baseline.lm_loglik.tokens": (3 + 2 + 5) + 4 * (4 + 4)}
     finally:
         patcher.restore()
     assert (cli.cmd_evaluate, cli.ThreadPoolExecutor, retrieval.score,
@@ -676,7 +681,7 @@ def test_benchmark_hooks_resolve_and_record(tmp_path, demo_trace, perfbench_modu
             "salience.salience_series.like", "evaluation.rouge_l",
             "retrieval.PassageStore.top_k", "retrieval.MemoryCache.top_k",
             "retrieval.MemoryCache.add", "baseline.build_trace", "baseline.HashEmbedder.embed",
-            "baseline.lm_loglik", "model.write_trace"} <= names
+            "baseline.NgramLM.train", "baseline.lm_loglik", "model.write_trace"} <= names
     assert rec.counts["retrieval.score.calls"] == 1
 
 

@@ -1,16 +1,23 @@
 """Deletion-based salience measures and the clustering baseline."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from storymetrics.model import (MetricSeries, SentenceRecord, StoryTrace,
-                                ValidationError)
+from storymetrics.model import (KNOWN_VARIANTS, MetricSeries, SentenceRecord,
+                                StoryTrace, ValidationError)
 from storymetrics.salience import (SalienceConfig, bcf_salience,
                                    clus_salience, coherence,
                                    combine_like_clus, emb_salience,
                                    imp_adjust, positional_baseline,
                                    salience_series, variant_salience)
 from storymetrics.suspense import DistanceKind, distance
+
+from strategies import traces
 
 
 def _rec(index, win_ll=None, win_emb=None, sentiment=None):
@@ -219,3 +226,74 @@ def test_salience_series_imp_adjust():
 def test_salience_series_unknown_measure():
     with pytest.raises(ValidationError):
         SalienceConfig(measure="nope")
+
+
+# --- window measures against a per-record oracle ----------------------------------
+
+# measure -> (the record's windows it reads, the variant it compares with base)
+_WINDOW_MEASURES = {"like": ("window_token_loglikes", "deleted"),
+                    "swap": ("window_token_loglikes", "swapped"),
+                    "know_diff": ("window_token_loglikes", "no_knowledge"),
+                    "emb_sal": ("window_embedding", "deleted")}
+
+
+class _Missing(Exception):
+    """The record has windows, but not both that the measure compares."""
+
+
+def _oracle(rec: SentenceRecord, measure: str):
+    """The measure of one record, from its windows alone, with math.fsum;
+    None where the record has no windows."""
+    field, variant = _WINDOW_MEASURES[measure]
+    win = getattr(rec, field)
+    if win is None:
+        return None
+    if "base" not in win or variant not in win:
+        raise _Missing
+    base, other = win["base"].tolist(), win[variant].tolist()
+    if field == "window_token_loglikes":  # coherence: mean log-likelihood
+        return math.fsum(base) / len(base) - math.fsum(other) / len(other)
+    dot = math.fsum(x * y for x, y in zip(base, other))
+    norms = math.sqrt(math.fsum(x * x for x in base)) * math.sqrt(math.fsum(y * y for y in other))
+    return max(0.0, 1.0 - dot / norms)
+
+
+def _with_every_variant(trace: StoryTrace) -> StoryTrace:
+    """The trace with every window it has holding every known variant."""
+    def fill(win, vector):
+        return None if win is None else {**dict.fromkeys(KNOWN_VARIANTS, vector), **win}
+    return replace(trace, sentences=tuple(
+        replace(rec, window_token_loglikes=fill(rec.window_token_loglikes, np.array([-0.5])),
+                window_embedding=fill(rec.window_embedding, np.ones(trace.embedding_dim)))
+        for rec in trace.sentences))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=traces(), every_variant=st.booleans())
+def test_window_measures_equal_per_record_oracle(trace, every_variant):
+    if every_variant:
+        trace = _with_every_variant(trace)
+    for measure in _WINDOW_MEASURES:
+        cfg = SalienceConfig(measure=measure)
+        try:
+            want = [_oracle(rec, measure) for rec in trace.sentences]
+        except _Missing:
+            with pytest.raises(ValidationError, match="required"):
+                salience_series(trace, cfg)
+            continue
+        if all(v is None for v in want):
+            with pytest.raises(ValidationError, match=f"measure '{measure}'"):
+                salience_series(trace, cfg)
+            continue
+        got = salience_series(trace, cfg).values
+        # a sentence without windows scores 0
+        np.testing.assert_allclose(got, [0.0 if v is None else v for v in want],
+                                   rtol=0, atol=1e-12)
+        assert all(got[i] == 0.0 for i, v in enumerate(want) if v is None)
+    # a trace where no sentence has windows is an error that names the measure
+    bare = replace(trace, sentences=tuple(
+        replace(rec, window_token_loglikes=None, window_embedding=None)
+        for rec in trace.sentences))
+    for measure in _WINDOW_MEASURES:
+        with pytest.raises(ValidationError, match=f"measure '{measure}'"):
+            salience_series(bare, SalienceConfig(measure=measure))
