@@ -69,18 +69,23 @@ def _write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
     lines = content_lines(path)
-    _, head = next(lines, (None, None))
+    head_no, head = next(lines, (None, None))
     if head is None:
         raise ValidationError(f"{path}: empty series CSV")
     header = head.split(",")
     if header[0] != "sentence" or len(header) < 2:
-        raise ValidationError(f"{path}: expected header 'sentence,<series...>'")
-    names = header[1:]
+        raise ValidationError(f"{path} line {head_no}: expected header 'sentence,<series...>'")
+    for j, name in enumerate(header):
+        if not name.strip() or name in header[:j]:
+            fault = "duplicate" if name.strip() else "empty"
+            raise ValidationError(f"{path} line {head_no}: {fault} column name {name!r}")
     rows = []
     for ln_no, line in lines:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValidationError(f"{path} line {ln_no}: wrong column count")
+        if parts[0].strip() != str(len(rows)):
+            raise ValidationError(f"{path} line {ln_no}: sentence {parts[0]!r} in row {len(rows)}")
         try:
             row = [float(p) for p in parts[1:]]
         except ValueError as exc:
@@ -91,7 +96,7 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
     if not rows:
         raise ValidationError(f"{path}: series CSV has no data rows")
     data = np.asarray(rows, float)
-    return {name: data[:, j] for j, name in enumerate(names)}
+    return {name: data[:, j] for j, name in enumerate(header[1:])}
 
 
 def _columns(trace: StoryTrace, metrics: Sequence[str], measures: Sequence[str],

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MetricSeries, SentenceRecord, StoryTrace, ValidationError,
-                    per_sentence_series)
+from .annotation import zscore
+from .model import (DegenerateStatisticsError, MetricSeries, SentenceRecord, StoryTrace,
+                    ValidationError, per_sentence_series)
 from .suspense import DistanceKind, consecutive_distances, distance
 
 
@@ -132,19 +133,18 @@ def clus_salience(embeddings, cfg: SalienceConfig) -> MetricSeries:
     return MetricSeries(name="clus", values=scores)
 
 
-def _zscore_or_zero(values: np.ndarray) -> np.ndarray:
-    std = float(values.std())
-    if std == 0.0:
-        return np.zeros_like(values)
-    return (values - values.mean()) / std
-
-
 def combine_like_clus(like: MetricSeries, clus: MetricSeries) -> MetricSeries:
     """Weighted 1:2 combination on z-scored inputs (raw scales are
     incompatible). A constant input contributes zero."""
     if len(like) != len(clus):
         raise ValidationError("series length mismatch in combination")
-    values = _zscore_or_zero(clus.values) + 2.0 * _zscore_or_zero(like.values)
+    scaled = []
+    for series in (clus, like):
+        try:
+            scaled.append(zscore(series).values)
+        except DegenerateStatisticsError:
+            scaled.append(np.zeros(len(series)))
+    values = scaled[0] + 2.0 * scaled[1]
     return MetricSeries(name="like_clus", values=values)
 
 

@@ -2,7 +2,9 @@
 
 All values are in nats. Functions are pure and horizon-agnostic: a
 multi-step lookahead is expressed by which continuation set the caller
-stores on the trace.
+stores on the trace. Each scalar function scores one sentence as a one-row
+call into the whole-trace kernel that metric_series runs, so each formula
+has one implementation.
 """
 
 from __future__ import annotations
@@ -40,34 +42,27 @@ class MetricConfig:
 
 
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
+    """The two vectors as (1, d) rows, if they have the same shape."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
     if a.shape != b.shape:
         raise ValidationError(f"vector length mismatch: {a.shape} vs {b.shape}")
-    return a, b
+    return a.reshape(1, -1), b.reshape(1, -1)
+
+
+def _check_samples(state, samples, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The state as a (1, d) row, and the (k, d) block of the samples."""
+    if len(samples) == 0:
+        raise ValidationError(f"{name} set is empty")
+    return (np.asarray(state, float).reshape(1, -1),
+            np.concatenate([_check_pair(state, s)[1] for s in samples]))
 
 
 def cosine_similarity(a, b) -> float:
-    a, b = _check_pair(a, b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine similarity undefined for zero vectors")
-    return float(np.dot(a, b) / (na * nb))
+    return float(_cosines(*_check_pair(a, b))[0])
 
 
 def distance(a, b, kind: DistanceKind) -> float:
-    a, b = _check_pair(a, b)
-    if kind is DistanceKind.L1:
-        return float(np.sum(np.abs(a - b)))
-    if kind is DistanceKind.L2:
-        return float(np.linalg.norm(a - b))
-    if kind is DistanceKind.SQUARED_L2:
-        d = a - b
-        return float(np.dot(d, d))
-    if kind is DistanceKind.COSINE:
-        return max(0.0, 1.0 - cosine_similarity(a, b))
-    raise ValidationError(f"unknown distance kind {kind!r}")
+    return float(_distances(*_check_pair(a, b), kind)[0])
 
 
 def hale_surprise(p: float) -> float:
@@ -97,16 +92,14 @@ def hale_uncertainty_reduction(h_prev: float, h_curr: float) -> float:
 def continuation_distribution(e_t, continuations: Sequence) -> np.ndarray:
     """Softmax over cosine similarities between the current embedding and
     each imagined continuation."""
-    if len(continuations) == 0:
-        raise ValidationError("continuation set is empty")
-    return softmax(np.array([cosine_similarity(e_t, c) for c in continuations]))
+    return softmax(_cosines(*_check_samples(e_t, continuations, "continuation")))
 
 
 def softmax(scores) -> np.ndarray:
+    """Softmax along the last axis."""
     scores = np.asarray(scores, float)
-    shifted = scores - scores.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
+    exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def ely_surprise(e_t, e_prev, kind: DistanceKind) -> float:
@@ -135,26 +128,20 @@ def weighted_suspense(e_t, cont: ContinuationSet, alphas, kind: DistanceKind) ->
         raise ValidationError("one alpha per continuation sample required")
     if np.any(alphas < 0):
         raise ValidationError("alphas must be non-negative")
-    # the stored probabilities, or else the cosine softmax over the samples
-    probs = (cont.probabilities if cont.probabilities is not None
-             else continuation_distribution(e_t, cont.sample_embeddings()))
-    dists = np.array([distance(e_t, s.embedding, kind) for s in cont.samples])
-    return float(np.sum(probs * alphas * dists))
+    state, _ = _check_samples(e_t, cont.sample_embeddings(), "continuation")
+    return float(_weighted_distances(state, [cont], kind, alphas)[0])
 
 
 def sample_ely_suspense(state, samples: Sequence, kind: DistanceKind) -> float:
     """Equally weighted mean distance from the state to each sample."""
-    if len(samples) == 0:
-        raise ValidationError("sample set is empty")
-    return float(np.mean([distance(state, s, kind) for s in samples]))
+    state, block = _check_samples(state, samples, "sample")
+    return float(_mean_distances(state, block[:, None], kind)[0])
 
 
 def sample_ely_surprise(actual, samples: Sequence, kind: DistanceKind) -> float:
     """Distance from the realized state to the componentwise sample mean."""
-    if len(samples) == 0:
-        raise ValidationError("sample set is empty")
-    mean = np.mean(np.stack([np.asarray(s, float) for s in samples]), axis=0)
-    return distance(actual, mean, kind)
+    actual, block = _check_samples(actual, samples, "sample")
+    return float(_distances_to_means(actual, [block], kind)[0])
 
 
 def jaccard_similarity(a_tokens, b_tokens) -> float:
@@ -172,17 +159,15 @@ def perplexity(avg_nll: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# whole-trace curves
-#
-# Each curve below scores a whole trace at once and returns (values,
+# whole-trace curves: each scores a whole trace at once and returns (values,
 # available), where available marks the sentences that have the inputs (see
-# model.per_sentence_series). The arithmetic is that of the scalar functions
-# above, pair by pair, so every curve equals theirs bit for bit: np.vecdot
-# runs the per-pair np.dot kernel on each row, and a row sum over the
-# contiguous last axis adds in the order of the 1-d np.sum. (On one-element
-# rows np.vecdot returns +0 where np.dot returns -0, which no curve can see:
-# a zero cosine numerator comes only from a zero vector, an error, and a
-# squared difference is never -0.)
+# model.per_sentence_series). Every curve equals pair-by-pair scoring with
+# np.dot and 1-d sums bit for bit (the oracle of tests/test_suspense.py):
+# np.vecdot runs the per-pair np.dot kernel on each row, and a row sum over
+# the contiguous last axis adds in the order of the 1-d np.sum. (On
+# one-element rows np.vecdot returns +0 where np.dot returns -0, which no
+# curve can see: a zero cosine numerator comes only from a zero vector, an
+# error, and a squared difference is never -0.)
 
 
 def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,7 +181,7 @@ def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _distances(a: np.ndarray, b: np.ndarray, kind: DistanceKind) -> np.ndarray:
     """distance() of each row pair."""
     if kind is DistanceKind.COSINE:
-        return np.fmax(0.0, 1.0 - _cosines(a, b))  # fmax maps NaN to 0, as max() does
+        return np.fmax(0.0, 1.0 - _cosines(a, b))  # like max(0.0, x), fmax maps NaN to 0
     diff = a - b
     if kind is DistanceKind.L1:
         return np.abs(diff).sum(axis=1)
@@ -227,46 +212,66 @@ def _after_first(values, available=None) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0.0], values)), np.concatenate(([False], available))
 
 
-def _by_sample_count(sets: Sequence[Optional[ContinuationSet]]) -> list[np.ndarray]:
-    """The positions of the continuation sets in `sets`, grouped by sample count."""
+def _by_sample_count(sets: Sequence[Optional[ContinuationSet]]):
+    """The continuation sets in `sets`, grouped by sample count: a list of
+    (positions, group) pairs, with the group's sets in position order."""
     groups: dict[int, list[int]] = {}
     for pos, cont in enumerate(sets):
         if cont is not None:
             groups.setdefault(len(cont.samples), []).append(pos)
-    return [np.array(positions) for positions in groups.values()]
+    return [(np.array(positions), [sets[p] for p in positions])
+            for positions in groups.values()]
 
 
-def _slots(sets, positions: np.ndarray):
-    """The (m, d) block of the j-th samples of the sets at `positions`, for
-    each slot j, built one at a time so that one block is alive at once."""
-    members = [sets[p].samples for p in positions]
-    return (np.stack([s[j].embedding for s in members]) for j in range(len(members[0])))
+def _slots(group: Sequence[ContinuationSet]):
+    """The (m, d) block of the j-th samples of the group's sets, for each
+    slot j, built one at a time so that one block is alive at once."""
+    return (np.stack([cont.samples[j].embedding for cont in group])
+            for j in range(len(group[0].samples)))
 
 
-def _weighted(sets, positions: np.ndarray, states: np.ndarray, column=None):
-    """The (m, k) continuation weights of the sets at `positions`, whose
-    sentences have the embeddings `states`: each set's stored probabilities,
-    or else the cosine softmax of its state over its samples
-    (continuation_distribution), computed only for the sets that store none.
+def _weighted(group: Sequence[ContinuationSet], states: np.ndarray, column=None):
+    """The (m, k) continuation weights of the group's sets, whose sentences
+    have the embeddings `states`: each set's stored probabilities, or else
+    continuation_distribution, computed only for the sets that store none.
     With `column`, also the (m, k) array of column(block) over the slots,
     from the same pass over the blocks."""
-    stored = [sets[p].probabilities for p in positions]
+    stored = [cont.probabilities for cont in group]
     soft = np.array([probs is None for probs in stored])
     some, every = soft.any(), soft.all()
     sims, columns = [], []
-    for block in _slots(sets, positions):
+    for block in _slots(group):
         if some:
             sims.append(_cosines(states, block) if every else _cosines(states[soft], block[soft]))
         if column is not None:
             columns.append(column(block))
-    weights = np.empty((len(positions), len(sets[positions[0]].samples)))
+    weights = np.empty((len(group), len(group[0].samples)))
     if not every:
         weights[~soft] = [probs for probs in stored if probs is not None]
     if some:
-        scores = np.stack(sims, axis=1)
-        exps = np.exp(scores - scores.max(axis=1, keepdims=True))
-        weights[soft] = exps / exps.sum(axis=1, keepdims=True)
+        weights[soft] = softmax(np.stack(sims, axis=1))
     return weights, np.stack(columns, axis=1) if columns else None
+
+
+def _weighted_distances(states, group, kind, alphas=None) -> np.ndarray:
+    """weighted_suspense of each state over its set in `group`, with alphas
+    per state (m, 1) or per sample (k,), or ely_suspense without them."""
+    weights, dists = _weighted(group, states, lambda block: _distances(states, block, kind))
+    if alphas is not None:
+        weights = weights * alphas
+    return (weights * dists).sum(axis=1)
+
+
+def _mean_distances(states, blocks, kind) -> np.ndarray:
+    """sample_ely_suspense of each state, its samples given as (m, d) slot blocks."""
+    return np.stack([_distances(states, block, kind) for block in blocks], axis=1).mean(axis=1)
+
+
+def _distances_to_means(states, sample_sets, kind) -> np.ndarray:
+    """sample_ely_surprise of each state, its samples given as a (k, d) block
+    per set: adding slot by slot differs from np.mean(axis=0) for d = 1, k >= 8."""
+    means = np.stack([np.mean(samples, axis=0) for samples in sample_sets])
+    return _distances(states, means, kind)
 
 
 def _sentiment_alphas(trace: StoryTrace, cfg: MetricConfig) -> np.ndarray:
@@ -288,17 +293,12 @@ def _alpha_ely_surprise(trace, cfg):
 
 
 def _expected_distance(trace, cfg, alphas=None):
-    """ely_suspense, or weighted_suspense with one alpha per sentence: the
-    weighted distance from each sentence to its continuation samples."""
+    """ely_suspense, or weighted_suspense with one alpha per sentence."""
     e, sets = _embeddings(trace), _continuations(trace)
     values = np.zeros(len(trace))
-    for pos in _by_sample_count(sets):
-        states = e[pos]
-        weights, dists = _weighted(sets, pos, states,
-                                   lambda block: _distances(states, block, cfg.distance))
-        if alphas is not None:
-            weights = weights * alphas[pos, None]
-        values[pos] = (weights * dists).sum(axis=1)
+    for pos, group in _by_sample_count(sets):
+        values[pos] = _weighted_distances(e[pos], group, cfg.distance,
+                                          None if alphas is None else alphas[pos, None])
     return values, _present(sets)
 
 
@@ -308,9 +308,9 @@ def _hale_surprise(trace, cfg):
     realizing a zero-weight sample has no surprisal."""
     e, sets = _embeddings(trace), _continuations(trace)[:-1]
     values, available = np.zeros(len(sets)), np.zeros(len(sets), bool)
-    for pos in _by_sample_count(sets):
+    for pos, group in _by_sample_count(sets):
         realized = e[pos + 1]
-        weights, sims = _weighted(sets, pos, e[pos], lambda block: _cosines(realized, block))
+        weights, sims = _weighted(group, e[pos], lambda block: _cosines(realized, block))
         p = weights[np.arange(len(pos)), sims.argmax(axis=1)]
         real = p > 0
         values[pos[real]] = [hale_surprise(x) for x in p[real].tolist()]
@@ -324,29 +324,25 @@ def _hale_uncertainty_reduction(trace, cfg):
     both = has[:-1] & has[1:]  # (t-1, t) pairs that both have continuations
     used = np.concatenate((both, [False])) | np.concatenate(([False], both))
     h = np.zeros(len(trace))
-    for pos in _by_sample_count([c if u else None for c, u in zip(sets, used)]):
-        h[pos] = [entropy(w) for w in _weighted(sets, pos, e[pos])[0]]
+    for pos, group in _by_sample_count([c if u else None for c, u in zip(sets, used)]):
+        h[pos] = [entropy(w) for w in _weighted(group, e[pos])[0]]
     return _after_first(h[:-1] - h[1:], both)
 
 
 def _sample_ely_surprise(trace, cfg):
     e, sets = _embeddings(trace), _continuations(trace)[:-1]
     values = np.zeros(len(sets))
-    for pos in _by_sample_count(sets):
-        # Each set's own mean, as the scalar function takes it: adding slot by
-        # slot differs from np.mean(axis=0) for d = 1 and k >= 8.
-        means = np.stack([np.mean(sets[p].sample_embeddings(), axis=0) for p in pos])
-        values[pos] = _distances(e[pos + 1], means, cfg.distance)
+    for pos, group in _by_sample_count(sets):
+        values[pos] = _distances_to_means(e[pos + 1], [c.sample_embeddings() for c in group],
+                                          cfg.distance)
     return _after_first(values, _present(sets))
 
 
 def _sample_ely_suspense(trace, cfg):
     e, sets = _embeddings(trace), _continuations(trace)
     values = np.zeros(len(trace))
-    for pos in _by_sample_count(sets):
-        states = e[pos]
-        values[pos] = np.stack([_distances(states, block, cfg.distance)
-                                for block in _slots(sets, pos)], axis=1).mean(axis=1)
+    for pos, group in _by_sample_count(sets):
+        values[pos] = _mean_distances(e[pos], _slots(group), cfg.distance)
     return values, _present(sets)
 
 
@@ -363,10 +359,6 @@ def _word_overlap(trace, cfg):
 def _embedding_similarity(trace, cfg):
     e = _embeddings(trace)
     return _after_first(_cosines(e[1:], e[:-1]))
-
-
-def _alpha_sentiment(trace, cfg):
-    return _sentiment_alphas(trace, cfg), _present([rec.sentiment for rec in trace.sentences])
 
 
 def _perplexity(trace, cfg):
@@ -387,7 +379,8 @@ _METRICS = {
     "sample_ely_suspense": _sample_ely_suspense,
     "word_overlap": _word_overlap,
     "embedding_similarity": _embedding_similarity,
-    "alpha_sentiment": _alpha_sentiment,
+    "alpha_sentiment": lambda trace, cfg:
+        (_sentiment_alphas(trace, cfg), _present([rec.sentiment for rec in trace.sentences])),
     "perplexity": _perplexity,
 }
 METRIC_NAMES = tuple(_METRICS)

@@ -7,6 +7,8 @@ counts, horizons and scores, duplicate samples, stored probabilities (with
 zeros), zero embeddings, and text with non-ASCII words. The vectors come
 from a numpy generator seeded by a drawn integer, so that long traces of
 wide vectors stay cheap to draw.
+
+`series_columns()` draws the named float columns of a series CSV.
 """
 
 import numpy as np
@@ -78,3 +80,22 @@ def traces(draw, max_sentences: int = 40) -> StoryTrace:
             continuations=cont))
     return StoryTrace(story_id="drawn", sentences=tuple(records), embedding_dim=d,
                       meta=draw(META))
+
+
+# any character a series name may hold: not the separator or a line end
+SERIES_NAMES = st.text(
+    st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)), min_size=1,
+    max_size=8).filter(lambda name: name.strip() and name != "sentence")
+# finite floats, with the signed zeros, the smallest subnormals and the
+# largest floats drawn often
+FINITE = (st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                           -1.7976931348623157e308))
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def series_columns(draw) -> dict[str, np.ndarray]:
+    """1 to 3 distinct series names, each with a column of 1 to 50 finite floats."""
+    names = draw(st.lists(SERIES_NAMES, min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 50))
+    return {name: np.array(draw(st.lists(FINITE, min_size=n, max_size=n))) for name in names}

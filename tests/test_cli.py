@@ -10,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from storymetrics import baseline, cli
 from storymetrics.cli import build_parser, main, read_series_csv
 from storymetrics.model import (AnnotationSet, GoldLabels, Judgment,
                                 read_gold, write_annotations, write_gold,
                                 write_trace)
+from strategies import series_columns
 
 
 @pytest.fixture()
@@ -121,6 +123,23 @@ _BAD_HEADERS = {"header_dim_float": ("embedding_dim", 8.0),
 
 _BAD_CELLS = {"csv_not_numeric": "abc", "csv_nan": "nan", "csv_inf": "inf"}
 
+# series CSV text, and what its error names: the header's line for a header
+# that does not start with sentence or has a duplicate or empty name, a row's
+# line for a sentence cell that is not its 0-based position
+_BAD_CSVS = {
+    "csv_header_not_sentence": ("\nstory,a\n0,0.5\n", "line 2: expected header"),
+    "csv_duplicate_name": ("sentence,a,a\n0,0.5,0.25\n", "line 1: duplicate column name 'a'"),
+    "csv_duplicate_sentence": ("sentence,a,sentence\n0,0.5,0\n",
+                               "line 1: duplicate column name 'sentence'"),
+    "csv_empty_name": ("sentence,,b\n0,0.5,0.25\n", "line 1: empty column name ''"),
+    "csv_blank_name": ("\nsentence,a, \n0,0.5,0.25\n", "line 2: empty column name ' '"),
+    "csv_rows_misnumbered": ("sentence,a\n2,0.5\n0,0.5\nx,0.5\n",
+                             "line 2: sentence '2' in row 0"),
+    "csv_row_not_integer": ("sentence,a\n0,0.5\n\n1,0.5\nx,0.5\n",
+                            "line 5: sentence 'x' in row 2"),
+    "csv_row_float": ("sentence,a\n0.0,0.5\n", "line 2: sentence '0.0'"),
+}
+
 
 # the annotator lines of a .ann read against the 2-row CSV of the test below
 _ANN_LINES = {"csv_nan": "a1\tS I\na2\tS D",
@@ -150,7 +169,7 @@ _BAD_GOLD = {
 
 
 @pytest.mark.parametrize("case", [*_BAD_RECORDS, *_BAD_HEADERS, "blank_line_before_bad_record",
-                                  *_BAD_CELLS,
+                                  *_BAD_CELLS, *_BAD_CSVS,
                                   *_BAD_GOLD,
                                   *(c for c in _ANN_LINES if c.startswith("ann_"))])
 def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
@@ -174,7 +193,11 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
         named = demo_trace
     else:
         csv = tmp_path / "story.csv"
-        csv.write_text(f"sentence,ely_surprise\n0,0.5\n1,{_BAD_CELLS.get(case, '0.25')}\n")
+        if case in _BAD_CSVS:
+            text, line = _BAD_CSVS[case]
+        else:
+            text = f"sentence,ely_surprise\n0,0.5\n1,{_BAD_CELLS.get(case, '0.25')}\n"
+        csv.write_text(text)
         argv, named = ["plot", str(csv), "--out", str(tmp_path / "plots")], csv
         if case in _ANN_LINES:
             ann = tmp_path / "story.ann"
@@ -230,6 +253,18 @@ def test_evaluate_and_align_skip_fields_they_do_not_read(tmp_path, demo_trace, c
                  "--out", str(tmp_path / "sal.csv")]) == 0
     assert main(["align", "--trace", str(demo_trace), "--trace", str(demo_trace),
                  "--out", str(tmp_path / "aligned")]) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=series_columns())
+def test_series_csv_round_trips(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("series") / "story.csv"
+    cli._write_series_csv(path, columns)
+    back = read_series_csv(path)
+    assert list(back) == list(columns)
+    # repr tells -0.0 from 0.0, and shows every bit of the rest
+    assert ([repr(col.tolist()) for col in back.values()]
+            == [repr(col.tolist()) for col in columns.values()])
 
 
 def test_series_csv_without_rows_exit_2(tmp_path, capsys):

@@ -253,8 +253,12 @@ def _oracle(rec: SentenceRecord, measure: str):
     base, other = win["base"].tolist(), win[variant].tolist()
     if field == "window_token_loglikes":  # coherence: mean log-likelihood
         return math.fsum(base) / len(base) - math.fsum(other) / len(other)
-    dot = math.fsum(x * y for x, y in zip(base, other))
-    norms = math.sqrt(math.fsum(x * x for x in base)) * math.sqrt(math.fsum(y * y for y in other))
+    return _cosine_distance(base, other)
+
+
+def _cosine_distance(a: list, b: list) -> float:
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    norms = math.sqrt(math.fsum(x * x for x in a)) * math.sqrt(math.fsum(y * y for y in b))
     return max(0.0, 1.0 - dot / norms)
 
 
@@ -297,3 +301,22 @@ def test_window_measures_equal_per_record_oracle(trace, every_variant):
     for measure in _WINDOW_MEASURES:
         with pytest.raises(ValidationError, match=f"measure '{measure}'"):
             salience_series(bare, SalienceConfig(measure=measure))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=traces())
+def test_emb_surp_equals_per_record_oracle(trace):
+    """emb_surp is the cosine distance of each embedding to the one before
+    it, and 0 for the first sentence, which has none."""
+    cfg = SalienceConfig(measure="emb_surp")
+    embeddings = [rec.embedding.tolist() for rec in trace.sentences]
+    if len(trace) == 1:
+        with pytest.raises(ValidationError, match="measure 'emb_surp'"):
+            salience_series(trace, cfg)
+        return
+    if not all(any(e) for e in embeddings):
+        with pytest.raises(ValidationError, match="zero vectors"):
+            salience_series(trace, cfg)
+        return
+    want = [0.0] + [_cosine_distance(a, b) for a, b in zip(embeddings[1:], embeddings)]
+    np.testing.assert_allclose(salience_series(trace, cfg).values, want, rtol=0, atol=1e-12)

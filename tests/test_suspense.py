@@ -330,13 +330,53 @@ def test_metric_series_suspense_uses_probabilities():
 
 # --- the whole-trace curves against the per-record oracle --------------------
 #
-# The oracle scores sentence by sentence with the scalar functions; the
-# whole-trace curves of metric_series must equal it bit for bit.
+# The oracle scores sentence by sentence, pair by pair, with its own
+# arithmetic: np.dot and np.linalg.norm for the cosine, 1-d sums, and a 1-d
+# softmax. The scalar functions of suspense are one-row calls into the
+# whole-trace kernels, so the oracle calls none of them; the curves of
+# metric_series must equal it bit for bit.
+
+def _cosine(a, b):
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ValidationError("cosine similarity undefined for zero vectors")
+    return float(np.dot(a, b) / (na * nb))
+
+
+def _distance(a, b, kind):
+    if kind is DistanceKind.L1:
+        return float(np.sum(np.abs(a - b)))
+    if kind is DistanceKind.L2:
+        return float(np.linalg.norm(a - b))
+    if kind is DistanceKind.SQUARED_L2:
+        diff = a - b
+        return float(np.dot(diff, diff))
+    return max(0.0, 1.0 - _cosine(a, b))  # DistanceKind.COSINE
+
+
+def _softmax(scores):
+    exps = np.exp(scores - scores.max())
+    return exps / exps.sum()
+
 
 def _continuation_probs(e_t, cont):
     if cont.probabilities is not None:
         return cont.probabilities
-    return continuation_distribution(e_t, cont.sample_embeddings())
+    return _softmax(np.array([_cosine(e_t, c) for c in cont.sample_embeddings()]))
+
+
+def _weighted_suspense(e_t, cont, alphas, kind):
+    probs = _continuation_probs(e_t, cont)
+    dists = np.array([_distance(e_t, s, kind) for s in cont.sample_embeddings()])
+    return float(np.sum(probs * alphas * dists))
+
+
+def _sample_suspense(state, samples, kind):
+    return float(np.mean([_distance(state, s, kind) for s in samples]))
+
+
+def _sample_surprise(actual, samples, kind):
+    return _distance(actual, np.mean(samples, axis=0), kind)
 
 
 def _alpha(rec, cfg):
@@ -348,7 +388,7 @@ def _oracle_hale_surprise(rec, prev, cfg):
         return None
     cont = prev.continuations
     probs = _continuation_probs(prev.embedding, cont)
-    sims = [cosine_similarity(rec.embedding, emb) for emb in cont.sample_embeddings()]
+    sims = [_cosine(rec.embedding, emb) for emb in cont.sample_embeddings()]
     p = float(probs[int(np.argmax(sims))])
     return hale_surprise(p) if p > 0 else None
 
@@ -363,15 +403,13 @@ def _oracle_word_overlap(rec, prev, cfg):
 # name -> value(rec, prev, cfg), None where the sentence lacks the inputs
 _ORACLE = {
     "ely_surprise": lambda rec, prev, cfg: None if prev is None else
-        ely_surprise(rec.embedding, prev.embedding, cfg.distance),
+        _distance(rec.embedding, prev.embedding, cfg.distance),
     "ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
-        ely_suspense(rec.embedding, rec.continuations, cfg.distance),
+        _weighted_suspense(rec.embedding, rec.continuations, 1.0, cfg.distance),
     "alpha_ely_surprise": lambda rec, prev, cfg: None if prev is None else
-        _alpha(rec, cfg) * ely_surprise(rec.embedding, prev.embedding, cfg.distance),
+        _alpha(rec, cfg) * _distance(rec.embedding, prev.embedding, cfg.distance),
     "alpha_ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
-        weighted_suspense(rec.embedding, rec.continuations,
-                          np.full(len(rec.continuations.samples), _alpha(rec, cfg)),
-                          cfg.distance),
+        _weighted_suspense(rec.embedding, rec.continuations, _alpha(rec, cfg), cfg.distance),
     "hale_surprise": _oracle_hale_surprise,
     "hale_uncertainty_reduction": lambda rec, prev, cfg:
         None if prev is None or prev.continuations is None or rec.continuations is None else
@@ -380,14 +418,12 @@ _ORACLE = {
             entropy(_continuation_probs(rec.embedding, rec.continuations))),
     "sample_ely_surprise": lambda rec, prev, cfg:
         None if prev is None or prev.continuations is None else
-        sample_ely_surprise(rec.embedding, prev.continuations.sample_embeddings(),
-                            cfg.distance),
+        _sample_surprise(rec.embedding, prev.continuations.sample_embeddings(), cfg.distance),
     "sample_ely_suspense": lambda rec, prev, cfg: None if rec.continuations is None else
-        sample_ely_suspense(rec.embedding, rec.continuations.sample_embeddings(),
-                            cfg.distance),
+        _sample_suspense(rec.embedding, rec.continuations.sample_embeddings(), cfg.distance),
     "word_overlap": _oracle_word_overlap,
     "embedding_similarity": lambda rec, prev, cfg: None if prev is None else
-        cosine_similarity(rec.embedding, prev.embedding),
+        _cosine(rec.embedding, prev.embedding),
     "alpha_sentiment": lambda rec, prev, cfg: None if rec.sentiment is None else
         alpha_weight(rec.sentiment, cfg),
     "perplexity": lambda rec, prev, cfg: None if rec.avg_log_likelihood is None else
@@ -412,10 +448,10 @@ def oracle_series(trace, name, cfg) -> np.ndarray:
 
 
 def _outcome(series):
-    """repr of the curve's values (exact to the bit and the sign of zero),
-    or the message it was refused with."""
+    """repr of the curve's values, or of a scalar (exact to the bit and the
+    sign of zero), or the message it was refused with."""
     try:
-        return repr(series().tolist())
+        return repr(np.asarray(series()).tolist())
     except ValidationError as exc:
         return f"ValidationError: {exc}"
 
@@ -442,3 +478,30 @@ def test_hale_surprise_takes_the_scalar_log():
         SentenceRecord(index=1, embedding=np.array([1.0, 0.1])),
     ), embedding_dim=2)
     assert metric_series(trace, "hale_surprise", MetricConfig()).values[1] == -math.log(0.662)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=traces(), weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=12,
+                                        max_size=12))
+def test_scalar_functions_equal_the_oracle(trace, weights):
+    """Each scalar function, a one-row call into a kernel, gives the bits of
+    the oracle's per-pair arithmetic, or its error, on every sentence."""
+    for rec, prev in zip(trace.sentences, trace.sentences[-1:] + trace.sentences):
+        e, other, cont = rec.embedding, prev.embedding, rec.continuations
+        assert (_outcome(lambda: cosine_similarity(e, other))
+                == _outcome(lambda: _cosine(e, other)))
+        for kind in DistanceKind:
+            assert (_outcome(lambda: distance(e, other, kind))
+                    == _outcome(lambda: _distance(e, other, kind)))
+        if cont is None:
+            continue
+        samples, alphas = cont.sample_embeddings(), np.array(weights[:len(cont.samples)])
+        assert (_outcome(lambda: continuation_distribution(e, samples))
+                == _outcome(lambda: _softmax(np.array([_cosine(e, s) for s in samples]))))
+        for kind in DistanceKind:
+            assert (_outcome(lambda: weighted_suspense(e, cont, alphas, kind))
+                    == _outcome(lambda: _weighted_suspense(e, cont, alphas, kind)))
+            assert (_outcome(lambda: sample_ely_suspense(e, samples, kind))
+                    == _outcome(lambda: _sample_suspense(e, samples, kind)))
+            assert (_outcome(lambda: sample_ely_surprise(e, samples, kind))
+                    == _outcome(lambda: _sample_surprise(e, samples, kind)))
