@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import (KNOWN_VARIANTS, ContinuationSample, ContinuationSet,
-                    SentenceRecord, StoryTrace, ValidationError)
+                    SentenceRecord, StoryTrace, ValidationError, _distinct, each_distinct)
 
 
 def tokenize(text: str) -> list[str]:
@@ -89,22 +89,11 @@ class HashEmbedder:
         return self.embed_spans(self.codes(tokens), np.array([0]), np.array([len(tokens)]))[0]
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, sorted. (np.unique, asked for nothing else,
-    collects them in a hash table: on 4,000 bigram keys it left 1.4 MiB
-    more of the process resident than this sort does.)"""
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
 def _log_quotients(counts: np.ndarray, totals: np.ndarray, v: int) -> np.ndarray:
     """log((c + 1) / (n + v)) per element: one exact division of integer
     arrays, then math.log, which np.log does not match in the last bit,
     once per distinct quotient."""
-    quotients = (counts + 1) / (totals + v)
-    distinct = _distinct(quotients)
-    logs = np.fromiter(map(math.log, distinct.tolist()), float, len(distinct))
-    return logs[np.searchsorted(distinct, quotients)]
+    return each_distinct(math.log, (counts + 1) / (totals + v), float)
 
 
 class _PrefixCounts:
@@ -290,18 +279,17 @@ def build_trace(sentences: Sequence[str], embedder: HashEmbedder,
         win_embs += [None] * (len(t) - len(base))
 
     rng = np.random.default_rng(seed)
+    # one sample per sentence, shared by every set that samples it
+    samples = [ContinuationSample(embedding=e) for e in embeddings]
     records = []
     for t in range(n):
         continuations = None
         if t + 1 < n:
-            sample_embs = [embeddings[t + 1]]
+            chosen = [samples[t + 1]]
             for _ in range(n_continuations - 1):
                 k = int(rng.integers(0, n - 1))  # an index other than t + 1
-                sample_embs.append(embeddings[k if k < t + 1 else k + 1])
-            continuations = ContinuationSet(
-                horizon=1,
-                samples=tuple(ContinuationSample(embedding=e) for e in sample_embs),
-            )
+                chosen.append(samples[k if k < t + 1 else k + 1])
+            continuations = ContinuationSet(horizon=1, samples=tuple(chosen))
         records.append(SentenceRecord(
             index=t,
             embedding=embeddings[t],

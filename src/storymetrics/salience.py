@@ -16,7 +16,7 @@ import numpy as np
 from .annotation import zscore
 from .model import (DegenerateStatisticsError, MetricSeries, SentenceRecord, StoryTrace,
                     ValidationError, per_sentence_series)
-from .suspense import DistanceKind, consecutive_distances, distance
+from .suspense import DistanceKind, _distances, consecutive_distances, distance
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,17 @@ def variant_salience(rec: SentenceRecord, variant: str) -> float:
     return bcf_salience(coherence(win["base"]), coherence(win[variant]))
 
 
-def emb_salience(rec: SentenceRecord) -> float:
-    """Cosine distance between the base and deleted window embeddings."""
+def _base_and_deleted(rec: SentenceRecord) -> tuple[np.ndarray, np.ndarray]:
     win = rec.window_embedding
     if win is None or "base" not in win or "deleted" not in win:
         raise ValidationError(
             f"sentence {rec.index}: window embeddings for 'base' and 'deleted' required")
-    return distance(win["base"], win["deleted"], DistanceKind.COSINE)
+    return win["base"], win["deleted"]
+
+
+def emb_salience(rec: SentenceRecord) -> float:
+    """Cosine distance between the base and deleted window embeddings."""
+    return distance(*_base_and_deleted(rec), DistanceKind.COSINE)
 
 
 def imp_adjust(salience: float, sentiment: float) -> float:
@@ -183,6 +187,17 @@ def _positional(kind: str):
     return lambda trace, cfg: positional_baseline(len(trace), kind, cfg.rng_seed)
 
 
+def _emb_sal(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
+    """emb_salience of each sentence with window embeddings, as one
+    cosine-distance call over their stacked base and deleted rows."""
+    available = np.array([rec.window_embedding is not None for rec in trace.sentences])
+    pairs = [_base_and_deleted(rec) for rec, has in zip(trace.sentences, available) if has]
+    values = np.zeros(len(trace))
+    if pairs:
+        values[available] = _distances(*map(np.stack, zip(*pairs)), DistanceKind.COSINE)
+    return per_sentence_series("measure", cfg.measure, trace, values, available)
+
+
 def _clus(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
     # clus_salience is looked up when called, so a wrapped one is used.
     return clus_salience([rec.embedding for rec in trace.sentences], cfg)
@@ -196,8 +211,7 @@ _MEASURES = {
     # cosine distance between consecutive sentence embeddings
     "emb_surp": lambda trace, cfg: per_sentence_series(
         "measure", cfg.measure, trace, *consecutive_distances(trace, DistanceKind.COSINE)),
-    "emb_sal": _each_sentence(lambda rec: None if rec.window_embedding is None else
-                              emb_salience(rec)),
+    "emb_sal": _emb_sal,
     "clus": _clus,
     "random": _positional("random"),
     "ascending": _positional("ascending"),

@@ -356,6 +356,9 @@ def _assert_matches_reference(sentences, window_tokens, n_continuations, seed, d
         else:
             np.testing.assert_array_equal(rec.continuations.sample_embeddings(),
                                           np.asarray(conts))
+    # one sample per sentence, shared by every set that samples it
+    assert len({id(s) for rec in trace.sentences if rec.continuations
+                for s in rec.continuations.samples}) <= len(trace)
 
 
 _WORDS = st.sampled_from(["a", "b", "c", "storm", "door"])

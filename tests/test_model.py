@@ -1,9 +1,12 @@
 """Data model validation and trace/annotation/gold file round-trips."""
 
 import json
+import math
 import os
 import re
+from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from storymetrics.model import (AnnotationSet, ContinuationSample,
                                 read_annotations, read_gold, read_trace,
                                 write_annotations, write_gold, write_trace)
 
-from strategies import traces
+from strategies import FINITE, traces
 from test_cli import _BAD_RECORDS
 
 
@@ -305,6 +308,18 @@ def _one_record(rec: SentenceRecord, **meta) -> StoryTrace:
 _SHARED = np.array([0.5, -0.0, 0.5, 3.0])  # one array for a record and its samples, and a view
 
 
+def _records(*embeddings, **kwargs) -> StoryTrace:
+    """A trace of one record per embedding, each with the keyword fields."""
+    return StoryTrace(story_id="s", embedding_dim=len(embeddings[0]), sentences=tuple(
+        _record(i, e, **kwargs) for i, e in enumerate(embeddings)))
+
+
+# one sample per sentence, each shared by the sets of the records before it
+# (as build_trace shares them), and each holding its record's own array
+_SAMPLES = tuple(ContinuationSample(np.array(e)) for e in
+                 ([0.25, 1.5], [1.5, -0.0], [0.0, 0.25], [-0.0, 1.5], [1.5, 0.25]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(trace=traces())
 @example(trace=_one_record(_record(0, [-0.0, 0.0, 0.0, -0.0],
@@ -331,12 +346,43 @@ _SHARED = np.array([0.5, -0.0, 0.5, 3.0])  # one array for a record and its samp
     probabilities=np.array([0.25, 0.0, 0.75])))))
 @example(trace=_one_record(_record(0, [1.0], text='café — 北京 😀 "q" \\ \n\t\x00\u2028',
                                    window_embedding={}), ключ="значение", k="\ud800"))
+# a float repeated across every seam of blocks of 1 and of 3 records
+@example(trace=_records([0.1, 2.0], [3.0, 0.1], [0.1, 0.1], [0.1, 4.0], [5.0, 0.1]))
+# -0.0 and 0.0 in one block and in different ones, the first of either in a block
+@example(trace=_records([-0.0, 0.5], [0.0, -0.0], [0.5, 0.0], [-0.0, 0.5], [0.0, 0.0],
+                        [-0.0, -0.0], window_token_loglikes={"base": [0.0, -0.0]}))
+@example(trace=StoryTrace(story_id="s", embedding_dim=2, sentences=tuple(
+    SentenceRecord(index=i, embedding=_SAMPLES[i].embedding, continuations=ContinuationSet(
+        horizon=1, samples=(_SAMPLES[i + 1], *_SAMPLES[:i + 1]))) for i in range(4))))
 def test_write_trace_equals_old_encoder(tmp_path_factory, trace):
-    """write_trace formats each distinct float of a record once; the bytes
-    are those of json.dumps over the record's dict."""
-    path = tmp_path_factory.mktemp("write") / "t.trace"
-    write_trace(trace, path)
-    assert path.read_bytes() == _oracle_bytes(trace)
+    """write_trace formats each distinct float of a block of records once;
+    the bytes are those of json.dumps over each record's dict, at any block
+    size."""
+    for block in (1, 3, model._WRITE_BLOCK):
+        path = tmp_path_factory.mktemp("write") / "t.trace"
+        with patch.object(model, "_WRITE_BLOCK", block):
+            write_trace(trace, path)
+        assert path.read_bytes() == _oracle_bytes(trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(FINITE, max_size=40).flatmap(
+    lambda vs: st.permutations(vs + vs[:len(vs) // 2])))
+@example(values=[0.5, -0.0, 0.0, 0.5, 5e-324, -0.0, 1e308, 0.0, -5e-324])
+def test_each_distinct_calls_fn_once_per_bit_pattern(values):
+    calls = Counter()
+
+    def counted_repr(x: float) -> str:
+        calls[x.hex()] += 1  # hex tells -0.0 from 0.0, as its bits do
+        return repr(x)
+    got = model.each_distinct(counted_repr, np.array(values, float), object)
+    assert got.dtype == object
+    assert got.tolist() == [repr(x) for x in values]
+    assert calls == Counter({x.hex(): 1 for x in values})
+    positive = np.abs(np.array(values + [1.0], float)) + 5e-324
+    logs = model.each_distinct(math.log, positive, float)
+    assert logs.dtype == np.float64
+    assert logs.tobytes() == np.array([math.log(x) for x in positive.tolist()]).tobytes()
 
 
 def test_parse_error_names_line(tmp_path):

@@ -238,7 +238,8 @@ _WINDOW_MEASURES = {"like": ("window_token_loglikes", "deleted"),
 
 
 class _Missing(Exception):
-    """The record has windows, but not both that the measure compares."""
+    """The record (its index the argument) has windows, but not both that
+    the measure compares."""
 
 
 def _oracle(rec: SentenceRecord, measure: str):
@@ -249,7 +250,7 @@ def _oracle(rec: SentenceRecord, measure: str):
     if win is None:
         return None
     if "base" not in win or variant not in win:
-        raise _Missing
+        raise _Missing(rec.index)
     base, other = win["base"].tolist(), win[variant].tolist()
     if field == "window_token_loglikes":  # coherence: mean log-likelihood
         return math.fsum(base) / len(base) - math.fsum(other) / len(other)
@@ -281,8 +282,9 @@ def test_window_measures_equal_per_record_oracle(trace, every_variant):
         cfg = SalienceConfig(measure=measure)
         try:
             want = [_oracle(rec, measure) for rec in trace.sentences]
-        except _Missing:
-            with pytest.raises(ValidationError, match="required"):
+        except _Missing as missing:  # the error names the first such sentence
+            first = missing.args[0]
+            with pytest.raises(ValidationError, match=f"^sentence {first}: .* required$"):
                 salience_series(trace, cfg)
             continue
         if all(v is None for v in want):
@@ -290,6 +292,9 @@ def test_window_measures_equal_per_record_oracle(trace, every_variant):
                 salience_series(trace, cfg)
             continue
         got = salience_series(trace, cfg).values
+        if measure == "emb_sal":  # one kernel call, bit for bit as one record at a time
+            assert got.tolist() == [0.0 if v is None else emb_salience(rec)
+                                    for v, rec in zip(want, trace.sentences)]
         # a sentence without windows scores 0
         np.testing.assert_allclose(got, [0.0 if v is None else v for v in want],
                                    rtol=0, atol=1e-12)
