@@ -142,41 +142,72 @@ class CorrelationResult:
     skipped: int
 
 
-def _mean_correlation(pairs, degenerate: str) -> CorrelationResult:
-    """Mean (tau, rho) over (x, y) curve pairs. A pair with a constant side
-    is skipped and counted; if every pair is, that is an error."""
-    taus, rhos, skipped = [], [], 0
-    for x, y in pairs:
-        if float(x.std()) == 0.0 or float(y.std()) == 0.0:
-            skipped += 1
-            continue
-        taus.append(evaluation.kendall_tau(x, y))
-        rhos.append(evaluation.spearman_rho(x, y))
-    if not taus:
-        raise DegenerateStatisticsError(degenerate)
-    return CorrelationResult(tau=float(np.mean(taus)), rho=float(np.mean(rhos)),
-                             pairs=len(taus), skipped=skipped)
+def _mean_correlations(curves: Sequence[np.ndarray], groups, degenerate: str
+                       ) -> list[CorrelationResult]:
+    """For each group of (i, j) pairs of positions in `curves`, the mean
+    (tau, rho) over the curve pairs. A pair with a constant side is skipped
+    and counted; if every pair of a group is, that is an error. The groups
+    are checked in order, then every tau and rho is computed in one batched
+    call each."""
+    constant = [float(c.std()) == 0.0 for c in curves]
+    tied = [bool((c == c[0]).all()) for c in curves]
+    kept = []
+    for group in groups:
+        pairs = [(i, j) for i, j in group if not (constant[i] or constant[j])]
+        if any(tied[i] or tied[j] for i, j in pairs):
+            raise DegenerateStatisticsError("rank correlation undefined for an all-tied sequence")
+        if not pairs:
+            raise DegenerateStatisticsError(degenerate)
+        kept.append(pairs)
+    rows = [pair for pairs in kept for pair in pairs]
+    x = np.stack([curves[i] for i, _ in rows])
+    y = np.stack([curves[j] for _, j in rows])
+    taus, rhos = evaluation.kendall_taus(x, y), evaluation.spearman_rhos(x, y)
+    results, at = [], 0
+    for group, pairs in zip(groups, kept):
+        span = slice(at, at + len(pairs))
+        results.append(CorrelationResult(tau=float(np.mean(taus[span])),
+                                         rho=float(np.mean(rhos[span])), pairs=len(pairs),
+                                         skipped=len(group) - len(pairs)))
+        at = span.stop
+    return results
+
+
+def _annotator_curves(annotations: AnnotationSet, mapping: JudgmentMapping) -> list[np.ndarray]:
+    return [absolute_curve(annotations.annotators[aid], mapping).values
+            for aid in sorted(annotations.annotators)]
+
+
+def pairwise_correlations(preds: Sequence[MetricSeries], annotations: AnnotationSet,
+                          mapping: JudgmentMapping = JudgmentMapping()
+                          ) -> list[CorrelationResult]:
+    """pairwise_correlation of each prediction, with each annotator's curve
+    built once."""
+    if not preds:
+        return []
+    for pred in preds:
+        if annotations.length != len(pred):
+            raise ValidationError(f"prediction length {len(pred)} differs from annotation "
+                                  f"length {annotations.length}")
+    curves = _annotator_curves(annotations, mapping)
+    return _mean_correlations(
+        [pred.values for pred in preds] + curves,
+        [[(p, len(preds) + a) for a in range(len(curves))] for p in range(len(preds))],
+        "every prediction/annotator pair was degenerate")
 
 
 def pairwise_correlation(pred: MetricSeries, annotations: AnnotationSet,
                          mapping: JudgmentMapping = JudgmentMapping()) -> CorrelationResult:
     """Mean rank correlation between a prediction curve and each
     annotator's absolute curve. Degenerate pairs are skipped and counted."""
-    if annotations.length != len(pred):
-        raise ValidationError(
-            f"prediction length {len(pred)} differs from annotation length {annotations.length}")
-    return _mean_correlation(
-        ((pred.values, absolute_curve(annotations.annotators[aid], mapping).values)
-         for aid in sorted(annotations.annotators)),
-        "every prediction/annotator pair was degenerate")
+    return pairwise_correlations([pred], annotations, mapping)[0]
 
 
 def human_upper_bound(annotations: AnnotationSet,
                       mapping: JudgmentMapping = JudgmentMapping()) -> CorrelationResult:
     """Mean pairwise rank correlation over unordered annotator pairs."""
-    ids = sorted(annotations.annotators)
-    if len(ids) < 2:
+    if len(annotations.annotators) < 2:
         raise ValidationError("upper bound needs at least two annotators")
-    curves = {aid: absolute_curve(annotations.annotators[aid], mapping).values for aid in ids}
-    return _mean_correlation(((curves[a], curves[b]) for a, b in itertools.combinations(ids, 2)),
-                             "every annotator pair was degenerate")
+    curves = _annotator_curves(annotations, mapping)
+    return _mean_correlations(curves, [list(itertools.combinations(range(len(curves)), 2))],
+                              "every annotator pair was degenerate")[0]

@@ -9,8 +9,21 @@ statistics.
 from __future__ import annotations
 
 import argparse
-import math
+import itertools
+import os
 import sys
+
+# One BLAS thread, unless the user set a count. The commands run in
+# parallel through forked processes, and forking with a live BLAS pool is a
+# known hazard. The largest matrix products (align's and clus's on a
+# 1,600-sentence chapter, 160 x 64 by 64 x 1,600) gain no wall time from a
+# pool, whose threads spin and cost CPU in every process: on a 2-vCPU VM,
+# medians of 8 fresh processes each, one thread against two cut the CPU of
+# `import storymetrics.cli` from 0.32 to 0.20 s, of align on that chapter
+# from 0.86 to 0.72 s and of analyze from 1.86 to 1.75 s. numpy reads the
+# variable when it is first imported, which is below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # Not used here. perfbench's traced run patches cli.ThreadPoolExecutor and
 # fails with a KeyError when the name is missing.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -23,8 +36,8 @@ import numpy as np
 
 from . import alignment, annotation, baseline, evaluation, salience, suspense, svgplot
 from .model import (AnnotationSet, DegenerateStatisticsError, GoldLabels, Judgment,
-                    MetricSeries, StoryTrace, ValidationError, _map, content_lines,
-                    read_annotations, read_gold, read_trace, write_annotations,
+                    MetricSeries, ParseError, StoryTrace, ValidationError, _map,
+                    content_lines, read_annotations, read_gold, read_trace, write_annotations,
                     write_gold, write_trace)
 
 DEFAULT_METRICS = ("ely_surprise", "ely_suspense", "alpha_ely_suspense",
@@ -58,16 +71,21 @@ def _fmt_value(v: float) -> str:
 
 
 def _write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    n = len(next(iter(columns.values())))
-    lines = ["sentence," + ",".join(names)]
-    for i in range(n):
-        lines.append(str(i) + "," + ",".join(_fmt_value(columns[name][i]) for name in names))
+    cells = [map(float.__repr__, np.asarray(col, float).tolist()) for col in columns.values()]
+    lines = ["sentence," + ",".join(columns)]
+    lines.extend(f"{i},{','.join(row)}" for i, row in enumerate(zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _first(flags, default: int) -> int:
+    """The position of the first true flag, or `default`."""
+    return next(itertools.compress(itertools.count(), flags), default)
+
+
 def read_series_csv(path) -> dict[str, np.ndarray]:
+    """The named columns of a series CSV. The data rows are checked as whole
+    columns; a faulty file raises the error of its first faulty line."""
     lines = content_lines(path)
     head_no, head = next(lines, (None, None))
     if head is None:
@@ -79,24 +97,52 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
         if not name.strip() or name in header[:j]:
             fault = "duplicate" if name.strip() else "empty"
             raise ValidationError(f"{path} line {head_no}: {fault} column name {name!r}")
-    rows = []
-    for ln_no, line in lines:
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ValidationError(f"{path} line {ln_no}: wrong column count")
-        if parts[0].strip() != str(len(rows)):
-            raise ValidationError(f"{path} line {ln_no}: sentence {parts[0]!r} in row {len(rows)}")
-        try:
-            row = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ValidationError(f"{path} line {ln_no}: {exc}") from exc
-        if not all(math.isfinite(v) for v in row):
-            raise ValidationError(f"{path} line {ln_no}: non-finite value in {line!r}")
-        rows.append(row)
-    if not rows:
+    nos, texts, unreadable = [], [], None
+    try:
+        for no, text in lines:
+            nos.append(no)
+            texts.append(text)
+    except ParseError as exc:  # a fault of its line, after those of the lines read
+        unreadable = exc
+    width = len(header) - 1
+    # Each check runs on the rows that passed the ones before it, and stops
+    # them at its first fault, so the fault left is that of the first faulty
+    # row, found by the first check that the row fails.
+    end = _first((text.count(",") != width for text in texts), len(texts))
+    fault = "wrong column count"
+    cells = ",".join(texts[:end]).split(",") if end else []
+    ids = cells[::width + 1]
+    del cells[::width + 1]
+    wrong = _first((cell.strip() != str(row) for row, cell in enumerate(ids)), end)
+    if wrong < end:
+        end, fault = wrong, f"sentence {ids[wrong]!r} in row {wrong}"
+    del cells[end * width:]
+    try:
+        values = np.array(list(map(float, cells)))
+    except ValueError:
+        bad = _first(map(_not_a_float, cells), len(cells))
+        end, fault = bad // width, str(_not_a_float(cells[bad]))
+        values = np.array(list(map(float, cells[:end * width])))
+    values = values.reshape(end, width)
+    infinite = _first(~np.isfinite(values).all(axis=1), end)
+    if infinite < end:
+        end, fault = infinite, f"non-finite value in {texts[infinite]!r}"
+    if end < len(texts):
+        raise ValidationError(f"{path} line {nos[end]}: {fault}")
+    if unreadable is not None:
+        raise unreadable
+    if not texts:
         raise ValidationError(f"{path}: series CSV has no data rows")
-    data = np.asarray(rows, float)
-    return {name: data[:, j] for j, name in enumerate(header[1:])}
+    return {name: values[:, j] for j, name in enumerate(header[1:])}
+
+
+def _not_a_float(cell: str) -> Optional[ValueError]:
+    """The error float() raises on `cell`, or None."""
+    try:
+        float(cell)
+    except ValueError as exc:
+        return exc
+    return None
 
 
 def _columns(trace: StoryTrace, metrics: Sequence[str], measures: Sequence[str],
@@ -121,7 +167,7 @@ def _analyze_job(path, **options):
     try:
         return trace.story_id, _columns(trace, **options)
     except _USER_ERRORS as exc:
-        return _Failed(_SCORING, exc)
+        return _Failed(_SCORING, type(exc)(f"{path}: {exc}"))
 
 
 def analyze(trace_paths: Sequence, out_dir, metrics: Sequence[str],
@@ -178,8 +224,9 @@ def _eval_suspense(story_id: str, pred: dict[str, np.ndarray],
                    annotations: AnnotationSet, *_) -> list[dict]:
     rows = []
     n = annotations.length
-    for name, values in pred.items():
-        result = annotation.pairwise_correlation(MetricSeries(name, values), annotations)
+    results = annotation.pairwise_correlations(
+        [MetricSeries(name, values) for name, values in pred.items()], annotations)
+    for name, result in zip(pred, results):
         row = _blank_row(story_id, name)
         row["tau"], row["rho"] = _fmt_value(result.tau), _fmt_value(result.rho)
         row["tau_lo"], row["tau_hi"] = _fisher_bounds(result.tau, n)

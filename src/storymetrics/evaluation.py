@@ -14,46 +14,60 @@ import numpy as np
 from .model import DegenerateStatisticsError, GoldLabels, MetricSeries, ValidationError
 
 
-def _check_rank_inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
+def _check_rank_inputs(x, y, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays of one shape, holding one sequence (ndim 1)
+    or one per row (ndim 2)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError("rank correlation needs two equal-length 1-d sequences")
+    if x.shape != y.shape or x.ndim != ndim:
+        raise ValidationError(f"rank correlation needs two equal-length {ndim}-d sequences")
     if np.isnan(x).any() or np.isnan(y).any():
         raise ValidationError("rank correlation inputs contain NaN")
-    if x.shape[0] < 2:
+    if x.shape[-1] < 2:
         raise DegenerateStatisticsError("rank correlation needs length >= 2")
-    if (x == x[0]).all() or (y == y[0]).all():
+    if (x == x[..., :1]).all(axis=-1).any() or (y == y[..., :1]).all(axis=-1).any():
         raise DegenerateStatisticsError("rank correlation undefined for an all-tied sequence")
     return x, y
 
 
-def _dense_ranks(sorted_values: np.ndarray) -> np.ndarray:
-    """1-based dense ranks of an already sorted array."""
-    return np.r_[True, sorted_values[1:] != sorted_values[:-1]].cumsum(dtype=np.intp)
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts, along the last axis."""
+    first = np.ones(rows.shape, bool)
+    first[..., 1:] = rows[..., 1:] != rows[..., :-1]
+    return first
 
 
-def _pairs_within(counts: np.ndarray) -> int:
-    """Pairs inside groups of the given sizes, as an exact integer."""
-    counts = counts.astype(np.int64)
-    return int((counts * (counts - 1) // 2).sum())
+def _run_offsets(first: np.ndarray) -> np.ndarray:
+    """Each position's distance from the start of its run."""
+    at = np.arange(first.shape[-1])
+    return at - np.maximum.accumulate(np.where(first, at, 0), axis=-1)
 
 
-def _count_inversions(values: np.ndarray) -> int:
-    """Pairs i < j with values[i] > values[j], for non-negative integers.
+def _pairs_within(first: np.ndarray) -> np.ndarray:
+    """Per row, the pairs inside its runs, as exact integers: each value
+    pairs with the ones before it in its run."""
+    return _run_offsets(first).sum(axis=-1)
 
-    Bottom-up merge sort: at width w the array is a run of sorted blocks;
-    each right block counts, for every element, the left-block elements
-    strictly greater than it (one searchsorted over pair-tagged keys), and
-    one sort then merges each block pair.
+
+def _count_inversions(values: np.ndarray) -> np.ndarray:
+    """Per row of an (m, n) array of non-negative integers, the pairs
+    i < j with values[i] > values[j].
+
+    Bottom-up merge sort of all rows at once. Each row is padded with its
+    maximum to a power-of-two length, which adds no inversion, so that at
+    width w every row is a run of sorted blocks. Each right block counts,
+    for every element, the left-block elements strictly greater than it
+    (one searchsorted over pair-tagged keys), and one sort then merges
+    each block pair.
     """
-    values = np.asarray(values, np.int64)
-    n = values.shape[0]
+    rows, n = values.shape
     m = int(values.max()) + 1
-    idx = np.arange(n)
-    inversions = 0
+    size = 1 << (n - 1).bit_length()
+    values = np.concatenate((values, np.full((rows, size - n), m - 1)), axis=1).ravel()
+    idx = np.arange(values.shape[0])
+    inversions = np.zeros(rows, np.int64)
     width = 1
-    while width < n:
+    while width < size:
         pair = idx // (2 * width)
         tag = pair * m
         keys = tag + values
@@ -61,52 +75,79 @@ def _count_inversions(values: np.ndarray) -> int:
         # left blocks are full and, tagged with their pair, ascend overall;
         # the left blocks of pairs 0..p hold (p + 1) * width elements
         not_greater = np.searchsorted(keys[~right], keys[right], side="right")
-        inversions += int((pair[right] + 1).sum()) * width - int(not_greater.sum())
+        inversions += ((pair[right] + 1) * width - not_greater).reshape(rows, -1).sum(axis=1)
         keys.sort()
         values = keys - tag
         width *= 2
     return inversions
 
 
-def kendall_tau(x, y) -> float:
-    """Kendall's tau-b (tie-corrected) from exact integer counts of ties
-    and discordant pairs. The sort order and the closing floating-point
-    expression are fixed: the tests require the result to equal the
+def _taus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kendall's tau-b of each row pair, from exact integer counts of ties
+    and discordant pairs. Each row is sorted by y, then stably by x, so
+    that y ascends within each run of tied x, and the discordant pairs are
+    the inversions of y's dense ranks. The closing floating-point
+    expression is fixed: the tests require the result to equal the
     reference implementation bit for bit."""
-    x, y = _check_rank_inputs(x, y)
-    perm = np.argsort(y)
-    x, y = x[perm], _dense_ranks(y[perm])
-    # stable on x, so y ascends within each run of tied x
-    perm = np.argsort(x, kind="mergesort")
-    x, y = _dense_ranks(x[perm]), y[perm]
-    joint = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
-    ntie = _pairs_within(np.diff(np.nonzero(joint)[0]))
-    xtie, ytie = _pairs_within(np.bincount(x)), _pairs_within(np.bincount(y))
-    size = x.shape[0]
+    y = np.take_along_axis(y, order := np.argsort(y, axis=-1), -1)
+    x = np.take_along_axis(x, order, -1)
+    y_first = _run_starts(y)
+    order = np.argsort(x, axis=-1, kind="stable")
+    x_first = _run_starts(np.take_along_axis(x, order, -1))
+    y = np.take_along_axis(y_first.cumsum(axis=-1), order, -1)
+    joint_first = x_first.copy()
+    joint_first[..., 1:] |= y[..., 1:] != y[..., :-1]
+    xtie, ytie = _pairs_within(x_first), _pairs_within(y_first)
+    size = x.shape[-1]
     tot = size * (size - 1) // 2
-    con_minus_dis = tot - xtie - ytie + ntie - 2 * _count_inversions(y)
-    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
-    return float(min(1.0, max(-1.0, tau)))
+    con_minus_dis = tot - xtie - ytie + _pairs_within(joint_first) - 2 * _count_inversions(y)
+    return np.clip(con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie), -1.0, 1.0)
+
+
+def kendall_tau(x, y) -> float:
+    """Kendall's tau-b (tie-corrected): a one-row call of kendall_taus."""
+    x, y = _check_rank_inputs(x, y)
+    return float(_taus(x[None], y[None])[0])
+
+
+def kendall_taus(x, y) -> np.ndarray:
+    """kendall_tau of each row pair of two (m, n) arrays, in one batched pass."""
+    return _taus(*_check_rank_inputs(x, y, ndim=2))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    first = np.r_[True, sorted_values[1:] != sorted_values[:-1]]
-    dense = np.empty_like(order)
-    dense[order] = first.cumsum()
-    # the values of dense rank d fill sorted positions bounds[d-1] .. bounds[d]-1
-    bounds = np.r_[np.nonzero(first)[0], first.shape[0]]
-    return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+    """The 1-based ranks along the last axis, ties taking their mean rank."""
+    order = np.argsort(values, axis=-1)
+    first = _run_starts(np.take_along_axis(values, order, -1))
+    last = np.ones(first.shape, bool)  # where each run ends
+    last[..., :-1] = first[..., 1:]
+    at = np.arange(values.shape[-1])
+    start = at - _run_offsets(first)
+    end = at + np.flip(_run_offsets(np.flip(last, -1)), -1)
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, 0.5 * (start + end + 2), axis=-1)
+    return ranks
+
+
+def _rhos(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Spearman's rho of each row pair: the Pearson correlation of the
+    stacked 2 x n average ranks by np.corrcoef. A hand-written Pearson can
+    differ in the last ulp; the tests require the result to equal the
+    reference implementation bit for bit."""
+    return np.array([np.corrcoef(np.vstack(ranks))[1, 0]
+                     for ranks in zip(_average_ranks(x), _average_ranks(y))])
 
 
 def spearman_rho(x, y) -> float:
-    """Spearman's rho on average ranks (tie-aware): the Pearson correlation
-    of the stacked 2 x n ranks by np.corrcoef. A hand-written Pearson can
-    differ in the last ulp; the tests require the result to equal the
-    reference implementation bit for bit."""
+    """Spearman's rho on average ranks (tie-aware): a one-row call of
+    spearman_rhos."""
     x, y = _check_rank_inputs(x, y)
-    return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
+    return float(_rhos(x[None], y[None])[0])
+
+
+def spearman_rhos(x, y) -> np.ndarray:
+    """spearman_rho of each row pair of two (m, n) arrays."""
+    return _rhos(*_check_rank_inputs(x, y, ndim=2))
 
 
 def fisher_ci(r: float, n: int, conf: float = 0.95) -> tuple[float, float]:
@@ -136,40 +177,49 @@ def find_peaks(series) -> list[Peak]:
     A flat run strictly higher than both shoulders yields one peak at the
     run's left edge. Prominence is height minus the higher of the two side
     minima, each taken between the peak and the nearest strictly higher
-    value (or the boundary).
+    value (or the boundary); a NaN, which is in no run, bounds a side too.
     """
     values = series.values if isinstance(series, MetricSeries) else np.asarray(series, float)
     n = values.shape[0]
-    peaks: list[Peak] = []
-    i = 1
-    while i < n:
-        if values[i] > values[i - 1]:
-            j = i
-            while j + 1 < n and values[j + 1] == values[i]:
-                j += 1
-            if j + 1 < n and values[j + 1] < values[i]:
-                peaks.append(Peak(index=i, height=float(values[i]),
-                                  prominence=_prominence(values, i)))
-            i = j + 1
-        else:
-            i += 1
-    return peaks
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    ends = np.concatenate((starts[1:], [n]))  # one past each run
+    inner = (starts > 0) & (ends < n)
+    starts, ends = starts[inner], ends[inner]
+    peaks = starts[(values[starts] > values[starts - 1]) & (values[ends] < values[starts])]
+    heights = values[peaks]
+    return list(map(Peak, peaks.tolist(), heights.tolist(),
+                    _prominences(values, peaks, heights).tolist()))
 
 
-def _prominence(values: np.ndarray, peak: int) -> float:
-    h = values[peak]
-    left_min = h
-    q = peak - 1
-    while q >= 0 and values[q] <= h:
-        left_min = min(left_min, values[q])
-        q -= 1
-    right_min = h
-    q = peak + 1
-    n = values.shape[0]
-    while q < n and values[q] <= h:
-        right_min = min(right_min, values[q])
-        q += 1
-    return float(h - max(left_min, right_min))
+def _prominences(values: np.ndarray, peaks: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """Each peak's height minus the higher of its side minima. Sparse tables
+    hold the maximum and the minimum of each block of 2**k values (O(n log n)
+    memory). Each side of every peak (the left sides, then the right ones)
+    grows at once, by blocks of halving size, as far as no value in them is
+    higher than the peak or NaN."""
+    highest, lowest = [values], [values]
+    size = 1
+    while 2 * size <= values.shape[0]:
+        highest.append(np.maximum(highest[-1][:-size], highest[-1][size:]))
+        lowest.append(np.minimum(lowest[-1][:-size], lowest[-1][size:]))
+        size *= 2
+    m = peaks.shape[0]
+    step = np.ones(2 * m, np.intp)
+    step[:m] = -1
+    left = step < 0
+    edge = np.concatenate((peaks, peaks))  # each side's farthest value reached
+    heights = np.concatenate((heights, heights))
+    low = heights  # and the minimum of the side
+    for k in reversed(range(len(highest))):
+        size = 1 << k
+        start = np.where(left, edge - size, edge + 1)  # of the block next to the side
+        at = np.minimum(np.maximum(start, 0), highest[k].shape[0] - 1)
+        # a NaN in the block is its maximum, and not <= any height
+        clear = (start == at) & (highest[k][at] <= heights)
+        low = np.where(clear, np.minimum(low, lowest[k][at]), low)
+        edge = np.where(clear, edge + step * size, edge)
+    with np.errstate(over="ignore"):  # as float arithmetic: 1e308 - -1e308 is inf, silently
+        return heights[:m] - np.maximum(low[:m], low[m:])
 
 
 @dataclass(frozen=True)
@@ -210,7 +260,7 @@ def tp_distance(pred: Sequence[int], gold: Sequence[int], n: int) -> float:
 
 def _descending_ranking(scores: np.ndarray) -> list[int]:
     # ties rank the earlier sentence first
-    return sorted(range(scores.shape[0]), key=lambda i: (-scores[i], i))
+    return np.argsort(-scores, kind="stable").tolist()
 
 
 def average_precision(scores, gold: GoldLabels,

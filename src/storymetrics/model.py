@@ -226,8 +226,10 @@ class MetricSeries:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"series {self.name!r} must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"series {self.name!r} contains non-finite values")
+        infinite = np.flatnonzero(~np.isfinite(arr))
+        if infinite.size:
+            raise ValidationError(f"series {self.name!r} contains non-finite values, "
+                                  f"first at sentence {infinite[0]}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -39,7 +39,19 @@ def coherence(token_loglikes) -> float:
     vals = np.asarray(token_loglikes, float)
     if vals.size == 0:
         raise ValidationError("coherence of an empty window is undefined")
-    return float(vals.mean())
+    return float(_coherences([vals])[0])
+
+
+def _coherences(windows: list) -> np.ndarray:
+    """coherence of each non-empty window. Each group of equal-length windows
+    is one mean(axis=1), which adds a row as np.mean adds it alone
+    (np.add.reduceat(...) / n differs in the last bit)."""
+    lengths = np.array([w.shape[0] for w in windows], np.intp)
+    means = np.empty(len(windows))
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        means[rows] = np.stack([windows[i] for i in rows.tolist()]).mean(axis=1)
+    return means
 
 
 def bcf_salience(c_base: float, c_variant: float) -> float:
@@ -53,11 +65,31 @@ def bcf_salience(c_base: float, c_variant: float) -> float:
 def variant_salience(rec: SentenceRecord, variant: str) -> float:
     """BCF salience of the window after `variant` (deleted, swapped or
     no_knowledge) is applied to the sentence."""
-    win = rec.window_token_loglikes
-    if win is None or "base" not in win or variant not in win:
-        raise ValidationError(
-            f"sentence {rec.index}: window log-likelihoods for 'base' and {variant!r} required")
-    return bcf_salience(coherence(win["base"]), coherence(win[variant]))
+    return float(_variant_saliences([rec], variant)[0])
+
+
+def _variant_saliences(records, variant: str) -> np.ndarray:
+    """variant_salience of each record, from one _coherences call. The
+    first record in order whose windows are missing or empty, or whose
+    coherences are not finite, raises."""
+    windows, fault = [], None
+    for rec in records:
+        win = rec.window_token_loglikes
+        if win is None or "base" not in win or variant not in win:
+            fault = (f"sentence {rec.index}: window log-likelihoods for 'base' and "
+                     f"{variant!r} required")
+        elif not (win["base"].size and win[variant].size):
+            fault = f"sentence {rec.index}: coherence of an empty window is undefined"
+        if fault is not None:
+            break
+        windows += (win["base"], win[variant])
+    coherences = _coherences(windows).reshape(-1, 2)
+    infinite = np.flatnonzero(~np.isfinite(coherences).all(axis=1))
+    if infinite.size:
+        fault = f"sentence {records[infinite[0]].index}: coherences must be finite"
+    if fault is not None:
+        raise ValidationError(fault)
+    return coherences[:, 0] - coherences[:, 1]
 
 
 def _base_and_deleted(rec: SentenceRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -166,21 +198,15 @@ def positional_baseline(n: int, kind: str, seed: int = 0) -> MetricSeries:
     return MetricSeries(name=kind, values=values)
 
 
-def _each_sentence(value):
-    """A measure scored by value(rec), None where the sentence lacks the
-    inputs (see model.per_sentence_series)."""
-    def series(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
-        scores = [value(rec) for rec in trace.sentences]
-        return per_sentence_series("measure", cfg.measure, trace,
-                                   [0.0 if v is None else v for v in scores],
-                                   [v is not None for v in scores])
-    return series
-
-
 def _window_variant(variant: str):
-    # The last sentence has no following window.
-    return _each_sentence(lambda rec: None if rec.window_token_loglikes is None else
-                          variant_salience(rec, variant))
+    def series(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
+        # The last sentence has no following window.
+        available = np.array([rec.window_token_loglikes is not None for rec in trace.sentences])
+        values = np.zeros(len(trace))
+        values[available] = _variant_saliences(
+            [rec for rec, has in zip(trace.sentences, available) if has], variant)
+        return per_sentence_series("measure", cfg.measure, trace, values, available)
+    return series
 
 
 def _positional(kind: str):
@@ -223,7 +249,9 @@ MEASURES = tuple(_MEASURES)
 def salience_series(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
     """Per-sentence salience under cfg.measure, with optional importance
     adjustment and Clus combination."""
-    series = _MEASURES[cfg.measure](trace, cfg)
+    # finite inputs can overflow; the series then names its first non-finite sentence
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = _MEASURES[cfg.measure](trace, cfg)
     if cfg.imp_adjust:
         adjusted = np.array([
             imp_adjust(v, rec.sentiment if rec.sentiment is not None else 0.0)

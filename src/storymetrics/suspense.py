@@ -391,5 +391,7 @@ def metric_series(trace: StoryTrace, name: str, cfg: MetricConfig) -> MetricSeri
     inputs contribute 0; if no sentence has them, that is an error."""
     if name not in _METRICS:
         raise ValidationError(f"unknown metric {name!r}")
-    values, available = _METRICS[name](trace, cfg)
+    # finite inputs can overflow; the series then names its first non-finite sentence
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, available = _METRICS[name](trace, cfg)
     return per_sentence_series("metric", name, trace, values, available)

@@ -28,7 +28,8 @@ def _scale(values_min: float, values_max: float, n: int):
         span = 1.0
     x_step = (WIDTH - 2 * MARGIN) / max(n - 1, 1)
 
-    def to_xy(i: int, v: float) -> tuple[float, float]:
+    def to_xy(i, v) -> tuple:
+        """Canvas coordinates of sentence(s) i at value(s) v."""
         x = MARGIN + i * x_step
         y = HEIGHT - MARGIN - (v - values_min) / span * (HEIGHT - 2 * MARGIN)
         return x, y
@@ -74,17 +75,16 @@ def render_svg(series: Mapping[str, Sequence[float]],
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
         f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#cccccc"/>',
     ]
-    first_name = None
-    for pos, name in enumerate(sorted(series)):
-        if first_name is None:
-            first_name = name
-        values = np.asarray(series[name], float)
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}"
-                       for x, y in (to_xy(i, float(v)) for i, v in enumerate(values)))
+    names = sorted(series)
+    base = np.asarray(series[names[0]], float)
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic, silently
+        x, ys = to_xy(np.arange(n), np.array([series[name] for name in names], float))
+    x_text = list(map("{:.2f},".format, x.tolist()))  # shared by every series
+    for pos, y in enumerate(ys.tolist()):
+        pts = " ".join(map("{}{:.2f}".format, x_text, y))
         color = PALETTE[pos % len(PALETTE)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
-    base = np.asarray(series[first_name], float)
     for idx in sorted(set(int(i) for i in gold_indices)):
         if 0 <= idx < n:
             x, y = to_xy(idx, float(base[idx]))

@@ -4,9 +4,11 @@
 meta, which optional fields each sentence carries (window log-likelihoods
 and embeddings under known and other variant keys among them), sample
 counts, horizons and scores, duplicate samples, stored probabilities (with
-zeros), zero embeddings, and text with non-ASCII words. The vectors come
-from a numpy generator seeded by a drawn integer, so that long traces of
-wide vectors stay cheap to draw.
+zeros), zero embeddings, and text with non-ASCII words. The vectors, and
+the choices that depend on a drawn value (which sample a duplicate repeats,
+the stored weights, the window lengths), come from a numpy generator
+seeded by a drawn integer, so that long traces of wide vectors stay cheap
+to draw.
 
 `series_columns()` draws the named float columns of a series CSV.
 """
@@ -26,34 +28,42 @@ META = st.dictionaries(st.sampled_from(("corpus", "model", "名前")), st.text(m
                        max_size=2)
 
 
-@st.composite
-def continuation_sets(draw, rng: np.random.Generator, d: int) -> ContinuationSet:
+# Strategies that depend on no drawn value are built once, here: building
+# one inside every draw cost more than drawing from it.
+SCORES = st.none() | st.floats(-50, 50)
+TEXTS = st.none() | st.lists(st.sampled_from(WORDS), max_size=3).map(" ".join)
+AVG_LLS = st.none() | st.floats(-8.0, 0.0)
+SENTIMENTS = st.none() | st.floats(-1.0, 1.0)
+VARIANT_SETS = st.sets(VARIANTS, max_size=3)
+WEIGHTS = (0.0, 0.25, 1.0, 3.0)
+
+
+def _continuation_set(draw, rng: np.random.Generator, d: int) -> ContinuationSet:
+    """A continuation set, drawn inside a composite strategy: the choices
+    that depend on a drawn value come from `rng`."""
     # From 8 samples on, np.sum adds a row pairwise, so leaving out or
     # keeping a zero weight changes the order of the additions.
     k = draw(st.integers(1, 12))
     samples = []
     for _ in range(k):
-        if samples and draw(st.booleans()):  # equal samples tie hale_surprise's argmax
-            samples.append(samples[draw(st.integers(0, len(samples) - 1))])
+        if samples and rng.random() < 0.5:  # equal samples tie hale_surprise's argmax
+            samples.append(samples[rng.integers(len(samples))])
         else:
-            samples.append(ContinuationSample(rng.standard_normal(d),
-                                              raw_score=draw(st.none() | st.floats(-50, 50))))
+            samples.append(ContinuationSample(rng.standard_normal(d), raw_score=draw(SCORES)))
     probs = None
     if draw(st.booleans()):
-        weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
-                                         min_size=k, max_size=k)))
-        weights[draw(st.integers(0, k - 1))] += 1.0  # at least one positive weight
+        weights = rng.choice(WEIGHTS, k)
+        weights[rng.integers(k)] += 1.0  # at least one positive weight
         probs = weights / weights.sum()
     return ContinuationSet(horizon=draw(st.integers(1, 3)), samples=tuple(samples),
                            probabilities=probs)
 
 
-@st.composite
-def windows(draw, rng: np.random.Generator, size=None):
-    """Per-variant vectors: of `size` entries (an embedding), or of 1 to 4
-    token log-likelihoods."""
-    return {variant: rng.standard_normal(size) if size else -rng.random(draw(st.integers(1, 4)))
-            for variant in sorted(draw(st.sets(VARIANTS, max_size=3)))}
+def _windows(draw, rng: np.random.Generator, size=None) -> dict:
+    """Per-variant vectors, drawn inside a composite strategy: of `size`
+    entries (an embedding), or of 1 to 4 token log-likelihoods."""
+    return {variant: rng.standard_normal(size) if size else -rng.random(rng.integers(1, 5))
+            for variant in sorted(draw(VARIANT_SETS))}
 
 
 @st.composite
@@ -66,17 +76,18 @@ def traces(draw, max_sentences: int = 40) -> StoryTrace:
     zeros = draw(st.booleans())
     records = []
     for t in range(n):
-        cont = draw(st.none() | continuation_sets(rng, d))
-        zero = zeros and cont is not None and draw(
-            st.booleans() if cont.probabilities is not None else st.integers(0, 7).map(lambda i: i == 0))
+        cont = _continuation_set(draw, rng, d) if draw(st.booleans()) else None
+        zero = zeros and cont is not None and (
+            draw(st.booleans()) if cont.probabilities is not None
+            else draw(st.integers(0, 7)) == 0)
         records.append(SentenceRecord(
             index=t,
             embedding=np.zeros(d) if zero else rng.standard_normal(d),
-            text=draw(st.none() | st.lists(st.sampled_from(WORDS), max_size=3).map(" ".join)),
-            avg_log_likelihood=draw(st.none() | st.floats(-8.0, 0.0)),
-            window_token_loglikes=draw(st.none() | windows(rng)),
-            window_embedding=draw(st.none() | windows(rng, d)),
-            sentiment=draw(st.none() | st.floats(-1.0, 1.0)),
+            text=draw(TEXTS),
+            avg_log_likelihood=draw(AVG_LLS),
+            window_token_loglikes=_windows(draw, rng) if draw(st.booleans()) else None,
+            window_embedding=_windows(draw, rng, d) if draw(st.booleans()) else None,
+            sentiment=draw(SENTIMENTS),
             continuations=cont))
     return StoryTrace(story_id="drawn", sentences=tuple(records), embedding_dim=d,
                       meta=draw(META))

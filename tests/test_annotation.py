@@ -1,12 +1,17 @@
 """Judgment curves, z-scoring, agreement, and human correlation bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from storymetrics.annotation import (JudgmentMapping, absolute_curve,
+from storymetrics import evaluation
+from storymetrics.annotation import (CorrelationResult, JudgmentMapping, absolute_curve,
                                      human_upper_bound, krippendorff_alpha,
                                      krippendorff_alpha_table,
-                                     pairwise_correlation, zscore)
+                                     pairwise_correlation, pairwise_correlations, zscore)
 from storymetrics.model import (AnnotationSet, DegenerateStatisticsError,
                                 Judgment, MetricSeries, ValidationError)
 
@@ -213,3 +218,70 @@ def test_human_upper_bound_three_way():
 def test_human_upper_bound_needs_two():
     with pytest.raises(ValidationError):
         human_upper_bound(_annotations((S, I)))
+
+
+def _per_pair_mean(pairs, degenerate):
+    """The mean correlation as it was before the batched kernels: each pair
+    scored on its own, a pair with a constant side skipped."""
+    taus, rhos, skipped = [], [], 0
+    for x, y in pairs:
+        if float(x.std()) == 0.0 or float(y.std()) == 0.0:
+            skipped += 1
+            continue
+        taus.append(evaluation.kendall_tau(x, y))
+        rhos.append(evaluation.spearman_rho(x, y))
+    if not taus:
+        raise DegenerateStatisticsError(degenerate)
+    return CorrelationResult(tau=float(np.mean(taus)), rho=float(np.mean(rhos)),
+                             pairs=len(taus), skipped=skipped)
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateStatisticsError as exc:
+        return str(exc)
+
+
+_JUDGMENTS = st.sampled_from(list(Judgment))
+
+
+@st.composite
+def _story(draw):
+    """Annotators (some constant) and predictions (some constant or all
+    tied with a non-zero std) of one length."""
+    n = draw(st.integers(1, 40))
+    constant = st.sampled_from(list(Judgment)).map(lambda j: (S,) + (j,) * (n - 1))
+    annotators = draw(st.lists(st.lists(_JUDGMENTS, min_size=n, max_size=n).map(tuple)
+                               | constant, min_size=1, max_size=4))
+    values = st.floats(-3, 3) | st.sampled_from([0.0, 0.1, 1.0])
+    preds = draw(st.lists(st.lists(values, min_size=n, max_size=n)
+                          | st.sampled_from([[0.1] * n, [1.0] * n]), min_size=1, max_size=5))
+    return _annotations(*annotators), [MetricSeries(f"p{i}", np.array(p))
+                                       for i, p in enumerate(preds)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(story=_story())
+def test_correlations_equal_the_per_pair_mean(story):
+    """Bit for bit, with the same error where one pair (or every pair) of a
+    prediction is degenerate; [0.1] * 3 has a non-zero std but is all tied."""
+    annotations, preds = story
+    curves = [absolute_curve(annotations.annotators[a]).values
+              for a in sorted(annotations.annotators)]
+    want = []
+    for pred in preds:
+        want.append(_result(_per_pair_mean, [(pred.values, c) for c in curves],
+                            "every prediction/annotator pair was degenerate"))
+        if isinstance(want[-1], str):
+            break
+    got = _result(pairwise_correlations, preds, annotations)
+    if isinstance(want[-1], str):
+        assert got == want[-1]
+    else:
+        assert repr(got) == repr(want)
+        assert [repr(pairwise_correlation(p, annotations)) for p in preds] == list(map(repr, want))
+    if len(curves) > 1:
+        assert repr(_result(human_upper_bound, annotations)) == repr(_result(
+            _per_pair_mean, list(itertools.combinations(curves, 2)),
+            "every annotator pair was degenerate"))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storymetrics import baseline, cli
 from storymetrics.cli import build_parser, main, read_series_csv
-from storymetrics.model import (AnnotationSet, GoldLabels, Judgment,
-                                read_gold, write_annotations, write_gold,
+from storymetrics.model import (AnnotationSet, GoldLabels, Judgment, ValidationError,
+                                content_lines, read_gold, write_annotations, write_gold,
                                 write_trace)
 from strategies import series_columns
 
@@ -730,3 +732,154 @@ def test_cli_import_does_not_load(module):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _with_record_field(path, out, line: int, field: str, value) -> None:
+    """The trace at `path`, written to `out` with `field` of record line
+    `line` (1-based) set to value(the field's value)."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[line - 1])
+    record[field] = value(record[field])
+    lines[line - 1] = json.dumps(record)
+    out.write_text("\n".join(lines) + "\n")
+
+
+def test_scoring_error_names_its_trace(tmp_path, demo_trace, capsys):
+    good, bad = tmp_path / "good.trace", tmp_path / "bad.trace"
+    good.write_text(demo_trace.read_text())
+    # line 5 is sentence 3; its window embeddings lose 'base'
+    _with_record_field(demo_trace, bad, 5, "win_emb",
+                       lambda win: {k: v for k, v in win.items() if k != "base"})
+    assert main(["analyze", "--trace", str(good), "--trace", str(bad), "--measures", "emb_sal",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {bad}: sentence 3: window embeddings for 'base' and 'deleted' required"
+            in err)
+    assert str(good) not in err
+
+
+@pytest.mark.parametrize("option, field, value", [
+    # finite log-likelihoods whose window mean overflows
+    ("--measures=like", "win_ll", lambda win: {**win, "base": [1e308, 1e308]}),
+    # a finite embedding entry whose squared distance to the sentence
+    # before overflows
+    ("--metrics=ely_surprise", "e", lambda e: [1e308, *e[1:]]),
+], ids=["like", "ely_surprise"])
+def test_overflow_exits_2_without_warning(tmp_path, demo_trace, capsys, option, field, value):
+    """pytest turns any warning into an error here, so a numpy
+    RuntimeWarning would fail the run before its message."""
+    bad = tmp_path / "bad.trace"
+    _with_record_field(demo_trace, bad, 5, field, value)  # sentence 3
+    assert main(["analyze", "--trace", str(bad), option, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert "sentence 3" in err
+    assert "Warning" not in err
+
+
+def _run_python(code: str, **env) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**base, "PYTHONPATH": src, **env}, check=True).stdout.strip()
+
+
+def test_package_import_loads_no_numpy():
+    assert _run_python("import sys, storymetrics; print('numpy' in sys.modules)") == "False"
+    # a public name still resolves, and then loads it
+    assert _run_python("import sys, storymetrics; storymetrics.StoryTrace; "
+                       "print('numpy' in sys.modules)") == "True"
+
+
+@pytest.mark.parametrize("user, want", [(None, "1"), ("2", "2")])
+def test_cli_runs_blas_on_one_thread_unless_told(user, want):
+    code = "import os, storymetrics.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {} if user is None else {"OPENBLAS_NUM_THREADS": user}
+    assert _run_python(code, **env) == want
+
+
+def _old_read_series_csv(path) -> dict:
+    """The row-by-row reader that read_series_csv replaced: the oracle of
+    its columns and of its first fault."""
+    lines = content_lines(path)
+    head_no, head = next(lines, (None, None))
+    if head is None:
+        raise ValidationError(f"{path}: empty series CSV")
+    header = head.split(",")
+    if header[0] != "sentence" or len(header) < 2:
+        raise ValidationError(f"{path} line {head_no}: expected header 'sentence,<series...>'")
+    for j, name in enumerate(header):
+        if not name.strip() or name in header[:j]:
+            fault = "duplicate" if name.strip() else "empty"
+            raise ValidationError(f"{path} line {head_no}: {fault} column name {name!r}")
+    rows = []
+    for ln_no, line in lines:
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ValidationError(f"{path} line {ln_no}: wrong column count")
+        if parts[0].strip() != str(len(rows)):
+            raise ValidationError(f"{path} line {ln_no}: sentence {parts[0]!r} in row {len(rows)}")
+        try:
+            row = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise ValidationError(f"{path} line {ln_no}: {exc}") from exc
+        if not all(math.isfinite(v) for v in row):
+            raise ValidationError(f"{path} line {ln_no}: non-finite value in {line!r}")
+        rows.append(row)
+    if not rows:
+        raise ValidationError(f"{path}: series CSV has no data rows")
+    data = np.asarray(rows, float)
+    return {name: data[:, j] for j, name in enumerate(header[1:])}
+
+
+def _outcome(read, path):
+    try:
+        return [(name, repr(col.tolist())) for name, col in read(path).items()]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+# one-line corruptions of a series CSV: a line -> its replacement
+_CORRUPTIONS = {
+    "cell_dropped": lambda line: line.rsplit(",", 1)[0],
+    "cell_added": lambda line: line + ",0.5",
+    "cell_empty": lambda line: line.rsplit(",", 1)[0] + ",",
+    "cell_word": lambda line: line.rsplit(",", 1)[0] + ",abc",
+    "cell_nan": lambda line: line.rsplit(",", 1)[0] + ",nan",
+    "cell_inf": lambda line: line.rsplit(",", 1)[0] + ",-inf",
+    "cell_overflow": lambda line: line.rsplit(",", 1)[0] + ",1e999",
+    "cell_padded": lambda line: line.rsplit(",", 1)[0] + ", 2.5 ",
+    "sentence_word": lambda line: "x," + line.split(",", 1)[1],
+    "sentence_padded": lambda line: " " + line,
+    "sentence_float": lambda line: line.split(",", 1)[0] + ".0," + line.split(",", 1)[1],
+    "blank": lambda line: "",
+    "not_utf8": lambda line: "\udcff",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=series_columns(), faults=st.lists(
+    st.tuples(st.integers(0, 60), st.sampled_from(sorted(_CORRUPTIONS))), max_size=2))
+def test_series_csv_reader_equals_the_row_by_row_reader(tmp_path_factory, columns, faults):
+    """Any one or two corrupted lines (the header included) give the old
+    reader's columns or its error, which names the first faulty line."""
+    path = tmp_path_factory.mktemp("series") / "story.csv"
+    cli._write_series_csv(path, columns)
+    lines = path.read_text().split("\n")[:-1]
+    for at, kind in faults:
+        at %= len(lines)
+        lines[at] = _CORRUPTIONS[kind](lines[at])
+    path.write_bytes("\n".join(lines + [""]).encode("utf-8", "surrogateescape"))
+    assert _outcome(read_series_csv, path) == _outcome(_old_read_series_csv, path)
+
+
+def test_series_csv_each_corruption_of_each_line(tmp_path):
+    path = tmp_path / "story.csv"
+    columns = {"a": np.array([0.5, -0.0, 3.0, 1e-300]), "b b": np.array([1.0, 2.0, 3.0, 4.0])}
+    cli._write_series_csv(path, columns)
+    lines = path.read_text().split("\n")[:-1]
+    for at in range(len(lines)):
+        for corrupt in _CORRUPTIONS.values():
+            changed = lines[:at] + [corrupt(lines[at])] + lines[at + 1:]
+            path.write_bytes("\n".join(changed + [""]).encode("utf-8", "surrogateescape"))
+            assert _outcome(read_series_csv, path) == _outcome(_old_read_series_csv, path)

@@ -2,17 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from storymetrics.evaluation import (Peak, _count_inversions, _lcs_length,
-                                     assign_turning_points,
+from storymetrics.evaluation import (Peak, _count_inversions, _descending_ranking,
+                                     _lcs_length, assign_turning_points,
                                      average_precision, fisher_ci,
-                                     find_peaks, kendall_tau, recall_at_k,
-                                     rouge_l, spearman_rho, tp_distance)
+                                     find_peaks, kendall_tau, kendall_taus, recall_at_k,
+                                     rouge_l, spearman_rho, spearman_rhos, tp_distance)
 from storymetrics.model import (DegenerateStatisticsError, GoldLabels,
                                 MetricSeries, ValidationError)
 
@@ -155,6 +156,83 @@ def test_rank_correlations_equal_scipy_exactly(scipy_stats, pair):
     assert repr(spearman_rho(x, y)) == repr(float(scipy_stats.spearmanr(x, y)[0]))
 
 
+def _per_pair_tau(x, y):
+    """kendall_tau as it was before the batched kernel: one pair at a time,
+    with its own merge count of inversions."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    perm = np.argsort(y)
+    x, y = x[perm], _dense(y[perm])
+    perm = np.argsort(x, kind="mergesort")
+    x, y = _dense(x[perm]), y[perm]
+    joint = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
+    ntie = _within(np.diff(np.nonzero(joint)[0]))
+    xtie, ytie = _within(np.bincount(x)), _within(np.bincount(y))
+    size = x.shape[0]
+    tot = size * (size - 1) // 2
+    discordant = int(np.triu(y[:, None] > y[None, :], 1).sum())
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * discordant
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
+
+
+def _dense(sorted_values):
+    return np.r_[True, sorted_values[1:] != sorted_values[:-1]].cumsum(dtype=np.intp)
+
+
+def _within(counts):
+    return int((counts.astype(np.int64) * (counts - 1) // 2).sum())
+
+
+@st.composite
+def _rank_rows(draw):
+    """1 to 6 row pairs of one length, none of them all tied."""
+    n = draw(st.integers(2, 120))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        x, y = draw(_rank_sequences(n)), draw(_rank_sequences(n))
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        pairs.append((x, y))
+    return np.array([x for x, _ in pairs], float), np.array([y for _, y in pairs], float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_rank_rows())
+def test_batched_rank_correlations_equal_each_pair(scipy_stats, rows):
+    """Each row of kendall_taus equals the old per-pair tau-b and scipy bit
+    for bit, and each row of spearman_rhos equals spearman_rho."""
+    x, y = rows
+    taus, rhos = kendall_taus(x, y), spearman_rhos(x, y)
+    for row, (a, b) in enumerate(zip(x, y)):
+        want = _per_pair_tau(a, b)
+        assert repr(float(taus[row])) == repr(want) == repr(kendall_tau(a, b))
+        assert repr(want) == repr(float(scipy_stats.kendalltau(a, b, variant="b")[0]))
+        assert repr(float(rhos[row])) == repr(spearman_rho(a, b))
+
+
+def test_batched_rank_correlations_check_every_row():
+    good = [1.0, 2.0, 3.0]
+    with pytest.raises(DegenerateStatisticsError, match="all-tied"):
+        kendall_taus([good, good], [good, [5.0, 5.0, 5.0]])
+    with pytest.raises(ValidationError, match="NaN"):
+        spearman_rhos([good, [1.0, math.nan, 2.0]], [good, good])
+    with pytest.raises(ValidationError, match="2-d"):
+        kendall_taus(good, good)
+
+
+def test_rank_correlations_of_100000_points_stay_small():
+    """The batched merge pass holds O(n) integers: no n x n block."""
+    rng = np.random.default_rng(3)
+    x, y = rng.integers(0, 50, 100_000).astype(float), rng.standard_normal(100_000)
+    tracemalloc.start()
+    try:
+        kendall_tau(x, y)
+        find_peaks(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
 def _inversions_brute_force(values):
     return sum(a > b for a, b in itertools.combinations(values, 2))
 
@@ -162,13 +240,13 @@ def _inversions_brute_force(values):
 @pytest.mark.parametrize("values", [[3], [1, 2], [2, 1], [4] * 7, list(range(9, 0, -1)),
                                     [2, 2, 1, 1, 3, 0, 2]])
 def test_count_inversions_edge_cases(values):
-    assert _count_inversions(np.asarray(values, int)) == _inversions_brute_force(values)
+    assert _count_inversions(np.asarray([values])).tolist() == [_inversions_brute_force(values)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(st.integers(0, 6), min_size=1, max_size=70))
 def test_count_inversions_matches_brute_force(values):
-    assert _count_inversions(np.asarray(values, int)) == _inversions_brute_force(values)
+    assert _count_inversions(np.asarray([values])).tolist() == [_inversions_brute_force(values)]
 
 
 # --- fisher interval -----------------------------------------------------------------
@@ -225,6 +303,59 @@ def test_find_peaks_plateau_left_edge():
 def test_find_peaks_plateau_not_peak_when_rising_after():
     assert find_peaks([0.0, 2.0, 2.0, 4.0, 0.0]) == [
         Peak(index=3, height=4.0, prominence=4.0)]
+
+
+def _loop_find_peaks(values):
+    """find_peaks as it was before the array kernel: a scan for rises and
+    plateaus, and a walk to each side of each peak."""
+    values = np.asarray(values, float)
+    n = values.shape[0]
+    peaks = []
+    i = 1
+    while i < n:
+        if values[i] > values[i - 1]:
+            j = i
+            while j + 1 < n and values[j + 1] == values[i]:
+                j += 1
+            if j + 1 < n and values[j + 1] < values[i]:
+                peaks.append((i, float(values[i]), _loop_prominence(values, i)))
+            i = j + 1
+        else:
+            i += 1
+    return peaks
+
+
+def _loop_prominence(values, peak):
+    h = values[peak]
+    left_min = h
+    q = peak - 1
+    while q >= 0 and values[q] <= h:
+        left_min = min(left_min, values[q])
+        q -= 1
+    right_min = h
+    q = peak + 1
+    while q < values.shape[0] and values[q] <= h:
+        right_min = min(right_min, values[q])
+        q += 1
+    return float(h - max(left_min, right_min))
+
+
+# few distinct values, so that runs, repeats and equal shoulders are common
+_PEAK_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 1e308, -1e308, math.inf, -math.inf,
+                                math.nan, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_PEAK_VALUES | st.floats(), max_size=80)
+       | st.lists(st.integers(-3, 3).map(float), max_size=300))
+@example(values=[0.0, 1.0, 1.0, -0.0, 0.0, 2.0, math.nan, 3.0, 0.0])
+@example(values=[math.inf, 0.0, math.inf, math.inf, -math.inf, 1.0, 0.0])
+@example(values=[-1e308, 1e308, -1e308])  # a prominence that overflows
+def test_find_peaks_equals_the_loop(values):
+    got = [(p.index, p.height, p.prominence) for p in find_peaks(values)]
+    with np.errstate(over="ignore"):  # the loop's numpy scalars warn where floats do not
+        want = _loop_find_peaks(values)
+    assert repr(got) == repr(want)
 
 
 def test_find_peaks_accepts_metric_series():
@@ -304,6 +435,14 @@ def test_average_precision_truncation():
 def test_average_precision_empty_gold():
     with pytest.raises(ValidationError):
         average_precision(np.array([1.0, 0.0]), _gold(set()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scores=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf]), max_size=200))
+def test_descending_ranking_ranks_ties_by_sentence(scores):
+    """A stable sort: ties, -0.0 and 0.0 among them, keep sentence order."""
+    want = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    assert _descending_ranking(np.array(scores)) == want
 
 
 def test_recall_at_k_examples():

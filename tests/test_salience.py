@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from storymetrics.model import (KNOWN_VARIANTS, MetricSeries, SentenceRecord,
                                 StoryTrace, ValidationError)
-from storymetrics.salience import (SalienceConfig, bcf_salience,
+from storymetrics.salience import (SalienceConfig, _coherences, bcf_salience,
                                    clus_salience, coherence,
                                    combine_like_clus, emb_salience,
                                    imp_adjust, positional_baseline,
@@ -325,3 +325,15 @@ def test_emb_surp_equals_per_record_oracle(trace):
         return
     want = [0.0] + [_cosine_distance(a, b) for a, b in zip(embeddings[1:], embeddings)]
     np.testing.assert_allclose(salience_series(trace, cfg).values, want, rtol=0, atol=1e-12)
+
+
+def test_grouped_coherences_equal_np_mean_of_each_window():
+    """Windows of every length from 1 to 300, several of each, in shuffled
+    order: bit for bit np.mean of each window alone."""
+    rng = np.random.default_rng(11)
+    lengths = rng.permutation(np.repeat(np.arange(1, 301), 3))
+    windows = [-rng.exponential(3.0, length) * 10.0 ** rng.integers(-3, 4)
+               for length in lengths]
+    got = _coherences(windows)
+    assert got.tolist() == [float(np.mean(w)) for w in windows]
+    assert [coherence(w) for w in windows] == got.tolist()
