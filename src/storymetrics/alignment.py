@@ -40,7 +40,7 @@ class AlignmentResult:
 
 
 def _unit_rows(vectors, name: str) -> np.ndarray:
-    mat = np.stack([np.asarray(v, float) for v in vectors])
+    mat = np.asarray(vectors, float)
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms == 0):
         raise ValidationError(f"{name} contains a zero vector")

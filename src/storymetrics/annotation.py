@@ -56,13 +56,18 @@ def absolute_curve(judgments: Sequence[Judgment],
 
 
 def zscore(series: MetricSeries) -> MetricSeries:
-    """Center and scale to unit population variance."""
+    """Center and scale to unit population variance. The values are finite,
+    but their mean or spread can overflow, which is refused."""
     if len(series) < 2:
         raise DegenerateStatisticsError(f"series {series.name!r} too short to z-score")
-    std = float(series.values.std())
-    if std == 0.0:
-        raise DegenerateStatisticsError(f"series {series.name!r} is constant")
-    values = (series.values - series.values.mean()) / std
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = series.values.mean(), float(series.values.std())
+        if not (np.isfinite(mean) and np.isfinite(std)):
+            raise DegenerateStatisticsError(f"series {series.name!r} cannot be z-scored: its "
+                                            "mean or standard deviation overflows")
+        if std == 0.0:
+            raise DegenerateStatisticsError(f"series {series.name!r} is constant")
+        values = (series.values - mean) / std
     return MetricSeries(name=series.name, values=values, normalized=True)
 
 

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (KNOWN_VARIANTS, ContinuationSample, ContinuationSet,
-                    SentenceRecord, StoryTrace, ValidationError, _distinct, each_distinct)
+from .model import (KNOWN_VARIANTS, Columns, StoryTrace, ValidationError, Windows, _distinct,
+                    _trace_of, each_distinct)
 
 
 def tokenize(text: str) -> list[str]:
@@ -209,7 +209,9 @@ def build_trace(sentences: Sequence[str], embedder: HashEmbedder,
     every prefix; the swapped counts are the base counts plus the changes
     to the boundary bigrams around t-1 and t. Each block of sentences is
     scored by one `lm_loglik` call, and its sentence and window embeddings
-    come from one `embed_spans` call over token spans.
+    come from one `embed_spans` call over token spans. The results are
+    written into the trace's columns, in which each block's sentences and
+    windows are runs; its sentences are records built on first use.
     """
     if window_tokens < 1:
         raise ValidationError(f"window_tokens must be >= 1, got {window_tokens}")
@@ -230,7 +232,12 @@ def build_trace(sentences: Sequence[str], embedder: HashEmbedder,
     starts = np.concatenate(([0], ends[:-1]))
     first, last = ids[starts], ids[ends - 1]
 
-    avg_lls, embeddings, win_lls, win_embs = [], [], [], []
+    has = ends < len(ids)  # only the story's last sentence has no window
+    widths = np.minimum(ends + window_tokens, len(ids)) - ends
+    embeddings, avg_lls = np.empty((n, embedder.dim)), np.empty(n)
+    win_ll = {variant: np.empty(int(widths.sum())) for variant in KNOWN_VARIANTS}
+    win_emb = {variant: np.empty((int(has.sum()), embedder.dim)) for variant in ("base", "deleted")}
+    at = w_at = 0  # where the block's windows and window embeddings start in their columns
     step = max(1, _BLOCK_TOKENS // window_tokens)
     for b in range(0, n, step):
         t = np.arange(b, min(b + step, n))
@@ -264,42 +271,34 @@ def build_trace(sentences: Sequence[str], embedder: HashEmbedder,
             (np.concatenate([unshifted, bigram_shift, unshifted[:len(win)]]),
              np.concatenate([unshifted, context_shift, unshifted[:len(win)]])))
         cut = np.concatenate(([0], np.cumsum(hi - lo))).tolist()
-        avg_lls += [float(np.mean(scores[i:j])) for i, j in zip(cut, cut[1:])]
-        cut = (cut[-1] + np.concatenate(([0], np.cumsum(stop - hi)))).tolist()
-        # only the story's last sentence has no window
-        win_lls += [{variant: scores[i + k * len(win):j + k * len(win)]
-                     for k, variant in enumerate(KNOWN_VARIANTS)} if j > i else None
-                    for i, j in zip(cut, cut[1:])]
-        has = stop > hi
-        rows = embedder.embed_spans(codes, np.concatenate([lo, lo[has], hi[has]]),
-                                    np.concatenate([hi, stop[has], stop[has]]))
-        embeddings += list(rows[:len(t)])
-        base, deleted = np.split(rows[len(t):], 2)
-        win_embs += [{"base": e, "deleted": d} for e, d in zip(base, deleted)]
-        win_embs += [None] * (len(t) - len(base))
+        avg_lls[t] = [float(np.mean(scores[i:j])) for i, j in zip(cut, cut[1:])]
+        for k, variant in enumerate(KNOWN_VARIANTS):
+            win_ll[variant][at:at + len(win)] = scores[cut[-1] + k * len(win):][:len(win)]
+        at += len(win)
+        windowed = stop > hi
+        rows = embedder.embed_spans(codes, np.concatenate([lo, lo[windowed], hi[windowed]]),
+                                    np.concatenate([hi, stop[windowed], stop[windowed]]))
+        embeddings[t] = rows[:len(t)]
+        for variant, block in zip(("base", "deleted"), np.split(rows[len(t):], 2)):
+            win_emb[variant][w_at:w_at + len(block)] = block
+        w_at += int(windowed.sum())
 
     rng = np.random.default_rng(seed)
-    # one sample per sentence, shared by every set that samples it
-    samples = [ContinuationSample(embedding=e) for e in embeddings]
-    records = []
-    for t in range(n):
-        continuations = None
-        if t + 1 < n:
-            chosen = [samples[t + 1]]
-            for _ in range(n_continuations - 1):
-                k = int(rng.integers(0, n - 1))  # an index other than t + 1
-                chosen.append(samples[k if k < t + 1 else k + 1])
-            continuations = ContinuationSet(horizon=1, samples=tuple(chosen))
-        records.append(SentenceRecord(
-            index=t,
-            embedding=embeddings[t],
-            text=sentences[t],
-            avg_log_likelihood=avg_lls[t],
-            window_token_loglikes=win_lls[t],
-            window_embedding=win_embs[t],
-            sentiment=_pseudo_sentiment(sentences[t], seed),
-            continuations=continuations,
-        ))
-    return StoryTrace(story_id=story_id, sentences=tuple(records),
-                      embedding_dim=embedder.dim,
-                      meta={"source": "baseline-provider", "seed": str(seed)})
+    chosen = []  # each set's samples: the next sentence's embedding, then others at random
+    for t in range(n - 1):
+        chosen.append(t + 1)
+        for _ in range(n_continuations - 1):
+            k = int(rng.integers(0, n - 1))  # an index other than t + 1
+            chosen.append(k if k < t + 1 else k + 1)
+    win_rows, present = np.flatnonzero(has), np.ones(n, bool)
+    columns = Columns(
+        0, embeddings, tuple(sentences), avg_lls, present,
+        np.array([_pseudo_sentiment(text, seed) for text in sentences]), present,
+        has, {variant: Windows(win_rows, values, widths[has]) for variant, values in win_ll.items()},
+        has, {variant: Windows(win_rows, values, np.full(len(win_rows), embedder.dim))
+              for variant, values in win_emb.items()},
+        np.where(np.arange(n) < n - 1, n_continuations, 0), (1,) * (n - 1) + (0,),
+        np.zeros(n, bool), embeddings[chosen], np.zeros(len(chosen)), np.zeros(len(chosen), bool),
+        np.empty(0))
+    return _trace_of(story_id, columns, embedder.dim,
+                     {"source": "baseline-provider", "seed": str(seed)})

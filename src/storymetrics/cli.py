@@ -9,7 +9,6 @@ statistics.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import alignment, annotation, baseline, evaluation, salience, suspense, svgplot
 from .model import (AnnotationSet, DegenerateStatisticsError, GoldLabels, Judgment,
-                    MetricSeries, ParseError, StoryTrace, ValidationError, _map,
+                    MetricSeries, ParseError, StoryTrace, ValidationError, _first, _map,
                     content_lines, read_annotations, read_gold, read_trace, write_annotations,
                     write_gold, write_trace)
 
@@ -76,11 +75,6 @@ def _write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
     lines.extend(f"{i},{','.join(row)}" for i, row in enumerate(zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _first(flags, default: int) -> int:
-    """The position of the first true flag, or `default`."""
-    return next(itertools.compress(itertools.count(), flags), default)
 
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
@@ -267,8 +261,8 @@ def _eval_turning_points(story_id: str, pred: dict[str, np.ndarray],
 def _eval_salience(story_id: str, pred: dict[str, np.ndarray], gold: GoldLabels,
                    trace: Optional[StoryTrace], k: Optional[int]) -> list[dict]:
     gold_tokens = None  # ROUGE-L needs every sentence's text; each is tokenized once, if read
-    if trace is not None and all(rec.text is not None for rec in trace.sentences):
-        tokens = cache(lambda i: baseline.tokenize(trace.sentences[i].text))
+    if trace is not None and None not in trace.columns.text:
+        tokens = cache(lambda i: baseline.tokenize(trace.columns.text[i]))
         gold_tokens = [tok for i in sorted(gold.salient_indices) for tok in tokens(i)]
     rows = []
     for name, values in pred.items():
@@ -328,22 +322,35 @@ def _read_story(mode: str, pred_path, ref_path, trace_path) -> tuple:
                               f"{ref.length} judgments per annotator")
     if gold_kind == "turning_points":
         # the windows first: each contains its position
-        spans = [("window", w, w[1]) for w in ref.tp_windows or ()]
-        spans += [("position", p, p) for p in ref.tp_positions]
-        for what, label, last in spans:
+        spans = [("window", w, w[1], k) for k, w in enumerate(ref.tp_windows or ())]
+        spans += [("position", p, p, k) for k, p in enumerate(ref.tp_positions)]
+        for what, label, last, k in spans:
             if last >= n_rows:
-                raise ValidationError(f"{ref_path}: gold {what} {label} is out of range "
-                                      f"for the {n_rows} sentences of {pred_path}")
+                no = _gold_line(ref_path, lambda j, _: j == k)
+                raise ValidationError(f"{ref_path} line {no}: gold {what} {label} is out of "
+                                      f"range for the {n_rows} sentences of {pred_path}")
     trace = None
     if trace_path is not None:
         trace = read_trace(trace_path, full=False)
         if n_rows != len(trace):
             raise ValidationError(f"{pred_path} has {n_rows} rows but {trace_path} "
                                   f"has {len(trace)} sentences")
-        if max(ref.salient_indices, default=-1) >= len(trace):
-            raise ValidationError(f"{ref_path}: gold index {max(ref.salient_indices)} "
-                                  f"is beyond the {len(trace)} sentences of {trace_path}")
+        last = max(ref.salient_indices, default=-1)
+        if last >= len(trace):
+            no = _gold_line(ref_path, lambda _, raw: last in map(int, raw.split()))
+            raise ValidationError(f"{ref_path} line {no}: gold index {last} is beyond the "
+                                  f"{len(trace)} sentences of {trace_path}")
     return pred, ref, trace
+
+
+def _gold_line(path, names) -> int:
+    """The number of the first entry line of the gold file at `path` (the
+    lines after its header, counted j from 0) that names(j, line) accepts:
+    GoldLabels keeps no line numbers, so the file is read again, on an
+    error path only."""
+    entries = content_lines(path)
+    next(entries)
+    return next(no for j, (no, raw) in enumerate(entries) if names(j, raw))
 
 
 def _evaluate_job(paths: tuple, mode: str, k: Optional[int]):
@@ -406,8 +413,7 @@ def cmd_align(args) -> int:
     fulltext = read_trace(args.trace[1], full=False)
     cfg = alignment.AlignConfig(window_fraction=args.rho, min_sim=args.mu,
                                 slack=args.theta, max_matches=args.max_matches)
-    result = alignment.align([r.embedding for r in summary.sentences],
-                             [r.embedding for r in fulltext.sentences], cfg)
+    result = alignment.align(summary.columns.embeddings, fulltext.columns.embeddings, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_gold(result.labels, out_dir / f"{fulltext.story_id}_gold.txt")
@@ -533,9 +539,8 @@ def cmd_demo(args) -> int:
     pivot = traces["pivot"]
     # chosen so the summary sentences sit at matching relative positions
     summary_idx = [0, 4]
-    summary_embs = [pivot.sentences[i].embedding for i in summary_idx]
-    result = alignment.align(summary_embs, [r.embedding for r in pivot.sentences],
-                             alignment.AlignConfig())
+    embeddings = pivot.columns.embeddings
+    result = alignment.align(embeddings[summary_idx], embeddings, alignment.AlignConfig())
     gold_path = eval_dir / "pivot_gold.txt"
     write_gold(result.labels, gold_path)
     evaluate("salience", [curves_dir / "pivot.csv"], eval_dir / "salience_results.csv",

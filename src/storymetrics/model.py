@@ -2,13 +2,14 @@
 annotations, and gold labels.
 
 A trace file is a JSON header line followed by one JSON record per
-sentence. All types are immutable after construction and safe to share
+sentence. A trace is held as whole-trace columns (`Columns`), which the
+reader fills and the metric kernels read; its records are read-only views
+of them. All types are immutable after construction and safe to share
 across workers.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,28 +50,178 @@ class Judgment(Enum):
     BIG_INCREASE = "BI"
 
 
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{name} must be a non-empty 1-d vector")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite values")
-    arr.setflags(write=False)
-    return arr
+def _first(flags, default):
+    """The position of the first true flag, or `default`."""
+    if type(flags) is np.ndarray:
+        return int(flags.argmax()) if flags.any() else default
+    return next(itertools.compress(itertools.count(), flags), default)
+
+
+class _Faults:
+    """The first fault among rows [0, end). Each check runs on the rows
+    before the first fault found so far, and a fault it finds there
+    replaces it, so the fault left is that of the first faulty row, under
+    the first check in order that the row fails. A constructor is a
+    one-row call of the checks the reader runs on whole columns."""
+
+    def __init__(self, end: int, message: Optional[str] = None):
+        self.end, self.message = end, message
+
+    def check(self, flags, message, rows=None) -> None:
+        """`flags`, one per row or per item of the rows `rows` (ascending):
+        the first flagged, k, is a fault with message(k) if its row is
+        before the fault found so far."""
+        k = _first(flags, None)
+        if k is not None and (row := k if rows is None else int(rows[k])) < self.end:
+            self.end, self.message = row, message(k)
+
+    def upto(self, rows=None) -> int:
+        """How many rows lie before the fault, or how many items of `rows`."""
+        return self.end if rows is None else int(np.searchsorted(rows, self.end))
+
+
+def _not_int(value) -> bool:
+    """Whether a value is no JSON integer: a float, bool or string is none."""
+    return type(value) is bool or not isinstance(value, int)
+
+
+def _not_number(value) -> bool:
+    """Whether an optional value (None: absent) is no JSON number; a bool is none."""
+    return value is not None and (type(value) is bool or not isinstance(value, (int, float)))
 
 
 def _json_int(value, what: str) -> int:
     """A JSON integer: a float, bool or string is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if _not_int(value):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _json_number(value, what: str) -> Optional[float]:
-    """An optional JSON number (None when absent or null); a bool is no number."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    return value
+def _optional(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """Optional numbers as a float column (0 where absent) and its presence mask."""
+    return (np.array([0.0 if v is None else v for v in values], float),
+            np.array([v is not None for v in values], bool))
+
+
+def _array_vectors(arrays: list) -> tuple:
+    """Float arrays as vectors for _check_vectors: their values end to end,
+    their sizes, and which are not 1-d."""
+    flat = [a.reshape(-1) for a in arrays]
+    return (flat[0] if len(flat) == 1 else np.concatenate(flat) if flat else np.empty(0),
+            [a.size for a in arrays], [a.ndim != 1 for a in arrays])
+
+
+def _check_vectors(f: _Faults, what, flat, lengths, not_1d, rows=None) -> None:
+    """Each vector non-empty and 1-d, then finite. The vectors are given as
+    _array_vectors gives them, named `what` (or what[k], a list), and lie
+    in the rows `rows` (or one a row)."""
+    name = what.__getitem__ if type(what) is list else lambda k: what
+    if True in not_1d or 0 in lengths:
+        f.check((bad or not size for size, bad in zip(lengths, not_1d)),
+                lambda k: f"{name(k)} must be a non-empty 1-d vector", rows)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        items = np.repeat(np.arange(len(lengths)), lengths)
+        f.check(~finite, lambda p: f"{name(items[p])} contains non-finite values",
+                items if rows is None else np.asarray(rows)[items])
+
+
+def _sums(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each vector, as np.sum adds it alone."""
+    ends = np.cumsum(lengths).tolist()
+    return np.array([flat[end - size:end].sum() for end, size in zip(ends, lengths.tolist())],
+                    float)
+
+
+def _check_sets(f: _Faults, counts, sizes, probs: tuple, stored, rows=None,
+                sample_rows=None) -> None:
+    """ContinuationSet's checks of the vectors of each set of counts[k] > 0
+    samples of lengths `sizes` (all sets' in order): the samples of one
+    length, then the stored probabilities of the sets `stored`, given as
+    _array_vectors gives them: non-empty and 1-d, finite, one per sample,
+    non-negative and summing to 1."""
+    counts = np.asarray(counts)
+    if len(set(sizes)) > 1:  # then some set's samples may differ in length
+        sizes = np.asarray(sizes)
+        f.check(sizes != np.repeat(sizes[np.cumsum(counts) - counts], counts),
+                lambda k: "continuation sample embeddings differ in dimension", sample_rows)
+    flat, lengths, _ = probs
+    if len(lengths):
+        lengths = np.array(lengths)
+        prob_rows = np.flatnonzero(stored) if rows is None else rows[stored]
+        _check_vectors(f, "continuation probabilities", *probs, prob_rows)
+        f.check(lengths != counts[stored], lambda k: "probability vector length differs from "
+                "sample count", prob_rows)
+        f.check(flat < 0, lambda k: "continuation probabilities must be non-negative",
+                np.repeat(prob_rows, lengths))
+        f.check(np.abs(_sums(flat, lengths) - 1.0) > PROB_SUM_TOL,
+                lambda k: "continuation probabilities must sum to 1", prob_rows)
+
+
+def _refuse(fault: Optional[str]) -> None:
+    if fault is not None:
+        raise ValidationError(fault)
+
+
+def _sample_fault(score) -> Optional[str]:
+    """What is wrong with a continuation sample's score, if anything."""
+    if _not_number(score):
+        return f"sample score must be a number, got {score!r}"
+    if score is not None and not math.isfinite(score):
+        return "sample raw_score must be finite"
+    return None
+
+
+def _set_fault(horizon, count: int) -> Optional[str]:
+    """What is wrong with a continuation set's horizon or sample count."""
+    if _not_int(horizon):
+        return f"continuation n must be an integer, got {horizon!r}"
+    if horizon < 1:
+        return "continuation horizon must be >= 1"
+    return None if count else "continuation samples must be non-empty"
+
+
+def _record_fault(index, text, avg_ll, sentiment) -> Optional[str]:
+    """What is wrong with a record's index, text, avg_ll or sentiment."""
+    if _not_int(index):
+        return f"index must be an integer, got {index!r}"
+    if index < 0:
+        return "sentence index must be >= 0"
+    if text is not None and not isinstance(text, str):
+        return f"sentence text must be a string, got {text!r}"
+    if _not_number(avg_ll):
+        return f"avg_ll must be a number, got {avg_ll!r}"
+    if avg_ll is not None and not math.isfinite(avg_ll):
+        return "avg_log_likelihood must be finite"
+    if _not_number(sentiment):
+        return f"sentiment must be a number, got {sentiment!r}"
+    if sentiment is not None and not -1.0 <= sentiment <= 1.0:
+        return "sentiment must lie in [-1, 1]"
+    return None
+
+
+def _by_variant(mappings: list) -> dict:
+    """Per-row variant -> vector mappings (or None) as variant -> (rows,
+    vectors), the variants sorted, as write_trace writes them."""
+    present = [(row, mapping) for row, mapping in enumerate(mappings) if mapping]
+    gathered = {}
+    for variant in sorted({variant for _, mapping in present for variant in mapping}):
+        rows = [row for row, mapping in present if variant in mapping]
+        gathered[variant] = (np.array(rows, np.intp), [mappings[row][variant] for row in rows])
+    return gathered
+
+
+def _check_lengths(f: _Faults, embedding_dim: int, lengths, set_lengths, set_rows,
+                   windows: dict) -> None:
+    """Each row's embedding, first continuation sample and window embeddings
+    (variant -> (rows, lengths)) of length embedding_dim."""
+    f.check(lengths != embedding_dim, lambda r: f"embedding length {lengths[r]} does not "
+            f"match embedding_dim={embedding_dim}")
+    f.check(set_lengths != embedding_dim, lambda k: f"continuation sample length "
+            f"{set_lengths[k]} does not match embedding_dim={embedding_dim}", set_rows)
+    for variant, (rows, sizes) in windows.items():
+        f.check(sizes != embedding_dim, lambda k: f"window_embedding[{variant!r}] length "
+                f"{sizes[k]} does not match embedding_dim={embedding_dim}", rows)
 
 
 def _file_name(story_id) -> str:
@@ -95,10 +246,13 @@ class ContinuationSample:
     raw_score: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "embedding", _as_vector(self.embedding, "sample embedding"))
-        score = _json_number(self.raw_score, "sample score")
-        if score is not None and not math.isfinite(score):
-            raise ValidationError("sample raw_score must be finite")
+        embedding = np.asarray(self.embedding, float)
+        f = _Faults(1)
+        _check_vectors(f, "sample embedding", *_array_vectors([embedding]))
+        _refuse(f.message)
+        _refuse(_sample_fault(self.raw_score))
+        embedding.setflags(write=False)
+        object.__setattr__(self, "embedding", embedding)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,24 +265,17 @@ class ContinuationSet:
     probabilities: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if _json_int(self.horizon, "continuation n") < 1:
-            raise ValidationError("continuation horizon must be >= 1")
         samples = tuple(self.samples)
-        if not samples:
-            raise ValidationError("continuation samples must be non-empty")
-        dims = {s.embedding.shape[0] for s in samples}
-        if len(dims) > 1:
-            raise ValidationError("continuation sample embeddings differ in dimension")
+        _refuse(_set_fault(self.horizon, len(samples)))
+        probs = [] if self.probabilities is None else [np.asarray(self.probabilities, float)]
+        f = _Faults(1)
+        _check_sets(f, [len(samples)], [s.embedding.shape[0] for s in samples],
+                    _array_vectors(probs), [bool(probs)], sample_rows=[0] * len(samples))
+        _refuse(f.message)
         object.__setattr__(self, "samples", samples)
-        if self.probabilities is not None:
-            probs = _as_vector(self.probabilities, "continuation probabilities")
-            if probs.shape[0] != len(samples):
-                raise ValidationError("probability vector length differs from sample count")
-            if np.any(probs < 0):
-                raise ValidationError("continuation probabilities must be non-negative")
-            if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
-                raise ValidationError("continuation probabilities must sum to 1")
-            object.__setattr__(self, "probabilities", probs)
+        if probs:
+            probs[0].setflags(write=False)
+            object.__setattr__(self, "probabilities", probs[0])
 
     @property
     def embedding_dim(self) -> int:
@@ -150,68 +297,235 @@ class SentenceRecord:
     continuations: Optional[ContinuationSet] = None
 
     def __post_init__(self):
-        if _json_int(self.index, "index") < 0:
-            raise ValidationError("sentence index must be >= 0")
-        if self.text is not None and not isinstance(self.text, str):
-            raise ValidationError(f"sentence text must be a string, got {self.text!r}")
-        object.__setattr__(self, "embedding", _as_vector(self.embedding, "embedding"))
-        avg_ll = _json_number(self.avg_log_likelihood, "avg_ll")
-        if avg_ll is not None and not math.isfinite(avg_ll):
-            raise ValidationError("avg_log_likelihood must be finite")
-        sentiment = _json_number(self.sentiment, "sentiment")
-        if sentiment is not None and not -1.0 <= sentiment <= 1.0:
-            raise ValidationError("sentiment must lie in [-1, 1]")
+        _refuse(_record_fault(self.index, self.text, self.avg_log_likelihood, self.sentiment))
+        vectors = {"embedding": np.asarray(self.embedding, float)}
         for name in ("window_token_loglikes", "window_embedding"):
             windows = getattr(self, name)
             if windows is not None:
                 if not all(type(variant) is str for variant in windows):
                     raise ValidationError(f"{name} variants must be strings, got {list(windows)}")
-                object.__setattr__(self, name, {
-                    variant: _as_vector(vec, f"{name}[{variant!r}]")
-                    for variant, vec in windows.items()})
+                windows = {variant: np.asarray(vec, float) for variant, vec in windows.items()}
+                vectors.update((f"{name}[{variant!r}]", vec) for variant, vec in windows.items())
+                object.__setattr__(self, name, windows)
+        f = _Faults(1)  # one check of all the record's vectors
+        _check_vectors(f, list(vectors), *_array_vectors(list(vectors.values())),
+                       [0] * len(vectors))
+        _refuse(f.message)
+        for vec in vectors.values():
+            vec.setflags(write=False)
+        object.__setattr__(self, "embedding", vectors["embedding"])
 
 
-def _length_mismatch(rec: SentenceRecord, embedding_dim: int) -> Optional[str]:
-    """Which of rec's vectors does not have length embedding_dim, if any."""
-    if rec.embedding.shape[0] != embedding_dim:
-        return (f"embedding length {rec.embedding.shape[0]} does not match "
-                f"embedding_dim={embedding_dim}")
-    if rec.continuations is not None and rec.continuations.embedding_dim != embedding_dim:
-        return (f"continuation sample length {rec.continuations.embedding_dim} does not "
-                f"match embedding_dim={embedding_dim}")
-    for variant, vec in (rec.window_embedding or {}).items():
-        if vec.shape[0] != embedding_dim:
-            return (f"window_embedding[{variant!r}] length {vec.shape[0]} does not "
-                    f"match embedding_dim={embedding_dim}")
-    return None
+def _unchecked(cls, *values):
+    """An instance of the slotted dataclass `cls` with these field values,
+    not checked again: a view of columns that were."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class Windows(NamedTuple):
+    """One variant's windows: those of the sentences `rows`, in order, as
+    `values`, the log-likelihoods end to end or an (m, d) matrix of
+    embeddings, each window of `lengths` entries."""
+    rows: np.ndarray
+    values: np.ndarray
+    lengths: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """A trace, or rows of one, as whole-trace columns: one row per
+    sentence, with indices from `base`, and every array read-only. An
+    optional number is 0 where its mask is False. The continuation sets
+    hold counts[i] samples each (none if 0), all in `samples` in order;
+    `probs` holds the stored probabilities of the sets with has_probs."""
+    base: int
+    embeddings: np.ndarray     # (n, d)
+    text: tuple                # str or None
+    avg_ll: np.ndarray
+    has_avg_ll: np.ndarray
+    sentiment: np.ndarray
+    has_sentiment: np.ndarray
+    has_win_ll: np.ndarray     # whether a sentence has a window_token_loglikes mapping
+    win_ll: dict               # variant -> Windows of log-likelihoods
+    has_win_emb: np.ndarray
+    win_emb: dict              # variant -> Windows of embeddings
+    counts: np.ndarray
+    horizons: tuple            # an int, or 0 without a set
+    has_probs: np.ndarray
+    samples: np.ndarray        # (total, d)
+    scores: np.ndarray         # (total,)
+    has_score: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self):
+        arrays = [*vars(self).values(), *(a for w in self.win_ll.values() for a in w),
+                  *(a for w in self.win_emb.values() for a in w)]
+        for array in arrays:
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+
+    def starts(self, counts=None) -> np.ndarray:
+        """Where each row's set (or run of `counts`) starts in its column."""
+        counts = self.counts if counts is None else counts
+        return np.cumsum(counts) - counts
+
+
+def _bare_columns(base: int, embeddings: np.ndarray, text: tuple) -> Columns:
+    """Rows with an index, embedding and text each, and no other field."""
+    none, zeros = np.zeros(len(text), bool), np.zeros(len(text))
+    return Columns(base, embeddings, text, zeros, none, zeros, none, none, {}, none, {},
+                   np.zeros(len(text), np.intp), (0,) * len(text), none,
+                   np.empty((0, embeddings.shape[1])), np.empty(0), np.empty(0, bool),
+                   np.empty(0))
+
+
+def _gather(records, windows=None) -> Columns:
+    """The columns of checked records whose vectors have matching lengths
+    (their vectors copied), given their windows as _by_variant gives them."""
+    sets = [rec.continuations for rec in records]
+    samples = [s.embedding for c in sets if c is not None for s in c.samples]
+    stored = [c is not None and c.probabilities is not None for c in sets]
+    d = records[0].embedding.shape[0]
+    windows = windows or [_by_variant([getattr(rec, name) for rec in records])
+                          for name in ("window_token_loglikes", "window_embedding")]
+
+    def matrix(vectors: list) -> np.ndarray:  # np.stack takes several times as long
+        return np.concatenate(vectors).reshape(len(vectors), -1) if vectors else np.empty((0, d))
+
+    def by_variant(column: dict, join) -> dict:
+        return {variant: Windows(rows, join(vectors), np.array([v.size for v in vectors]))
+                for variant, (rows, vectors) in column.items()}
+    return Columns(
+        records[0].index, matrix([rec.embedding for rec in records]),
+        tuple(rec.text for rec in records),
+        *_optional([rec.avg_log_likelihood for rec in records]),
+        *_optional([rec.sentiment for rec in records]),
+        np.array([rec.window_token_loglikes is not None for rec in records]),
+        by_variant(windows[0], np.concatenate),
+        np.array([rec.window_embedding is not None for rec in records]),
+        by_variant(windows[1], matrix),
+        np.array([0 if c is None else len(c.samples) for c in sets], np.intp),
+        tuple(0 if c is None else c.horizon for c in sets), np.array(stored, bool),
+        matrix(samples),
+        *_optional([s.raw_score for c in sets if c is not None for s in c.samples]),
+        np.concatenate([c.probabilities for c, s in zip(sets, stored) if s] or [np.empty(0)]))
+
+
+def _views(c: Columns) -> tuple:
+    """The records of columns `c`, each vector a read-only view of its
+    column, with no copy and no second check."""
+    windows = []
+    for has, column in ((c.has_win_ll, c.win_ll), (c.has_win_emb, c.win_emb)):
+        rows = [{} if h else None for h in has.tolist()]
+        for variant, w in column.items():
+            vectors = w.values if w.values.ndim == 2 else np.split(w.values,
+                                                                   np.cumsum(w.lengths)[:-1])
+            for row, vec in zip(w.rows.tolist(), vectors):
+                rows[row][variant] = vec
+        windows.append(rows)
+    samples = [_unchecked(ContinuationSample, e, s if has else None)
+               for e, s, has in zip(c.samples, c.scores.tolist(), c.has_score.tolist())]
+    starts, prob_starts = c.starts().tolist(), c.starts(c.counts * c.has_probs).tolist()
+
+    def optional(values, present) -> list:
+        return [v if has else None for v, has in zip(values.tolist(), present.tolist())]
+    records = []
+    for r, (k, at, prob_at, avg_ll, sentiment) in enumerate(zip(
+            c.counts.tolist(), starts, prob_starts, optional(c.avg_ll, c.has_avg_ll),
+            optional(c.sentiment, c.has_sentiment))):
+        cont = k and _unchecked(ContinuationSet, c.horizons[r], tuple(samples[at:at + k]),
+                                c.probs[prob_at:prob_at + k] if c.has_probs[r] else None)
+        records.append(_unchecked(SentenceRecord, c.base + r, c.embeddings[r], c.text[r], avg_ll,
+                                  windows[0][r], windows[1][r], sentiment, cont or None))
+    return tuple(records)
+
+
+def _concat(parts: list) -> Columns:
+    """The rows of `parts`, a list of Columns it empties, in order: each
+    field's arrays are let go as that field is joined."""
+    parts[:] = [part for part in parts if part.text] or parts[:1]
+    if len(parts) == 1:
+        return parts.pop()
+    fields = [dict(vars(parts.pop(0))) for _ in range(len(parts))]
+    offsets = np.cumsum([0] + [len(f["text"]) for f in fields]).tolist()
+    joined = {}
+    for name in list(fields[0]):
+        values = [f.pop(name) for f in fields]
+        if name == "base":
+            joined[name] = values[0]
+        elif name in ("text", "horizons"):
+            joined[name] = tuple(itertools.chain.from_iterable(values))
+        elif name in ("win_ll", "win_emb"):
+            joined[name] = {variant: Windows(*map(np.concatenate, zip(*(
+                (w[variant].rows + at, *w[variant][1:]) for w, at in zip(values, offsets)
+                if variant in w)))) for variant in sorted(set(itertools.chain(*values)))}
+        else:
+            joined[name] = np.concatenate(values)
+    return Columns(**joined)
 
 
 @dataclass(frozen=True)
 class StoryTrace:
+    """A story's trace, held as `columns`. A trace built from records keeps
+    them as its `sentences`; one that was read builds them on first use, as
+    views of its columns."""
     story_id: str
     sentences: tuple[SentenceRecord, ...]
     embedding_dim: int
     meta: Mapping[str, str] = field(default_factory=dict)
+    columns: Columns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _file_name(self.story_id)
-        sentences = tuple(self.sentences)
-        if not sentences:
+        records = tuple(self.sentences)
+        if not records:
             raise ValidationError("a trace needs at least one sentence")
         if _json_int(self.embedding_dim, "embedding_dim") < 1:
             raise ValidationError("embedding_dim must be positive")
-        for pos, rec in enumerate(sentences):
-            if rec.index != pos:
-                raise ValidationError(
-                    f"sentence indices must be contiguous from 0; got {rec.index} at position {pos}")
-            mismatch = _length_mismatch(rec, self.embedding_dim)
-            if mismatch:
-                raise ValidationError(f"sentence {pos}: {mismatch}")
-        object.__setattr__(self, "sentences", sentences)
+        f = _Faults(len(records))
+        f.check((rec.index != pos for pos, rec in enumerate(records)), lambda pos:
+                "sentence indices must be contiguous from 0; got "
+                f"{records[pos].index} at position {pos}")
+        lengths = _Faults(f.end)  # a record's lengths are checked after its index
+        sets = [(pos, rec.continuations) for pos, rec in enumerate(records)
+                if rec.continuations is not None]
+        windows = [_by_variant([getattr(rec, name) for rec in records])
+                   for name in ("window_token_loglikes", "window_embedding")]
+        _check_lengths(lengths, self.embedding_dim,
+                       np.array([rec.embedding.shape[0] for rec in records]),
+                       np.array([c.embedding_dim for _, c in sets], np.intp),
+                       np.array([pos for pos, _ in sets], np.intp),
+                       {variant: (rows, np.array([v.shape[0] for v in vectors]))
+                        for variant, (rows, vectors) in windows[1].items()})
+        if lengths.message is not None:
+            raise ValidationError(f"sentence {lengths.end}: {lengths.message}")
+        _refuse(f.message)
+        object.__setattr__(self, "sentences", records)
+        object.__setattr__(self, "columns", _gather(records, windows))
         object.__setattr__(self, "meta", dict(_json_meta(self.meta)))
 
+    def __getattr__(self, name):
+        """The sentences of a trace that was read, built on first use."""
+        if name != "sentences":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        records = _views(self.columns)
+        object.__setattr__(self, "sentences", records)
+        return records
+
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.columns.text)
+
+
+def _trace_of(story_id: str, columns: Columns, embedding_dim: int, meta: dict) -> StoryTrace:
+    """The trace of columns that were checked, or built checked: its
+    sentences are built on first use, as views of its columns."""
+    trace = object.__new__(StoryTrace)
+    trace.__dict__.update(story_id=_file_name(story_id), embedding_dim=embedding_dim,
+                          meta=meta, columns=columns)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -364,16 +678,17 @@ def _record_parts(rec: SentenceRecord) -> list:
     return parts
 
 
-# Records are written in blocks of this many, and each distinct float of a
-# block is formatted once. Nearby records share floats (the provider's
-# continuation samples are other sentences' embeddings), but a block's
-# floats and their text are held until its lines are written. Building and
+# Records are written, and read, in blocks of this many. The reader holds a
+# block's decoded lines until it has built their columns. The writer formats
+# each distinct float of a block once: nearby records share floats (the
+# provider's continuation samples are other sentences' embeddings), but a
+# block's floats and their text are held until its lines are written. Building and
 # writing the three 100- to 400-sentence stories of perfbench's `build`
 # took 381, 341, 333, 339, 342 and 348 ms of CPU at 1, 8, 16, 32, 64 and
 # 128 records a block (medians of 24 interleaved rounds), and write_trace's
 # traced peak on the 400-sentence story was 0.06, 0.36, 0.68, 1.32, 2.59
 # and 5.03 MiB (2-core VM, Python 3.11, numpy 2.4).
-_WRITE_BLOCK = 32
+_BLOCK = 32
 
 
 def write_trace(trace: StoryTrace, path) -> None:
@@ -384,8 +699,8 @@ def write_trace(trace: StoryTrace, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_dump_line({"story_id": trace.story_id, "embedding_dim": trace.embedding_dim,
                              "meta": {k: trace.meta[k] for k in sorted(trace.meta)}}) + "\n")
-        for b in range(0, len(trace.sentences), _WRITE_BLOCK):
-            block = [_record_parts(rec) for rec in trace.sentences[b:b + _WRITE_BLOCK]]
+        for b in range(0, len(trace.sentences), _BLOCK):
+            block = [_record_parts(rec) for rec in trace.sentences[b:b + _BLOCK]]
             vectors = [part for parts in block for part in parts if type(part) is not str]
             floats = iter(each_distinct(float.__repr__, np.concatenate(vectors), object).tolist())
             for parts in block:
@@ -406,34 +721,171 @@ def _json_numbers(value, what: str):
     return value
 
 
-def _json_windows(windows, name: str):
-    """A per-variant window mapping whose vectors hold only numbers."""
-    if windows is None:
-        return None
-    return {variant: _json_numbers(vec, f"{name}[{variant!r}]")
-            for variant, vec in windows.items()}
+class _Scalar(list):
+    """A JSON vector field that numpy reads as a 0-d array, as its one value."""
 
 
-def _parse_continuations(obj) -> ContinuationSet:
+def _json_vector(value, what: str) -> list:
+    """A JSON vector field as a list of numbers, a _Scalar, or an error."""
+    if type(value) is list:
+        return _json_numbers(value, what)
+    return _Scalar([float(np.asarray(value, float))])
+
+
+def _json_vectors(vectors: list) -> tuple:
+    """_json_vector's lists as vectors for _check_vectors."""
+    lengths = np.fromiter(map(len, vectors), np.intp, len(vectors))
+    return (np.fromiter(itertools.chain.from_iterable(vectors), float, int(lengths.sum())),
+            lengths, [type(v) is _Scalar for v in vectors])
+
+
+def _fields(raw: str) -> tuple:
+    """The fields of a record line, each vector as _json_vector gives it,
+    and a continuation set as (n, [(sample e, score)], probs), its stored
+    probabilities renormalized: what the reader gathers into columns. A
+    line whose fields are not all there, or whose fields of one value are
+    faulty, raises a ValidationError with the line's message."""
     try:
-        samples = tuple(
-            ContinuationSample(embedding=np.asarray(_json_numbers(s["e"], "sample embedding"),
-                                                    float),
-                               raw_score=s.get("score"))
-            for s in obj["samples"]
-        )
-        probs = obj.get("probs")
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON: {exc}") from None
+    try:
+        e = _json_vector(obj["e"], "embedding")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"missing or malformed embedding: {exc}") from None
+    try:
+        index, cont = obj["index"], obj.get("cont")
+        windows = [None if win is None else {variant: _json_vector(vec, f"{name}[{variant!r}]")
+                                             for variant, vec in win.items()}
+                   for name, win in (("window_token_loglikes", obj.get("win_ll")),
+                                     ("window_embedding", obj.get("win_emb")))]
+        if cont is not None:
+            cont = _continuation_fields(cont)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"malformed record: {exc}") from None
+    fields = (index, obj.get("text"), e, obj.get("avg_ll"), *windows, obj.get("sentiment"), cont)
+    _refuse(_record_fault(index, fields[1], fields[3], fields[6]))
+    return fields
+
+
+def _continuation_fields(cont) -> tuple:
+    try:
+        samples = [(_json_vector(s["e"], "sample embedding"), s.get("score"))
+                   for s in cont["samples"]]
+        probs = cont.get("probs")
         if probs is not None:
-            probs = np.asarray(_json_numbers(probs, "continuation probabilities"), float)
-            total = float(probs.sum())
+            probs = _json_vector(probs, "continuation probabilities")
+            total = float(np.sum(probs))  # as np.sum adds it
             if abs(total - 1.0) > PROB_RENORM_TOL:
                 raise ValidationError(f"continuation probabilities sum to {total}, "
                                       f"outside renormalization tolerance")
             if total != 1.0 and total > 0:
-                probs = probs / total
-        return ContinuationSet(horizon=obj["n"], samples=samples, probabilities=probs)
+                probs = type(probs)(p / total for p in probs)
+        horizon = cont["n"]
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed continuation set: {exc}") from exc
+        raise ValidationError(f"malformed continuation set: {exc}") from None
+    for _, score in samples:
+        _refuse(_sample_fault(score))
+    _refuse(_set_fault(horizon, len(samples)))
+    return horizon, samples, probs
+
+
+def _read_block(raws: list, embedding_dim: int, index: Optional[int]) -> tuple[Columns, _Faults]:
+    """The columns of the record lines `raws` before the first faulty one,
+    and its fault. The first record must carry `index` (any, if None), and
+    each next one the index after it."""
+    f, fields = _Faults(len(raws)), []
+    for raw in raws:
+        try:
+            fields.append(_fields(raw))
+        except ValidationError as exc:
+            f.end, f.message = len(fields), str(exc)
+            break
+    indices, text, e, avg_ll, win_ll, win_emb, sentiment, conts = (
+        list(map(list, zip(*fields))) or [[]] * 8)
+    set_rows = np.array([r for r, c in enumerate(conts) if c is not None], np.intp)
+    sets = [c for c in conts if c is not None]
+    counts = np.array([len(samples) for _, samples, _ in sets], np.intp)
+    sample_rows = np.repeat(set_rows, counts)
+    samples = _json_vectors([v for _, samples, _ in sets for v, _ in samples])
+    _check_vectors(f, "sample embedding", *samples, sample_rows)
+    stored = np.array([probs is not None for *_, probs in sets], bool)
+    probs = _json_vectors([probs for *_, probs in sets if probs is not None])
+    _check_sets(f, counts, samples[1], probs, stored, set_rows, sample_rows)
+    vectors = _json_vectors(e)
+    _check_vectors(f, "embedding", *vectors)
+    windows = [_by_variant(win_ll), _by_variant(win_emb)]
+    for name, column in zip(("window_token_loglikes", "window_embedding"), windows):
+        for variant, (rows, vecs) in column.items():
+            flat, lengths, not_1d = _json_vectors(vecs)
+            _check_vectors(f, f"{name}[{variant!r}]", flat, lengths, not_1d, rows)
+            column[variant] = Windows(rows, flat, lengths)
+    _check_lengths(f, embedding_dim, vectors[1], samples[1][np.cumsum(counts) - counts],
+                   set_rows, {variant: (w.rows, w.lengths) for variant, w in windows[1].items()})
+    base = indices[0] if index is None and indices else index or 0
+    f.check((i != base + r for r, i in enumerate(indices[:f.end])), lambda r: f"sentence index "
+            f"{indices[r]}, expected {base + r}; indices must be contiguous from 0")
+    if f.end < len(fields):  # a fault among the rows read: the rows before it, read again
+        return _read_block(raws[:f.end], embedding_dim, index)[0], f
+    n, d = len(fields), embedding_dim
+    row_counts, row_stored, horizons = np.zeros(n, np.intp), np.zeros(n, bool), [0] * n
+    row_counts[set_rows], row_stored[set_rows] = counts, stored
+    for row, (horizon, _, _) in zip(set_rows.tolist(), sets):
+        horizons[row] = horizon
+    win_emb_columns = {variant: w._replace(values=w.values.reshape(-1, d))
+                       for variant, w in windows[1].items()}
+    columns = Columns(
+        base, vectors[0].reshape(n, d), tuple(text), *_optional(avg_ll), *_optional(sentiment),
+        np.array([w is not None for w in win_ll], bool), windows[0],
+        np.array([w is not None for w in win_emb], bool), win_emb_columns, row_counts,
+        tuple(horizons), row_stored, samples[0].reshape(-1, d),
+        *_optional([score for _, pairs, _ in sets for _, score in pairs]), probs[0])
+    return columns, f
+
+
+# Decodes a JSON float to the bytes of its literal and a JSON string to a
+# str, so a projected read converts only the floats it keeps, and can still
+# tell a number from a string.
+_PROJECTING_DECODER = json.JSONDecoder(parse_float=str.encode)
+
+
+def _project_block(raws: list, embedding_dim: int, index: Optional[int]
+                   ) -> tuple[Columns, _Faults]:
+    """_read_block's index, e and text columns of the record lines `raws`. A
+    line is taken as projected if it is a JSON object whose `index` is the
+    one it must carry, whose `e` holds `embedding_dim` finite JSON floats
+    (converted in one call for the block) and whose `text` is a string or
+    absent; any other line is judged by _read_block."""
+    objs = []
+    for raw in raws:
+        try:
+            objs.append(_PROJECTING_DECODER.decode(raw))
+        except json.JSONDecodeError:
+            objs.append(None)
+    ok = [type(o) is dict and type(o.get("index")) is int and o["index"] >= 0
+          and type(o.get("e")) is list and len(o["e"]) == embedding_dim
+          and set(map(type, o["e"])) == {bytes} and isinstance(o.get("text"), (str, type(None)))
+          for o in objs]
+    e = np.empty((len(raws), embedding_dim))
+    e[ok] = np.array([o["e"] for o, good in zip(objs, ok) if good], float).reshape(
+        -1, embedding_dim)
+    ok = np.array(ok, bool) & np.isfinite(e).all(axis=1)
+    f, text, base = _Faults(len(raws)), [], index
+    for r, raw in enumerate(raws):
+        want = None if base is None else base + r
+        if ok[r] and want in (None, objs[r]["index"]):
+            text.append(objs[r].get("text"))
+            base = objs[r]["index"] - r
+            continue
+        row, fault = _read_block([raw], embedding_dim, want)
+        if fault.message is not None:
+            f.end, f.message = r, fault.message
+            break
+        e[r], base = row.embeddings[0], row.base - r
+        text.append(row.text[0])
+    return _bare_columns(base or 0, e[:f.end], tuple(text)), f
 
 
 # Binary readline gathers a line longer than its file's buffer piece by
@@ -470,72 +922,6 @@ def content_lines(path, fh=None, end: float = math.inf) -> Iterator[tuple[int, s
                 yield no, text.rstrip("\n")
 
 
-# Decodes a JSON float to the bytes of its literal and a JSON string to a
-# str, so a projected read converts only the floats it keeps, and can still
-# tell a number from a string.
-_PROJECTING_DECODER = json.JSONDecoder(parse_float=str.encode)
-
-
-def _projected_record(raw: str, embedding_dim: int,
-                      index: Optional[int]) -> Optional[SentenceRecord]:
-    """The index, e and text of a record line, or None unless the line is a
-    JSON object whose `index` is the integer `index` (any, if None), whose
-    `e` holds `embedding_dim` finite JSON floats and whose `text` is a
-    string or absent."""
-    try:
-        obj = _PROJECTING_DECODER.decode(raw)
-    except json.JSONDecodeError:
-        return None
-    if type(obj) is not dict:
-        return None
-    e = obj.get("e")
-    if (type(obj.get("index")) is not int or index not in (None, obj["index"])
-            or type(e) is not list or len(e) != embedding_dim or set(map(type, e)) != {bytes}):
-        return None
-    try:  # refuses a non-string text, and a float literal out of range (read as inf)
-        return SentenceRecord(index=obj["index"], embedding=np.array(e, float),
-                              text=obj.get("text"))
-    except ValidationError:
-        return None
-
-
-def _full_record(path, line_no: int, raw: str, embedding_dim: int,
-                 index: Optional[int]) -> SentenceRecord:
-    """Every field of a record line, checked; a malformed one raises a
-    ParseError that names the line."""
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
-    try:
-        emb = np.asarray(_json_numbers(obj["e"], "embedding"), float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path} line {line_no}: missing or malformed embedding: {exc}") from exc
-    cont = obj.get("cont")
-    try:
-        rec = SentenceRecord(
-            index=obj["index"],
-            embedding=emb,
-            text=obj.get("text"),
-            avg_log_likelihood=obj.get("avg_ll"),
-            window_token_loglikes=_json_windows(obj.get("win_ll"), "window_token_loglikes"),
-            window_embedding=_json_windows(obj.get("win_emb"), "window_embedding"),
-            sentiment=obj.get("sentiment"),
-            continuations=_parse_continuations(cont) if cont is not None else None,
-        )
-    except ValidationError as exc:
-        raise ParseError(f"{path} line {line_no}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"{path} line {line_no}: malformed record: {exc}") from exc
-    mismatch = _length_mismatch(rec, embedding_dim)
-    if mismatch:
-        raise ParseError(f"{path} line {line_no}: {mismatch}")
-    if index not in (None, rec.index):
-        raise ParseError(f"{path} line {line_no}: sentence index {rec.index}, expected "
-                         f"{index}; indices must be contiguous from 0")
-    return rec
-
-
 def _trace_header(path, head_no: int, head: str) -> tuple[str, int, dict]:
     """The story_id, embedding_dim and meta of a trace header line."""
     try:
@@ -548,22 +934,10 @@ def _trace_header(path, head_no: int, head: str) -> tuple[str, int, dict]:
     return story_id, embedding_dim, meta
 
 
-def _record(path, line_no: int, raw: str, embedding_dim: int, index: Optional[int],
-            full: bool) -> SentenceRecord:
-    """The record on a line, which must carry `index` (any, if None): every
-    field, or with full=False its index, e and text."""
-    rec = None if full else _projected_record(raw, embedding_dim, index)
-    if rec is None:
-        rec = _full_record(path, line_no, raw, embedding_dim, index)
-        if not full:
-            rec = SentenceRecord(index=rec.index, embedding=rec.embedding, text=rec.text)
-    return rec
-
-
 def read_trace(path, *, full: bool = True) -> StoryTrace:
-    """The trace in `path`. With full=False its records carry only `index`,
-    `e` and `text`, and only those fields (with the header and the JSON
-    syntax of every line) are checked; a line the projection does not
+    """The trace in `path`. With full=False it holds only each record's
+    `index`, `e` and `text`, and only those fields (with the header and the
+    JSON syntax of every line) are checked; a line the projection does not
     accept is judged by the full read, so both give the same errors.
 
     The record lines are read in byte ranges, each cut just after a \\n: one,
@@ -581,69 +955,71 @@ def read_trace(path, *, full: bool = True) -> StoryTrace:
         for k in range(1, n):
             cuts.append(fh.seek(max(cuts[-1], head_end, size * k // n) - 1) + len(fh.readline()))
     spans = list(zip(cuts, cuts[1:] + [size]))
-    if n == 1:
-        parts = [_range_records(path, embedding_dim, full, spans[0])]
-    else:
-        parts = [_VectorUnpickler(*part).load()
-                 for part in _map(partial(_packed_range, path, embedding_dim, full), spans)]
-    records: list[SentenceRecord] = []
-    for (start, _), (part, fault) in zip(spans, parts):
-        if part and part[0].index != len(records):  # a gap at the cut, before any later fault
-            raise _line_fault(path, embedding_dim, full, start, None, len(records))
-        records += part
+    read = partial(_range_columns, path, embedding_dim, full)
+    parts = [read(spans[0])] if n == 1 else _map(read, spans)
+    done = 0  # the records of the ranges before
+    for (start, _), (columns, fault) in zip(spans, parts):
+        if columns.text and columns.base != done:  # a gap at the cut, before any later fault
+            raise _line_fault(path, embedding_dim, start, None, done)
+        done += len(columns.text)
         if fault is not None:
-            raise _line_fault(path, embedding_dim, full, start, fault, len(records))
-    if not records:
+            raise _line_fault(path, embedding_dim, start, fault, done)
+    if not done:
         raise ValidationError(f"{path}: trace has no sentences")
-    return StoryTrace(story_id=story_id, sentences=tuple(records),
-                      embedding_dim=embedding_dim, meta=meta)
+    return _trace_of(story_id, _concat([columns for columns, _ in parts]), embedding_dim, meta)
 
 
-def _range_records(path, embedding_dim: int, full: bool, span: tuple[int, int]):
-    """The records on the lines in bytes [start, end) of `path` up to the
-    first fault, and that fault's line, or None: its number counted from
-    `start`, and its text (None where it is not UTF-8). The range at 0
-    starts with the header, which read_trace has read, and its first record
-    must carry index 0; another range's first record carries its own index,
-    which read_trace checks against the records before it."""
+def _range_columns(path, embedding_dim: int, full: bool, span: tuple[int, int]):
+    """The columns of the records on the lines in bytes [start, end) of
+    `path` up to the first fault, and that fault's line, or None: its number
+    counted from `start`, and its text (None where it is not UTF-8). The
+    lines are read in blocks of _BLOCK, so that only one block's JSON
+    objects are held at once. The range at 0 starts with the header, which
+    read_trace has read, and its first record must carry index 0; another
+    range's first record carries its own index, which read_trace checks
+    against the records before it."""
     start, end = span
-    records: list[SentenceRecord] = []
-    index = 0 if start == 0 else None
+    blocks, fault, index = [], None, 0 if start == 0 else None
     with open(path, "rb", buffering=_LINE_BUFFER) as fh:
         fh.seek(start)
         lines = content_lines(path, fh, end)
         if start == 0:
             next(lines, None)
-        try:
-            for no, raw in lines:
-                try:
-                    records.append(_record(path, no, raw, embedding_dim, index, full))
-                except ParseError:
-                    return records, (no, raw)
-                index = records[-1].index + 1
-        except ParseError as fault:  # a line that is not UTF-8
-            return records, (fault.line_no, None)
-    return records, None
+        while fault is None:
+            nos, raws = [], []
+            try:
+                for no, raw in itertools.islice(lines, _BLOCK):
+                    nos.append(no)
+                    raws.append(raw)
+            except ParseError as exc:  # a line that is not UTF-8
+                fault = (exc.line_no, None)
+            columns, f = (_read_block if full else _project_block)(raws, embedding_dim, index)
+            blocks.append(columns)
+            if f.message is not None:
+                fault = (nos[f.end], raws[f.end])
+            if len(raws) < _BLOCK:
+                break
+            index = columns.base + len(raws)
+    return _concat(blocks), fault
 
 
-def _line_fault(path, embedding_dim: int, full: bool, start: int,
+def _line_fault(path, embedding_dim: int, start: int,
                 line: Optional[tuple[int, Optional[str]]], index: int) -> ParseError:
     """The error of a line of the range at byte `start`: `line` as
-    _range_records gives a fault, or, if None, the range's first line. Only
+    _range_columns gives a fault, or, if None, the range's first line. Only
     here are the line ends before `start` counted, for its number in the
-    file; a record line is judged again with that number and the index it
-    must carry, and fails again."""
+    file; a record line is judged again as a one-line read, with the index
+    it must carry, and fails again."""
     with open(path, "rb") as fh:
         head = fh.read(start)
         no, raw = line or next(content_lines(path, fh))
     no += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
     if raw is None:
         return ParseError(f"{path} line {no}: not valid UTF-8")
-    try:
-        _record(path, no, raw, embedding_dim, index, full)
-    except ParseError as exc:
-        return exc
-    raise AssertionError(f"{path} line {no} was judged a fault, and then not")
+    message = _read_block([raw], embedding_dim, index)[1].message
+    if message is None:
+        raise AssertionError(f"{path} line {no} was judged a fault, and then not")
+    return ParseError(f"{path} line {no}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -737,45 +1113,6 @@ def _worker_outcomes(pid: int, pipe) -> list:
         return pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError) as exc:
         raise RuntimeError(f"worker process {pid} of _map exited without its results") from exc
-
-
-def _packed_range(path, embedding_dim: int, full: bool, span: tuple[int, int]):
-    """_range_records of a range, for the pipe from a worker: pickled by
-    _VectorPickler, with the flat array of its vectors and their sizes."""
-    out = io.BytesIO()
-    pickler = _VectorPickler(out)
-    pickler.dump(_range_records(path, embedding_dim, full, span))
-    vectors = pickler.vectors or [np.empty(0)]
-    return out.getvalue(), np.concatenate(vectors), [v.size for v in vectors]
-
-
-class _VectorPickler(pickle.Pickler):
-    """Pickles records with their vectors held out, in `vectors`, so that
-    they travel as one flat array: one pickled array instead of thousands."""
-
-    def __init__(self, file):
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self.vectors: list[np.ndarray] = []
-
-    def persistent_id(self, obj):
-        if type(obj) is not np.ndarray:
-            return None
-        self.vectors.append(obj)
-        return len(self.vectors) - 1
-
-
-class _VectorUnpickler(pickle.Unpickler):
-    """Loads what _VectorPickler packed, each vector a read-only view of
-    the flat array, as read-only as the serial read's vectors."""
-
-    def __init__(self, data: bytes, flat: np.ndarray, sizes: list[int]):
-        super().__init__(io.BytesIO(data))
-        flat.setflags(write=False)  # before any view of it is taken
-        self.vectors = [flat[end - size:end]
-                        for end, size in zip(itertools.accumulate(sizes), sizes)]
-
-    def persistent_load(self, pid):
-        return self.vectors[pid]
 
 
 _TOKEN_TO_JUDGMENT = {j.value: j for j in Judgment}

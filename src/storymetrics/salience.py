@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotation import zscore
-from .model import (DegenerateStatisticsError, MetricSeries, SentenceRecord, StoryTrace,
-                    ValidationError, per_sentence_series)
-from .suspense import DistanceKind, _distances, consecutive_distances, distance
+from .model import (Columns, DegenerateStatisticsError, MetricSeries, SentenceRecord, StoryTrace,
+                    ValidationError, _Faults, _gather, _refuse, per_sentence_series)
+from .suspense import DistanceKind, _distances, consecutive_distances
 
 
 @dataclass(frozen=True)
@@ -36,21 +36,22 @@ class SalienceConfig:
 
 def coherence(token_loglikes) -> float:
     """Length-normalized log-likelihood of a window, nats per token."""
-    vals = np.asarray(token_loglikes, float)
+    vals = np.asarray(token_loglikes, float).ravel()
     if vals.size == 0:
         raise ValidationError("coherence of an empty window is undefined")
-    return float(_coherences([vals])[0])
+    return float(_coherences(vals, np.array([vals.size]))[0])
 
 
-def _coherences(windows: list) -> np.ndarray:
-    """coherence of each non-empty window. Each group of equal-length windows
-    is one mean(axis=1), which adds a row as np.mean adds it alone
+def _coherences(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """coherence of each non-empty window, the windows given end to end in
+    `values`, with their lengths. Each group of equal-length windows is one
+    mean(axis=1), which adds a row as np.mean adds it alone
     (np.add.reduceat(...) / n differs in the last bit)."""
-    lengths = np.array([w.shape[0] for w in windows], np.intp)
-    means = np.empty(len(windows))
+    starts = np.cumsum(lengths) - lengths
+    means = np.empty(len(lengths))
     for length in np.unique(lengths).tolist():
         rows = np.flatnonzero(lengths == length)
-        means[rows] = np.stack([windows[i] for i in rows.tolist()]).mean(axis=1)
+        means[rows] = values[starts[rows, None] + np.arange(length)].mean(axis=1)
     return means
 
 
@@ -62,47 +63,53 @@ def bcf_salience(c_base: float, c_variant: float) -> float:
     return c_base - c_variant
 
 
+def _paired(c: Columns, windows: dict, variant: str, rows: np.ndarray, what: str):
+    """The first fault among the sentences `rows` (those with windows): one
+    without a 'base' and a `variant` window. With it, the base and variant
+    Windows, each with the positions of the windows of the rows before the
+    fault (none if there are no such rows)."""
+    f, pair = _Faults(len(rows)), [windows.get(name) for name in ("base", variant)]
+    have = np.ones(len(rows), bool)
+    for w in pair:
+        have &= np.isin(rows, w.rows) if w else False
+    f.check(~have, lambda k: f"sentence {c.base + rows[k]}: {what} for 'base' and "
+            f"{variant!r} required")
+    rows = rows[:f.end]
+    return f, [(w, np.searchsorted(w.rows, rows)) for w in pair] if len(rows) else []
+
+
 def variant_salience(rec: SentenceRecord, variant: str) -> float:
     """BCF salience of the window after `variant` (deleted, swapped or
     no_knowledge) is applied to the sentence."""
-    return float(_variant_saliences([rec], variant)[0])
+    return float(_variant_saliences(_gather([rec]), variant, np.zeros(1, np.intp))[0])
 
 
-def _variant_saliences(records, variant: str) -> np.ndarray:
-    """variant_salience of each record, from one _coherences call. The
-    first record in order whose windows are missing or empty, or whose
+def _variant_saliences(c: Columns, variant: str, rows: np.ndarray) -> np.ndarray:
+    """variant_salience of the sentences `rows`, from one _coherences call
+    per variant. The first of them whose windows are missing, or whose
     coherences are not finite, raises."""
-    windows, fault = [], None
-    for rec in records:
-        win = rec.window_token_loglikes
-        if win is None or "base" not in win or variant not in win:
-            fault = (f"sentence {rec.index}: window log-likelihoods for 'base' and "
-                     f"{variant!r} required")
-        elif not (win["base"].size and win[variant].size):
-            fault = f"sentence {rec.index}: coherence of an empty window is undefined"
-        if fault is not None:
-            break
-        windows += (win["base"], win[variant])
-    coherences = _coherences(windows).reshape(-1, 2)
-    infinite = np.flatnonzero(~np.isfinite(coherences).all(axis=1))
-    if infinite.size:
-        fault = f"sentence {records[infinite[0]].index}: coherences must be finite"
-    if fault is not None:
-        raise ValidationError(fault)
+    f, pair = _paired(c, c.win_ll, variant, rows, "window log-likelihoods")
+    coherences = (np.stack([_coherences(w.values, w.lengths)[at] for w, at in pair], axis=1)
+                  if pair else np.zeros((0, 2)))
+    f.check(~np.isfinite(coherences).all(axis=1),
+            lambda k: f"sentence {c.base + rows[k]}: coherences must be finite")
+    _refuse(f.message)
     return coherences[:, 0] - coherences[:, 1]
-
-
-def _base_and_deleted(rec: SentenceRecord) -> tuple[np.ndarray, np.ndarray]:
-    win = rec.window_embedding
-    if win is None or "base" not in win or "deleted" not in win:
-        raise ValidationError(
-            f"sentence {rec.index}: window embeddings for 'base' and 'deleted' required")
-    return win["base"], win["deleted"]
 
 
 def emb_salience(rec: SentenceRecord) -> float:
     """Cosine distance between the base and deleted window embeddings."""
-    return distance(*_base_and_deleted(rec), DistanceKind.COSINE)
+    return float(_emb_saliences(_gather([rec]), np.zeros(1, np.intp))[0])
+
+
+def _emb_saliences(c: Columns, rows: np.ndarray) -> np.ndarray:
+    """emb_salience of the sentences `rows`, as one cosine-distance call
+    over their base and deleted window embeddings."""
+    f, pair = _paired(c, c.win_emb, "deleted", rows, "window embeddings")
+    _refuse(f.message)
+    if not pair:
+        return np.zeros(0)
+    return _distances(*(w.values[at] for w, at in pair), DistanceKind.COSINE)
 
 
 def imp_adjust(salience: float, sentiment: float) -> float:
@@ -156,7 +163,7 @@ def _cosine_to_centroids(unit: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def clus_salience(embeddings, cfg: SalienceConfig) -> MetricSeries:
     """Centroid-proximity salience: negated cosine distance to the assigned
     k-means centroid, one cluster per cfg.clus_per sentences."""
-    embs = np.stack([np.asarray(e, float) for e in embeddings])
+    embs = np.asarray(embeddings, float)
     n = embs.shape[0]
     norms = np.linalg.norm(embs, axis=1)
     if np.any(norms == 0):
@@ -201,11 +208,10 @@ def positional_baseline(n: int, kind: str, seed: int = 0) -> MetricSeries:
 def _window_variant(variant: str):
     def series(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
         # The last sentence has no following window.
-        available = np.array([rec.window_token_loglikes is not None for rec in trace.sentences])
+        c = trace.columns
         values = np.zeros(len(trace))
-        values[available] = _variant_saliences(
-            [rec for rec, has in zip(trace.sentences, available) if has], variant)
-        return per_sentence_series("measure", cfg.measure, trace, values, available)
+        values[c.has_win_ll] = _variant_saliences(c, variant, np.flatnonzero(c.has_win_ll))
+        return per_sentence_series("measure", cfg.measure, trace, values, c.has_win_ll)
     return series
 
 
@@ -214,19 +220,15 @@ def _positional(kind: str):
 
 
 def _emb_sal(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
-    """emb_salience of each sentence with window embeddings, as one
-    cosine-distance call over their stacked base and deleted rows."""
-    available = np.array([rec.window_embedding is not None for rec in trace.sentences])
-    pairs = [_base_and_deleted(rec) for rec, has in zip(trace.sentences, available) if has]
+    c = trace.columns
     values = np.zeros(len(trace))
-    if pairs:
-        values[available] = _distances(*map(np.stack, zip(*pairs)), DistanceKind.COSINE)
-    return per_sentence_series("measure", cfg.measure, trace, values, available)
+    values[c.has_win_emb] = _emb_saliences(c, np.flatnonzero(c.has_win_emb))
+    return per_sentence_series("measure", cfg.measure, trace, values, c.has_win_emb)
 
 
 def _clus(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
     # clus_salience is looked up when called, so a wrapped one is used.
-    return clus_salience([rec.embedding for rec in trace.sentences], cfg)
+    return clus_salience(trace.columns.embeddings, cfg)
 
 
 # measure -> series(trace, cfg)
@@ -252,12 +254,9 @@ def salience_series(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
     # finite inputs can overflow; the series then names its first non-finite sentence
     with np.errstate(over="ignore", invalid="ignore"):
         series = _MEASURES[cfg.measure](trace, cfg)
-    if cfg.imp_adjust:
-        adjusted = np.array([
-            imp_adjust(v, rec.sentiment if rec.sentiment is not None else 0.0)
-            for v, rec in zip(series.values, trace.sentences)
-        ])
-        series = MetricSeries(name=series.name + "_imp", values=adjusted)
+        if cfg.imp_adjust:  # imp_adjust of each; an absent sentiment is 0
+            series = MetricSeries(name=series.name + "_imp", values=series.values * (
+                1.0 + np.abs(trace.columns.sentiment)))
     if cfg.combine_like_clus and cfg.measure != "clus":
         series = combine_like_clus(series, _clus(trace, cfg))
     return series

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import (ContinuationSet, MetricSeries, StoryTrace, ValidationError,
-                    per_sentence_series)
+from .model import (Columns, ContinuationSet, MetricSeries, SentenceRecord, StoryTrace,
+                    ValidationError, _gather, _unchecked, per_sentence_series)
 
 
 class DistanceKind(Enum):
@@ -118,8 +118,7 @@ def alpha_weight(sentiment: float, cfg: MetricConfig) -> float:
     different multipliers."""
     if not (-1.0 <= sentiment <= 1.0):
         raise ValidationError(f"sentiment must lie in [-1, 1], got {sentiment}")
-    weight = cfg.alpha_pos_weight if sentiment >= 0 else cfg.alpha_neg_weight
-    return cfg.alpha_floor + weight * abs(sentiment)
+    return float(_alphas(np.array([sentiment], float), np.ones(1, bool), cfg)[0])
 
 
 def weighted_suspense(e_t, cont: ContinuationSet, alphas, kind: DistanceKind) -> float:
@@ -129,7 +128,9 @@ def weighted_suspense(e_t, cont: ContinuationSet, alphas, kind: DistanceKind) ->
     if np.any(alphas < 0):
         raise ValidationError("alphas must be non-negative")
     state, _ = _check_samples(e_t, cont.sample_embeddings(), "continuation")
-    return float(_weighted_distances(state, [cont], kind, alphas)[0])
+    c = _gather([_unchecked(SentenceRecord, 0, state[0], *[None] * 5, cont)])
+    return float(_weighted_distances(c, np.zeros(1, np.intp), len(cont.samples), state, kind,
+                                     alphas)[0])
 
 
 def sample_ely_suspense(state, samples: Sequence, kind: DistanceKind) -> float:
@@ -192,18 +193,6 @@ def _distances(a: np.ndarray, b: np.ndarray, kind: DistanceKind) -> np.ndarray:
     raise ValidationError(f"unknown distance kind {kind!r}")
 
 
-def _embeddings(trace: StoryTrace) -> np.ndarray:
-    return np.stack([rec.embedding for rec in trace.sentences])
-
-
-def _continuations(trace: StoryTrace) -> list[Optional[ContinuationSet]]:
-    return [rec.continuations for rec in trace.sentences]
-
-
-def _present(sets: Sequence) -> np.ndarray:
-    return np.array([c is not None for c in sets], bool)
-
-
 def _after_first(values, available=None) -> tuple[np.ndarray, np.ndarray]:
     """The curve of a metric that needs the preceding sentence, from its
     values at sentences 1..n-1: sentence 0 has no inputs."""
@@ -212,51 +201,47 @@ def _after_first(values, available=None) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0.0], values)), np.concatenate(([False], available))
 
 
-def _by_sample_count(sets: Sequence[Optional[ContinuationSet]]):
-    """The continuation sets in `sets`, grouped by sample count: a list of
-    (positions, group) pairs, with the group's sets in position order."""
-    groups: dict[int, list[int]] = {}
-    for pos, cont in enumerate(sets):
-        if cont is not None:
-            groups.setdefault(len(cont.samples), []).append(pos)
-    return [(np.array(positions), [sets[p] for p in positions])
-            for positions in groups.values()]
+def _groups(counts: np.ndarray) -> list:
+    """The rows with a continuation set, grouped by sample count: a list of
+    (rows, count) pairs."""
+    return [(np.flatnonzero(counts == k), k) for k in np.unique(counts[counts > 0]).tolist()]
 
 
-def _slots(group: Sequence[ContinuationSet]):
-    """The (m, d) block of the j-th samples of the group's sets, for each
-    slot j, built one at a time so that one block is alive at once."""
-    return (np.stack([cont.samples[j].embedding for cont in group])
-            for j in range(len(group[0].samples)))
+def _slot_blocks(c: Columns, pos: np.ndarray, k: int):
+    """The (m, d) block of the j-th samples of the sets of the rows `pos`,
+    each of k samples, for each slot j, taken one at a time so that one
+    block is alive at once."""
+    starts = c.starts()[pos]
+    return (c.samples[starts + j] for j in range(k))
 
 
-def _weighted(group: Sequence[ContinuationSet], states: np.ndarray, column=None):
-    """The (m, k) continuation weights of the group's sets, whose sentences
-    have the embeddings `states`: each set's stored probabilities, or else
-    continuation_distribution, computed only for the sets that store none.
-    With `column`, also the (m, k) array of column(block) over the slots,
-    from the same pass over the blocks."""
-    stored = [cont.probabilities for cont in group]
-    soft = np.array([probs is None for probs in stored])
+def _weighted(c: Columns, pos: np.ndarray, k: int, states: np.ndarray, column=None):
+    """The (m, k) continuation weights of the sets of the rows `pos`, each
+    of k samples, whose sentences have the embeddings `states`: each set's
+    stored probabilities, or else continuation_distribution, computed only
+    for the sets that store none. With `column`, also the (m, k) array of
+    column(block) over the slots, from the same pass over the blocks."""
+    soft = ~c.has_probs[pos]
     some, every = soft.any(), soft.all()
     sims, columns = [], []
-    for block in _slots(group):
+    for block in _slot_blocks(c, pos, k):
         if some:
             sims.append(_cosines(states, block) if every else _cosines(states[soft], block[soft]))
         if column is not None:
             columns.append(column(block))
-    weights = np.empty((len(group), len(group[0].samples)))
+    weights = np.empty((len(pos), k))
     if not every:
-        weights[~soft] = [probs for probs in stored if probs is not None]
+        stored = c.starts(c.counts * c.has_probs)[pos[~soft]]
+        weights[~soft] = c.probs[stored[:, None] + np.arange(k)]
     if some:
         weights[soft] = softmax(np.stack(sims, axis=1))
     return weights, np.stack(columns, axis=1) if columns else None
 
 
-def _weighted_distances(states, group, kind, alphas=None) -> np.ndarray:
-    """weighted_suspense of each state over its set in `group`, with alphas
-    per state (m, 1) or per sample (k,), or ely_suspense without them."""
-    weights, dists = _weighted(group, states, lambda block: _distances(states, block, kind))
+def _weighted_distances(c, pos, k, states, kind, alphas=None) -> np.ndarray:
+    """weighted_suspense of each state over its set, with alphas per state
+    (m, 1) or per sample (k,), or ely_suspense without them."""
+    weights, dists = _weighted(c, pos, k, states, lambda block: _distances(states, block, kind))
     if alphas is not None:
         weights = weights * alphas
     return (weights * dists).sum(axis=1)
@@ -274,16 +259,21 @@ def _distances_to_means(states, sample_sets, kind) -> np.ndarray:
     return _distances(states, means, kind)
 
 
+def _alphas(sentiment: np.ndarray, present: np.ndarray, cfg: MetricConfig) -> np.ndarray:
+    """alpha_weight of each present sentiment, and 0 for an absent one."""
+    weights = np.where(sentiment >= 0, cfg.alpha_pos_weight, cfg.alpha_neg_weight)
+    return np.where(present, cfg.alpha_floor + weights * np.abs(sentiment), 0.0)
+
+
 def _sentiment_alphas(trace: StoryTrace, cfg: MetricConfig) -> np.ndarray:
     # Sample sentiments are not carried in the trace, so a sentence's weight
     # also applies to each of its continuation samples.
-    return np.array([0.0 if rec.sentiment is None else alpha_weight(rec.sentiment, cfg)
-                     for rec in trace.sentences])
+    return _alphas(trace.columns.sentiment, trace.columns.has_sentiment, cfg)
 
 
 def consecutive_distances(trace: StoryTrace, kind: DistanceKind):
     """ely_surprise of each sentence: its distance to the preceding one."""
-    e = _embeddings(trace)
+    e = trace.columns.embeddings
     return _after_first(_distances(e[1:], e[:-1], kind))
 
 
@@ -294,23 +284,24 @@ def _alpha_ely_surprise(trace, cfg):
 
 def _expected_distance(trace, cfg, alphas=None):
     """ely_suspense, or weighted_suspense with one alpha per sentence."""
-    e, sets = _embeddings(trace), _continuations(trace)
+    c = trace.columns
     values = np.zeros(len(trace))
-    for pos, group in _by_sample_count(sets):
-        values[pos] = _weighted_distances(e[pos], group, cfg.distance,
+    for pos, k in _groups(c.counts):
+        values[pos] = _weighted_distances(c, pos, k, c.embeddings[pos], cfg.distance,
                                           None if alphas is None else alphas[pos, None])
-    return values, _present(sets)
+    return values, c.counts > 0
 
 
 def _hale_surprise(trace, cfg):
     """Surprisal of each sentence, whose probability is the weight of the
     preceding sentence's continuation sample most similar to it. A sentence
     realizing a zero-weight sample has no surprisal."""
-    e, sets = _embeddings(trace), _continuations(trace)[:-1]
-    values, available = np.zeros(len(sets)), np.zeros(len(sets), bool)
-    for pos, group in _by_sample_count(sets):
+    c = trace.columns
+    e = c.embeddings
+    values, available = np.zeros(len(trace) - 1), np.zeros(len(trace) - 1, bool)
+    for pos, k in _groups(c.counts[:-1]):
         realized = e[pos + 1]
-        weights, sims = _weighted(group, e[pos], lambda block: _cosines(realized, block))
+        weights, sims = _weighted(c, pos, k, e[pos], lambda block: _cosines(realized, block))
         p = weights[np.arange(len(pos)), sims.argmax(axis=1)]
         real = p > 0
         values[pos[real]] = [hale_surprise(x) for x in p[real].tolist()]
@@ -319,36 +310,36 @@ def _hale_surprise(trace, cfg):
 
 
 def _hale_uncertainty_reduction(trace, cfg):
-    e, sets = _embeddings(trace), _continuations(trace)
-    has = _present(sets)
+    c = trace.columns
+    has = c.counts > 0
     both = has[:-1] & has[1:]  # (t-1, t) pairs that both have continuations
     used = np.concatenate((both, [False])) | np.concatenate(([False], both))
     h = np.zeros(len(trace))
-    for pos, group in _by_sample_count([c if u else None for c, u in zip(sets, used)]):
-        h[pos] = [entropy(w) for w in _weighted(group, e[pos])[0]]
+    for pos, k in _groups(c.counts * used):
+        h[pos] = [entropy(w) for w in _weighted(c, pos, k, c.embeddings[pos])[0]]
     return _after_first(h[:-1] - h[1:], both)
 
 
 def _sample_ely_surprise(trace, cfg):
-    e, sets = _embeddings(trace), _continuations(trace)[:-1]
-    values = np.zeros(len(sets))
-    for pos, group in _by_sample_count(sets):
-        values[pos] = _distances_to_means(e[pos + 1], [c.sample_embeddings() for c in group],
-                                          cfg.distance)
-    return _after_first(values, _present(sets))
+    c = trace.columns
+    values = np.zeros(len(trace) - 1)
+    for pos, k in _groups(c.counts[:-1]):
+        values[pos] = _distances_to_means(
+            c.embeddings[pos + 1], [c.samples[at:at + k] for at in c.starts()[pos].tolist()],
+            cfg.distance)
+    return _after_first(values, c.counts[:-1] > 0)
 
 
 def _sample_ely_suspense(trace, cfg):
-    e, sets = _embeddings(trace), _continuations(trace)
+    c = trace.columns
     values = np.zeros(len(trace))
-    for pos, group in _by_sample_count(sets):
-        values[pos] = _mean_distances(e[pos], _slots(group), cfg.distance)
-    return values, _present(sets)
+    for pos, k in _groups(c.counts):
+        values[pos] = _mean_distances(c.embeddings[pos], _slot_blocks(c, pos, k), cfg.distance)
+    return values, c.counts > 0
 
 
 def _word_overlap(trace, cfg):
-    words = [None if rec.text is None else set(rec.text.lower().split())
-             for rec in trace.sentences]
+    words = [None if text is None else set(text.lower().split()) for text in trace.columns.text]
     pairs = list(zip(words[1:], words[:-1]))
     available = np.array([a is not None and b is not None and bool(a or b) for a, b in pairs],
                          bool)
@@ -357,13 +348,15 @@ def _word_overlap(trace, cfg):
 
 
 def _embedding_similarity(trace, cfg):
-    e = _embeddings(trace)
+    e = trace.columns.embeddings
     return _after_first(_cosines(e[1:], e[:-1]))
 
 
 def _perplexity(trace, cfg):
-    lls = [rec.avg_log_likelihood for rec in trace.sentences]
-    return [0.0 if ll is None else perplexity(-ll) for ll in lls], _present(lls)
+    c = trace.columns
+    values = np.zeros(len(trace))
+    values[c.has_avg_ll] = [perplexity(-ll) for ll in c.avg_ll[c.has_avg_ll].tolist()]
+    return values, c.has_avg_ll
 
 
 # name -> curve(trace, cfg) -> (values, available)
@@ -380,7 +373,7 @@ _METRICS = {
     "word_overlap": _word_overlap,
     "embedding_similarity": _embedding_similarity,
     "alpha_sentiment": lambda trace, cfg:
-        (_sentiment_alphas(trace, cfg), _present([rec.sentiment for rec in trace.sentences])),
+        (_sentiment_alphas(trace, cfg), trace.columns.has_sentiment),
     "perplexity": _perplexity,
 }
 METRIC_NAMES = tuple(_METRICS)

@@ -356,9 +356,11 @@ def _assert_matches_reference(sentences, window_tokens, n_continuations, seed, d
         else:
             np.testing.assert_array_equal(rec.continuations.sample_embeddings(),
                                           np.asarray(conts))
-    # one sample per sentence, shared by every set that samples it
-    assert len({id(s) for rec in trace.sentences if rec.continuations
-                for s in rec.continuations.samples}) <= len(trace)
+    # the trace holds each vector once, in its columns: its records are views
+    assert all(np.shares_memory(rec.embedding, trace.columns.embeddings)
+               and all(np.shares_memory(s.embedding, trace.columns.samples)
+                       for s in (rec.continuations.samples if rec.continuations else ()))
+               for rec in trace.sentences)
 
 
 _WORDS = st.sampled_from(["a", "b", "c", "storm", "door"])

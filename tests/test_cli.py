@@ -338,7 +338,8 @@ def test_evaluate_turning_points(tmp_path, demo_trace):
 
 @pytest.mark.parametrize("entries, named", [
     (["1", "2", "3", "4", "98"], "position 98"),
-    (["1 0 2", "2 1 3", "3 2 4", "4 3 5", "20 15 99"], "window (15, 99)")])
+    # a blank line before the entry: the line is counted in the file
+    (["1 0 2", "2 1 3", "3 2 4", "", "4 3 5", "20 15 99"], "window (15, 99)")])
 def test_evaluate_turning_point_gold_past_series_exit_2(tmp_path, capsys, entries, named):
     csv = tmp_path / "story.csv"
     csv.write_text("sentence,ely_surprise\n" + "".join(f"{i},{i % 3}.5\n" for i in range(8)))
@@ -348,7 +349,8 @@ def test_evaluate_turning_point_gold_past_series_exit_2(tmp_path, capsys, entrie
                  "--out", str(tmp_path / "r.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(gold) in err and named in err and "8 sentences" in err
+    line = 1 + len(entries)  # the faulty entry is the last, after the header
+    assert f"{gold} line {line}: gold {named} is out of range" in err and "8 sentences" in err
 
 
 def test_evaluate_salience_with_rouge(tmp_path, demo_trace):
@@ -380,7 +382,10 @@ def test_evaluate_salience_trace_shorter_than_inputs_exit_2(tmp_path, demo_trace
     assert code == 2
     err = capsys.readouterr().err
     assert str(demo_trace) in err
-    assert str(gold_path if csv_rows == 6 else csv) in err
+    if csv_rows == 6:  # write_gold puts every index on line 2
+        assert f"{gold_path} line 2: gold index 6 is beyond the 6 sentences" in err
+    else:
+        assert str(csv) in err
     assert not (tmp_path / "sal.csv").exists()
 
 
@@ -775,6 +780,20 @@ def test_overflow_exits_2_without_warning(tmp_path, demo_trace, capsys, option, 
     assert err.startswith(f"error: {bad}: ")
     assert "sentence 3" in err
     assert "Warning" not in err
+
+
+def test_zscore_overflow_exits_4_without_warning(tmp_path, demo_trace, capsys):
+    """A finite e entry of 1e150 makes a finite ely_surprise near 1e300,
+    whose standard deviation overflows: an error, not a column of zeros."""
+    bad = tmp_path / "bad.trace"
+    _with_record_field(demo_trace, bad, 5, "e", lambda e: [1e150, *e[1:]])
+    out = tmp_path / "x"
+    assert main(["analyze", "--trace", str(bad), "--metrics", "ely_surprise", "--zscore",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: series 'ely_surprise' cannot be z-scored")
+    assert "Warning" not in err
+    assert not list(out.glob("*.csv"))
 
 
 def _run_python(code: str, **env) -> str:

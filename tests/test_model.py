@@ -14,10 +14,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from storymetrics import model
-from storymetrics.model import (AnnotationSet, ContinuationSample,
+from storymetrics.model import (PROB_RENORM_TOL, AnnotationSet, ContinuationSample,
                                 ContinuationSet, GoldLabels, Judgment,
                                 MetricSeries, ParseError, SentenceRecord,
-                                StoryTrace, ValidationError, _projected_record,
+                                StoryTrace, ValidationError, _json_numbers,
                                 read_annotations, read_gold, read_trace,
                                 write_annotations, write_gold, write_trace)
 
@@ -358,9 +358,9 @@ def test_write_trace_equals_old_encoder(tmp_path_factory, trace):
     """write_trace formats each distinct float of a block of records once;
     the bytes are those of json.dumps over each record's dict, at any block
     size."""
-    for block in (1, 3, model._WRITE_BLOCK):
+    for block in (1, 3, model._BLOCK):
         path = tmp_path_factory.mktemp("write") / "t.trace"
-        with patch.object(model, "_WRITE_BLOCK", block):
+        with patch.object(model, "_BLOCK", block):
             write_trace(trace, path)
         assert path.read_bytes() == _oracle_bytes(trace)
 
@@ -513,13 +513,130 @@ def test_projected_read_equals_full_read(tmp_path_factory, trace):
         assert (repr(a.index), repr(a.text)) == (repr(b.index), repr(b.text))
         assert a.embedding.tobytes() == b.embedding.tobytes()
         assert a.continuations is None and a.window_token_loglikes is None
-    # every record write_trace emits takes the projection, not the fallback
-    records = path.read_text().splitlines()[1:]
-    assert all(_projected_record(raw, trace.embedding_dim, i) is not None
-               for i, raw in enumerate(records))
+    # every record write_trace emits takes the projection, not the full read
+    with patch.object(model, "_read_block", side_effect=AssertionError("judged in full")):
+        assert len(read_trace(path, full=False)) == len(trace)
 
 
 # --- the read in byte ranges, against the text-I/O read ---------------------
+
+# The per-record reader read_trace had before it filled whole-trace
+# columns, kept as its oracle: each line decoded and built into a checked
+# SentenceRecord, one at a time.
+def _length_mismatch(rec: SentenceRecord, embedding_dim: int):
+    """Which of rec's vectors does not have length embedding_dim, if any."""
+    if rec.embedding.shape[0] != embedding_dim:
+        return (f"embedding length {rec.embedding.shape[0]} does not match "
+                f"embedding_dim={embedding_dim}")
+    if rec.continuations is not None and rec.continuations.embedding_dim != embedding_dim:
+        return (f"continuation sample length {rec.continuations.embedding_dim} does not "
+                f"match embedding_dim={embedding_dim}")
+    for variant, vec in (rec.window_embedding or {}).items():
+        if vec.shape[0] != embedding_dim:
+            return (f"window_embedding[{variant!r}] length {vec.shape[0]} does not "
+                    f"match embedding_dim={embedding_dim}")
+    return None
+
+
+def _json_windows(windows, name: str):
+    """A per-variant window mapping whose vectors hold only numbers."""
+    if windows is None:
+        return None
+    return {variant: _json_numbers(vec, f"{name}[{variant!r}]")
+            for variant, vec in windows.items()}
+
+
+def _parse_continuations(obj) -> ContinuationSet:
+    try:
+        samples = tuple(
+            ContinuationSample(embedding=np.asarray(_json_numbers(s["e"], "sample embedding"),
+                                                    float),
+                               raw_score=s.get("score"))
+            for s in obj["samples"]
+        )
+        probs = obj.get("probs")
+        if probs is not None:
+            probs = np.asarray(_json_numbers(probs, "continuation probabilities"), float)
+            total = float(probs.sum())
+            if abs(total - 1.0) > PROB_RENORM_TOL:
+                raise ValidationError(f"continuation probabilities sum to {total}, "
+                                      f"outside renormalization tolerance")
+            if total != 1.0 and total > 0:
+                probs = probs / total
+        return ContinuationSet(horizon=obj["n"], samples=samples, probabilities=probs)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed continuation set: {exc}") from exc
+
+
+def _projected_record(raw: str, embedding_dim: int, index):
+    """The index, e and text of a record line, or None unless the line is a
+    JSON object whose `index` is the integer `index` (any, if None), whose
+    `e` holds `embedding_dim` finite JSON floats and whose `text` is a
+    string or absent."""
+    try:
+        obj = model._PROJECTING_DECODER.decode(raw)
+    except json.JSONDecodeError:
+        return None
+    if type(obj) is not dict:
+        return None
+    e = obj.get("e")
+    if (type(obj.get("index")) is not int or index not in (None, obj["index"])
+            or type(e) is not list or len(e) != embedding_dim or set(map(type, e)) != {bytes}):
+        return None
+    try:  # refuses a non-string text, and a float literal out of range (read as inf)
+        return SentenceRecord(index=obj["index"], embedding=np.array(e, float),
+                              text=obj.get("text"))
+    except ValidationError:
+        return None
+
+
+def _full_record(path, line_no: int, raw: str, embedding_dim: int, index) -> SentenceRecord:
+    """Every field of a record line, checked; a malformed one raises a
+    ParseError that names the line."""
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} line {line_no}: invalid JSON: {exc}") from exc
+    try:
+        emb = np.asarray(_json_numbers(obj["e"], "embedding"), float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} line {line_no}: missing or malformed embedding: {exc}") from exc
+    cont = obj.get("cont")
+    try:
+        rec = SentenceRecord(
+            index=obj["index"],
+            embedding=emb,
+            text=obj.get("text"),
+            avg_log_likelihood=obj.get("avg_ll"),
+            window_token_loglikes=_json_windows(obj.get("win_ll"), "window_token_loglikes"),
+            window_embedding=_json_windows(obj.get("win_emb"), "window_embedding"),
+            sentiment=obj.get("sentiment"),
+            continuations=_parse_continuations(cont) if cont is not None else None,
+        )
+    except ValidationError as exc:
+        raise ParseError(f"{path} line {line_no}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"{path} line {line_no}: malformed record: {exc}") from exc
+    mismatch = _length_mismatch(rec, embedding_dim)
+    if mismatch:
+        raise ParseError(f"{path} line {line_no}: {mismatch}")
+    if index not in (None, rec.index):
+        raise ParseError(f"{path} line {line_no}: sentence index {rec.index}, expected "
+                         f"{index}; indices must be contiguous from 0")
+    return rec
+
+
+def _oracle_record(path, line_no: int, raw: str, embedding_dim: int, index,
+                   full: bool) -> SentenceRecord:
+    """The record on a line, which must carry `index` (any, if None): every
+    field, or with full=False its index, e and text."""
+    rec = None if full else _projected_record(raw, embedding_dim, index)
+    if rec is None:
+        rec = _full_record(path, line_no, raw, embedding_dim, index)
+        if not full:
+            rec = SentenceRecord(index=rec.index, embedding=rec.embedding, text=rec.text)
+    return rec
+
 
 # The serial reader read_trace had before it read every trace in byte
 # ranges, kept as its oracle: text I/O over the whole file, which ends a
@@ -549,8 +666,8 @@ def _serial_read(path, full=True) -> StoryTrace:
             story_id, embedding_dim, meta = model._trace_header(path, head_no, head)
             records = []
             for line_no, raw in lines:
-                records.append(model._record(path, line_no, raw, embedding_dim,
-                                             len(records), full))
+                records.append(_oracle_record(path, line_no, raw, embedding_dim,
+                                              len(records), full))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     if not records:
@@ -589,6 +706,25 @@ def _assert_same_trace(ranged, serial):
                     == [repr(s.raw_score) for s in b.continuations.samples])
 
 
+def _assert_views_of_columns(trace):
+    """Every column of a trace that was read is read-only, and each vector
+    of its records is a view of its column."""
+    c = trace.columns
+    arrays = [a for a in vars(c).values() if isinstance(a, np.ndarray)]
+    arrays += [a for w in (*c.win_ll.values(), *c.win_emb.values()) for a in w]
+    assert not any(a.flags.writeable for a in arrays)
+    for rec in trace.sentences:
+        assert np.shares_memory(rec.embedding, c.embeddings)
+        for name, column in (("window_token_loglikes", c.win_ll),
+                             ("window_embedding", c.win_emb)):
+            for variant, vec in (getattr(rec, name) or {}).items():
+                assert np.shares_memory(vec, column[variant].values)
+        cont = rec.continuations
+        if cont is not None:
+            assert all(np.shares_memory(s.embedding, c.samples) for s in cont.samples)
+            assert cont.probabilities is None or np.shares_memory(cont.probabilities, c.probs)
+
+
 def _outcome(read, path, full=True):
     try:
         return read(path, full=full)
@@ -621,6 +757,7 @@ def test_read_in_ranges_equals_serial_read(tmp_path_factory, monkeypatch, cpus, 
     for full in (True, False):
         serial, ranged = _both_reads(monkeypatch, path, full)
         _assert_same_trace(ranged, serial)
+        _assert_views_of_columns(ranged)
 
 
 def _written(tmp_path, n=9, dim=8) -> list[str]:

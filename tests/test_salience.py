@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storymetrics.model import (KNOWN_VARIANTS, MetricSeries, SentenceRecord,
-                                StoryTrace, ValidationError)
+from storymetrics.annotation import zscore
+from storymetrics.model import (KNOWN_VARIANTS, DegenerateStatisticsError, MetricSeries,
+                                SentenceRecord, StoryTrace, ValidationError)
 from storymetrics.salience import (SalienceConfig, _coherences, bcf_salience,
                                    clus_salience, coherence,
                                    combine_like_clus, emb_salience,
@@ -334,6 +335,73 @@ def test_grouped_coherences_equal_np_mean_of_each_window():
     lengths = rng.permutation(np.repeat(np.arange(1, 301), 3))
     windows = [-rng.exponential(3.0, length) * 10.0 ** rng.integers(-3, 4)
                for length in lengths]
-    got = _coherences(windows)
+    got = _coherences(np.concatenate(windows), lengths)
     assert got.tolist() == [float(np.mean(w)) for w in windows]
     assert [coherence(w) for w in windows] == got.tolist()
+
+
+# --- the options of salience_series, against per-record oracles ---------------
+
+_ANY_MEASURE = st.sampled_from(("like", "know_diff", "emb_sal", "emb_surp", "random"))
+
+
+def _values_or_error(make):
+    """make().values, or the message of the ValidationError it raises."""
+    try:
+        return make().values
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _clus_oracle(trace: StoryTrace, cfg: SalienceConfig):
+    """clus_salience of the embeddings stacked row by row."""
+    return _values_or_error(
+        lambda: clus_salience(np.stack([rec.embedding for rec in trace.sentences]), cfg))
+
+
+def _zscored_or_zeros(values: np.ndarray) -> np.ndarray:
+    try:
+        return zscore(MetricSeries("x", values)).values
+    except DegenerateStatisticsError:
+        return np.zeros(len(values))
+
+
+def _assert_same(trace: StoryTrace, cfg: SalienceConfig, want) -> None:
+    """salience_series under cfg gives `want`: the values, bit for bit, or
+    the message of its error."""
+    got = _values_or_error(lambda: salience_series(trace, cfg))
+    assert got == want if isinstance(want, str) else got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=traces(), measure=_ANY_MEASURE)
+def test_imp_adjust_equals_each_sentence_adjusted(trace, measure):
+    """imp_adjust=True scales each sentence's value by imp_adjust with its
+    sentiment (0 where it has none), bit for bit, or raises as the plain
+    measure does."""
+    plain = _values_or_error(lambda: salience_series(trace, SalienceConfig(measure=measure)))
+    if not isinstance(plain, str):
+        plain = np.array([imp_adjust(v, 0.0 if rec.sentiment is None else rec.sentiment)
+                          for v, rec in zip(plain.tolist(), trace.sentences)])
+    _assert_same(trace, SalienceConfig(measure=measure, imp_adjust=True), plain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=traces(), measure=_ANY_MEASURE)
+def test_combine_like_clus_equals_zscores_of_the_oracles(trace, measure):
+    """combine_like_clus=True is z(clus) + 2 z(measure), a constant series
+    contributing 0, with clus on the stacked embeddings; the measure's
+    error comes first, then that of clus."""
+    cfg = SalienceConfig(measure=measure, combine_like_clus=True)
+    plain = _values_or_error(lambda: salience_series(trace, SalienceConfig(measure=measure)))
+    clus = _clus_oracle(trace, cfg)
+    want = plain if isinstance(plain, str) else clus if isinstance(clus, str) else (
+        _zscored_or_zeros(clus) + 2.0 * _zscored_or_zeros(plain))
+    _assert_same(trace, cfg, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=traces(), clus_per=st.integers(1, 12))
+def test_clus_equals_clus_salience_of_the_stacked_rows(trace, clus_per):
+    cfg = SalienceConfig(measure="clus", clus_per=clus_per)
+    _assert_same(trace, cfg, _clus_oracle(trace, cfg))
