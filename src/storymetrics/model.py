@@ -90,10 +90,34 @@ def _not_number(value) -> bool:
     return value is not None and (type(value) is bool or not isinstance(value, (int, float)))
 
 
+def _float(number) -> float:
+    """float(number), but an integer too large for a float is +-inf, which
+    the finite checks refuse, where float() raises OverflowError."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
+def _floats(value) -> np.ndarray:
+    """np.asarray(value, float), with _float's +-inf for a too-large integer."""
+    try:
+        return np.asarray(value, float)
+    except OverflowError:
+        return np.vectorize(_float, otypes=[float])(np.array(value, object))
+
+
 def _json_int(value, what: str) -> int:
     """A JSON integer: a float, bool or string is refused, not truncated."""
     if _not_int(value):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _embedding_dim(value) -> int:
+    """A header's or trace's embedding_dim: a JSON integer of at least 1."""
+    if _json_int(value, "embedding_dim") < 1:
+        raise ValidationError("embedding_dim must be positive")
     return value
 
 
@@ -167,7 +191,7 @@ def _sample_fault(score) -> Optional[str]:
     """What is wrong with a continuation sample's score, if anything."""
     if _not_number(score):
         return f"sample score must be a number, got {score!r}"
-    if score is not None and not math.isfinite(score):
+    if score is not None and not math.isfinite(_float(score)):
         return "sample raw_score must be finite"
     return None
 
@@ -191,37 +215,13 @@ def _record_fault(index, text, avg_ll, sentiment) -> Optional[str]:
         return f"sentence text must be a string, got {text!r}"
     if _not_number(avg_ll):
         return f"avg_ll must be a number, got {avg_ll!r}"
-    if avg_ll is not None and not math.isfinite(avg_ll):
+    if avg_ll is not None and not math.isfinite(_float(avg_ll)):
         return "avg_log_likelihood must be finite"
     if _not_number(sentiment):
         return f"sentiment must be a number, got {sentiment!r}"
     if sentiment is not None and not -1.0 <= sentiment <= 1.0:
         return "sentiment must lie in [-1, 1]"
     return None
-
-
-def _by_variant(mappings: list) -> dict:
-    """Per-row variant -> vector mappings (or None) as variant -> (rows,
-    vectors), the variants sorted, as write_trace writes them."""
-    present = [(row, mapping) for row, mapping in enumerate(mappings) if mapping]
-    gathered = {}
-    for variant in sorted({variant for _, mapping in present for variant in mapping}):
-        rows = [row for row, mapping in present if variant in mapping]
-        gathered[variant] = (np.array(rows, np.intp), [mappings[row][variant] for row in rows])
-    return gathered
-
-
-def _check_lengths(f: _Faults, embedding_dim: int, lengths, set_lengths, set_rows,
-                   windows: dict) -> None:
-    """Each row's embedding, first continuation sample and window embeddings
-    (variant -> (rows, lengths)) of length embedding_dim."""
-    f.check(lengths != embedding_dim, lambda r: f"embedding length {lengths[r]} does not "
-            f"match embedding_dim={embedding_dim}")
-    f.check(set_lengths != embedding_dim, lambda k: f"continuation sample length "
-            f"{set_lengths[k]} does not match embedding_dim={embedding_dim}", set_rows)
-    for variant, (rows, sizes) in windows.items():
-        f.check(sizes != embedding_dim, lambda k: f"window_embedding[{variant!r}] length "
-                f"{sizes[k]} does not match embedding_dim={embedding_dim}", rows)
 
 
 def _file_name(story_id) -> str:
@@ -246,7 +246,7 @@ class ContinuationSample:
     raw_score: Optional[float] = None
 
     def __post_init__(self):
-        embedding = np.asarray(self.embedding, float)
+        embedding = _floats(self.embedding)
         f = _Faults(1)
         _check_vectors(f, "sample embedding", *_array_vectors([embedding]))
         _refuse(f.message)
@@ -267,7 +267,7 @@ class ContinuationSet:
     def __post_init__(self):
         samples = tuple(self.samples)
         _refuse(_set_fault(self.horizon, len(samples)))
-        probs = [] if self.probabilities is None else [np.asarray(self.probabilities, float)]
+        probs = [] if self.probabilities is None else [_floats(self.probabilities)]
         f = _Faults(1)
         _check_sets(f, [len(samples)], [s.embedding.shape[0] for s in samples],
                     _array_vectors(probs), [bool(probs)], sample_rows=[0] * len(samples))
@@ -298,13 +298,13 @@ class SentenceRecord:
 
     def __post_init__(self):
         _refuse(_record_fault(self.index, self.text, self.avg_log_likelihood, self.sentiment))
-        vectors = {"embedding": np.asarray(self.embedding, float)}
+        vectors = {"embedding": _floats(self.embedding)}
         for name in ("window_token_loglikes", "window_embedding"):
             windows = getattr(self, name)
             if windows is not None:
                 if not all(type(variant) is str for variant in windows):
                     raise ValidationError(f"{name} variants must be strings, got {list(windows)}")
-                windows = {variant: np.asarray(vec, float) for variant, vec in windows.items()}
+                windows = {variant: _floats(vec) for variant, vec in windows.items()}
                 vectors.update((f"{name}[{variant!r}]", vec) for variant, vec in windows.items())
                 object.__setattr__(self, name, windows)
         f = _Faults(1)  # one check of all the record's vectors
@@ -382,65 +382,47 @@ def _bare_columns(base: int, embeddings: np.ndarray, text: tuple) -> Columns:
                    np.empty(0))
 
 
-def _gather(records, windows=None) -> Columns:
-    """The columns of checked records whose vectors have matching lengths
-    (their vectors copied), given their windows as _by_variant gives them."""
-    sets = [rec.continuations for rec in records]
-    samples = [s.embedding for c in sets if c is not None for s in c.samples]
-    stored = [c is not None and c.probabilities is not None for c in sets]
-    d = records[0].embedding.shape[0]
-    windows = windows or [_by_variant([getattr(rec, name) for rec in records])
-                          for name in ("window_token_loglikes", "window_embedding")]
-
-    def matrix(vectors: list) -> np.ndarray:  # np.stack takes several times as long
-        return np.concatenate(vectors).reshape(len(vectors), -1) if vectors else np.empty((0, d))
-
-    def by_variant(column: dict, join) -> dict:
-        return {variant: Windows(rows, join(vectors), np.array([v.size for v in vectors]))
-                for variant, (rows, vectors) in column.items()}
-    return Columns(
-        records[0].index, matrix([rec.embedding for rec in records]),
-        tuple(rec.text for rec in records),
-        *_optional([rec.avg_log_likelihood for rec in records]),
-        *_optional([rec.sentiment for rec in records]),
-        np.array([rec.window_token_loglikes is not None for rec in records]),
-        by_variant(windows[0], np.concatenate),
-        np.array([rec.window_embedding is not None for rec in records]),
-        by_variant(windows[1], matrix),
-        np.array([0 if c is None else len(c.samples) for c in sets], np.intp),
-        tuple(0 if c is None else c.horizon for c in sets), np.array(stored, bool),
-        matrix(samples),
-        *_optional([s.raw_score for c in sets if c is not None for s in c.samples]),
-        np.concatenate([c.probabilities for c, s in zip(sets, stored) if s] or [np.empty(0)]))
+def _row(rec: SentenceRecord) -> tuple:
+    """A checked record's fields, in the row form of _fields."""
+    cont = rec.continuations
+    return (rec.index, rec.text, rec.embedding, rec.avg_log_likelihood,
+            rec.window_token_loglikes, rec.window_embedding, rec.sentiment,
+            None if cont is None else (cont.horizon, [(s.embedding, s.raw_score)
+                                                      for s in cont.samples], cont.probabilities))
 
 
-def _views(c: Columns) -> tuple:
-    """The records of columns `c`, each vector a read-only view of its
-    column, with no copy and no second check."""
+def _one_row(rec: SentenceRecord) -> Columns:
+    """The columns of one checked record, of any index, whose vectors need
+    not share a length: a public scalar's one-row call of a kernel."""
+    return _columns([_row(rec)], None, None, _Faults(1))
+
+
+def _rows(c: Columns) -> list:
+    """The rows of columns `c` in the row form of _fields, each vector a
+    read-only view of its column, each window mapping sorted by variant."""
     windows = []
     for has, column in ((c.has_win_ll, c.win_ll), (c.has_win_emb, c.win_emb)):
         rows = [{} if h else None for h in has.tolist()]
-        for variant, w in column.items():
+        for variant, w in sorted(column.items()):
             vectors = w.values if w.values.ndim == 2 else np.split(w.values,
                                                                    np.cumsum(w.lengths)[:-1])
             for row, vec in zip(w.rows.tolist(), vectors):
                 rows[row][variant] = vec
         windows.append(rows)
-    samples = [_unchecked(ContinuationSample, e, s if has else None)
-               for e, s, has in zip(c.samples, c.scores.tolist(), c.has_score.tolist())]
-    starts, prob_starts = c.starts().tolist(), c.starts(c.counts * c.has_probs).tolist()
 
     def optional(values, present) -> list:
         return [v if has else None for v, has in zip(values.tolist(), present.tolist())]
-    records = []
+    samples = list(zip(c.samples, optional(c.scores, c.has_score)))
+    starts, prob_starts = c.starts().tolist(), c.starts(c.counts * c.has_probs).tolist()
+    rows = []
     for r, (k, at, prob_at, avg_ll, sentiment) in enumerate(zip(
             c.counts.tolist(), starts, prob_starts, optional(c.avg_ll, c.has_avg_ll),
             optional(c.sentiment, c.has_sentiment))):
-        cont = k and _unchecked(ContinuationSet, c.horizons[r], tuple(samples[at:at + k]),
-                                c.probs[prob_at:prob_at + k] if c.has_probs[r] else None)
-        records.append(_unchecked(SentenceRecord, c.base + r, c.embeddings[r], c.text[r], avg_ll,
-                                  windows[0][r], windows[1][r], sentiment, cont or None))
-    return tuple(records)
+        cont = k and (c.horizons[r], samples[at:at + k],
+                      c.probs[prob_at:prob_at + k] if c.has_probs[r] else None)
+        rows.append((c.base + r, c.text[r], c.embeddings[r], avg_ll, windows[0][r],
+                     windows[1][r], sentiment, cont or None))
+    return rows
 
 
 def _concat(parts: list) -> Columns:
@@ -469,9 +451,9 @@ def _concat(parts: list) -> Columns:
 
 @dataclass(frozen=True)
 class StoryTrace:
-    """A story's trace, held as `columns`. A trace built from records keeps
-    them as its `sentences`; one that was read builds them on first use, as
-    views of its columns."""
+    """A story's trace, held only as `columns`: the records it is built
+    from are checked into columns and let go. Its `sentences` are built on
+    first use, as read-only views of the columns."""
     story_id: str
     sentences: tuple[SentenceRecord, ...]
     embedding_dim: int
@@ -480,40 +462,32 @@ class StoryTrace:
 
     def __post_init__(self):
         _file_name(self.story_id)
-        records = tuple(self.sentences)
-        if not records:
+        rows = [_row(rec) for rec in self.sentences]
+        if not rows:
             raise ValidationError("a trace needs at least one sentence")
-        if _json_int(self.embedding_dim, "embedding_dim") < 1:
-            raise ValidationError("embedding_dim must be positive")
-        f = _Faults(len(records))
-        f.check((rec.index != pos for pos, rec in enumerate(records)), lambda pos:
-                "sentence indices must be contiguous from 0; got "
-                f"{records[pos].index} at position {pos}")
-        lengths = _Faults(f.end)  # a record's lengths are checked after its index
-        sets = [(pos, rec.continuations) for pos, rec in enumerate(records)
-                if rec.continuations is not None]
-        windows = [_by_variant([getattr(rec, name) for rec in records])
-                   for name in ("window_token_loglikes", "window_embedding")]
-        _check_lengths(lengths, self.embedding_dim,
-                       np.array([rec.embedding.shape[0] for rec in records]),
-                       np.array([c.embedding_dim for _, c in sets], np.intp),
-                       np.array([pos for pos, _ in sets], np.intp),
-                       {variant: (rows, np.array([v.shape[0] for v in vectors]))
-                        for variant, (rows, vectors) in windows[1].items()})
-        if lengths.message is not None:
-            raise ValidationError(f"sentence {lengths.end}: {lengths.message}")
-        _refuse(f.message)
-        object.__setattr__(self, "sentences", records)
-        object.__setattr__(self, "columns", _gather(records, windows))
+        f = _Faults(len(rows))
+        columns = _columns(rows, _embedding_dim(self.embedding_dim), 0, f)
+        if f.message is not None:
+            raise ValidationError(f"sentence {f.end}: {f.message}")
+        object.__delattr__(self, "sentences")
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "meta", dict(_json_meta(self.meta)))
 
     def __getattr__(self, name):
-        """The sentences of a trace that was read, built on first use."""
+        """The sentences, built on first use: each vector a view of its
+        column, with no copy and no second check."""
         if name != "sentences":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        records = _views(self.columns)
-        object.__setattr__(self, "sentences", records)
-        return records
+        records = []
+        for index, text, e, avg_ll, win_ll, win_emb, sentiment, cont in _rows(self.columns):
+            if cont is not None:
+                horizon, samples, probs = cont
+                cont = _unchecked(ContinuationSet, horizon, tuple(
+                    _unchecked(ContinuationSample, *sample) for sample in samples), probs)
+            records.append(_unchecked(SentenceRecord, index, e, text, avg_ll, win_ll, win_emb,
+                                      sentiment, cont))
+        object.__setattr__(self, "sentences", tuple(records))
+        return self.sentences
 
     def __len__(self) -> int:
         return len(self.columns.text)
@@ -652,28 +626,27 @@ def each_distinct(fn, values: np.ndarray, dtype) -> np.ndarray:
     return results[np.searchsorted(distinct, bits)]
 
 
-def _record_parts(rec: SentenceRecord) -> list:
-    """rec as one line of JSON: a list of text pieces with the record's
-    vectors in their places, in written order."""
+def _record_parts(index, text, e, avg_ll, win_ll, win_emb, sentiment, cont) -> list:
+    """A row, in the row form of _fields with its window mappings sorted,
+    as one line of JSON: a list of text pieces with the row's vectors in
+    their places, in written order."""
     def optional(key: str, value) -> str:
         return "" if value is None else f',"{key}":{_dump_line(value)}'
-    parts = ['{"index":', _dump_line(rec.index), optional("text", rec.text),
-             ',"e":', rec.embedding, optional("avg_ll", rec.avg_log_likelihood)]
-    for name, windows in (("win_ll", rec.window_token_loglikes), ("win_emb", rec.window_embedding)):
+    parts = ['{"index":', _dump_line(index), optional("text", text), ',"e":', e,
+             optional("avg_ll", avg_ll)]
+    for name, windows in (("win_ll", win_ll), ("win_emb", win_emb)):
         if windows is not None:
             parts.append(f',"{name}":{{')
-            for k, (variant, vec) in enumerate(sorted(windows.items())):
+            for k, (variant, vec) in enumerate(windows.items()):
                 parts += [("," if k else "") + _dump_line(variant) + ":", vec]
             parts.append("}")
-    parts.append(optional("sentiment", rec.sentiment))
-    cont = rec.continuations
+    parts.append(optional("sentiment", sentiment))
     if cont is not None:
-        parts += [',"cont":{"n":', _dump_line(cont.horizon), ',"samples":[']
-        for k, sample in enumerate(cont.samples):
-            parts += [',{"e":' if k else '{"e":', sample.embedding,
-                      optional("score", sample.raw_score) + "}"]
-        probs = [] if cont.probabilities is None else [',"probs":', cont.probabilities]
-        parts += ["]", *probs, "}"]
+        horizon, samples, probs = cont
+        parts += [',"cont":{"n":', _dump_line(horizon), ',"samples":[']
+        for k, (sample, score) in enumerate(samples):
+            parts += [',{"e":' if k else '{"e":', sample, optional("score", score) + "}"]
+        parts += ["]", *([] if probs is None else [',"probs":', probs]), "}"]
     parts.append("}")
     return parts
 
@@ -699,8 +672,9 @@ def write_trace(trace: StoryTrace, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_dump_line({"story_id": trace.story_id, "embedding_dim": trace.embedding_dim,
                              "meta": {k: trace.meta[k] for k in sorted(trace.meta)}}) + "\n")
-        for b in range(0, len(trace.sentences), _BLOCK):
-            block = [_record_parts(rec) for rec in trace.sentences[b:b + _BLOCK]]
+        rows = _rows(trace.columns)
+        for b in range(0, len(rows), _BLOCK):
+            block = [_record_parts(*row) for row in rows[b:b + _BLOCK]]
             vectors = [part for parts in block for part in parts if type(part) is not str]
             floats = iter(each_distinct(float.__repr__, np.concatenate(vectors), object).tolist())
             for parts in block:
@@ -729,14 +703,19 @@ def _json_vector(value, what: str) -> list:
     """A JSON vector field as a list of numbers, a _Scalar, or an error."""
     if type(value) is list:
         return _json_numbers(value, what)
-    return _Scalar([float(np.asarray(value, float))])
+    return _Scalar([float(_floats(value))])
 
 
 def _json_vectors(vectors: list) -> tuple:
-    """_json_vector's lists as vectors for _check_vectors."""
+    """_json_vector's lists, or a record's checked vectors, as vectors for
+    _check_vectors."""
     lengths = np.fromiter(map(len, vectors), np.intp, len(vectors))
-    return (np.fromiter(itertools.chain.from_iterable(vectors), float, int(lengths.sum())),
-            lengths, [type(v) is _Scalar for v in vectors])
+    numbers, total = itertools.chain.from_iterable, int(lengths.sum())
+    try:
+        flat = np.fromiter(numbers(vectors), float, total)
+    except OverflowError:  # an integer too large for a float
+        flat = np.fromiter(map(_float, numbers(vectors)), float, total)
+    return flat, lengths, [type(v) is _Scalar for v in vectors]
 
 
 def _fields(raw: str) -> tuple:
@@ -777,7 +756,10 @@ def _continuation_fields(cont) -> tuple:
         probs = cont.get("probs")
         if probs is not None:
             probs = _json_vector(probs, "continuation probabilities")
-            total = float(np.sum(probs))  # as np.sum adds it
+            try:
+                total = float(np.sum(probs))  # as np.sum adds it
+            except OverflowError:  # an integer too large for a float
+                total = float(np.sum(_floats(probs)))
             if abs(total - 1.0) > PROB_RENORM_TOL:
                 raise ValidationError(f"continuation probabilities sum to {total}, "
                                       f"outside renormalization tolerance")
@@ -793,9 +775,7 @@ def _continuation_fields(cont) -> tuple:
 
 
 def _read_block(raws: list, embedding_dim: int, index: Optional[int]) -> tuple[Columns, _Faults]:
-    """The columns of the record lines `raws` before the first faulty one,
-    and its fault. The first record must carry `index` (any, if None), and
-    each next one the index after it."""
+    """_columns of the record lines `raws`, and their first fault."""
     f, fields = _Faults(len(raws)), []
     for raw in raws:
         try:
@@ -803,6 +783,16 @@ def _read_block(raws: list, embedding_dim: int, index: Optional[int]) -> tuple[C
         except ValidationError as exc:
             f.end, f.message = len(fields), str(exc)
             break
+    return _columns(fields, embedding_dim, index, f), f
+
+
+def _columns(fields: list, embedding_dim: Optional[int], index: Optional[int],
+             f: _Faults) -> Columns:
+    """The columns of the rows `fields`, each in the row form of _fields,
+    before the first fault, which is recorded in `f`. The first row must
+    carry `index` (any, if None), and each next one the index after it.
+    Each row's embedding, first continuation sample and window embeddings
+    must be of length embedding_dim, unless it is None."""
     indices, text, e, avg_ll, win_ll, win_emb, sentiment, conts = (
         list(map(list, zip(*fields))) or [[]] * 8)
     set_rows = np.array([r for r, c in enumerate(conts) if c is not None], np.intp)
@@ -816,33 +806,46 @@ def _read_block(raws: list, embedding_dim: int, index: Optional[int]) -> tuple[C
     _check_sets(f, counts, samples[1], probs, stored, set_rows, sample_rows)
     vectors = _json_vectors(e)
     _check_vectors(f, "embedding", *vectors)
-    windows = [_by_variant(win_ll), _by_variant(win_emb)]
-    for name, column in zip(("window_token_loglikes", "window_embedding"), windows):
-        for variant, (rows, vecs) in column.items():
+    windows = [{}, {}]  # variant -> Windows, the variants sorted, as write_trace writes them
+    for name, mappings, column in zip(("window_token_loglikes", "window_embedding"),
+                                      (win_ll, win_emb), windows):
+        present = [(row, mapping) for row, mapping in enumerate(mappings) if mapping]
+        for variant in sorted({variant for _, mapping in present for variant in mapping}):
+            rows = np.array([row for row, mapping in present if variant in mapping], np.intp)
+            vecs = [mappings[row][variant] for row in rows.tolist()]
             flat, lengths, not_1d = _json_vectors(vecs)
             _check_vectors(f, f"{name}[{variant!r}]", flat, lengths, not_1d, rows)
             column[variant] = Windows(rows, flat, lengths)
-    _check_lengths(f, embedding_dim, vectors[1], samples[1][np.cumsum(counts) - counts],
-                   set_rows, {variant: (w.rows, w.lengths) for variant, w in windows[1].items()})
+    if embedding_dim is not None:
+        for what, (rows, sizes) in {
+                "embedding": (None, vectors[1]),
+                "continuation sample": (set_rows, samples[1][np.cumsum(counts) - counts]),
+                **{f"window_embedding[{variant!r}]": (w.rows, w.lengths)
+                   for variant, w in windows[1].items()}}.items():
+            f.check(sizes != embedding_dim, lambda k: f"{what} length {sizes[k]} does not "
+                    f"match embedding_dim={embedding_dim}", rows)
     base = indices[0] if index is None and indices else index or 0
     f.check((i != base + r for r, i in enumerate(indices[:f.end])), lambda r: f"sentence index "
             f"{indices[r]}, expected {base + r}; indices must be contiguous from 0")
-    if f.end < len(fields):  # a fault among the rows read: the rows before it, read again
-        return _read_block(raws[:f.end], embedding_dim, index)[0], f
-    n, d = len(fields), embedding_dim
+    if f.end < len(fields):  # a fault among the rows: the rows before it, gathered again
+        return _columns(fields[:f.end], embedding_dim, index, _Faults(f.end))
+    n = len(fields)
+    d = int(vectors[1][0]) if n else 0  # every row's, where the lengths are checked
+
+    def matrix(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        return flat.reshape(len(lengths), -1) if len(lengths) else np.empty((0, d))
     row_counts, row_stored, horizons = np.zeros(n, np.intp), np.zeros(n, bool), [0] * n
     row_counts[set_rows], row_stored[set_rows] = counts, stored
     for row, (horizon, _, _) in zip(set_rows.tolist(), sets):
         horizons[row] = horizon
-    win_emb_columns = {variant: w._replace(values=w.values.reshape(-1, d))
-                       for variant, w in windows[1].items()}
-    columns = Columns(
-        base, vectors[0].reshape(n, d), tuple(text), *_optional(avg_ll), *_optional(sentiment),
+    return Columns(
+        base, matrix(*vectors[:2]), tuple(text), *_optional(avg_ll), *_optional(sentiment),
         np.array([w is not None for w in win_ll], bool), windows[0],
-        np.array([w is not None for w in win_emb], bool), win_emb_columns, row_counts,
-        tuple(horizons), row_stored, samples[0].reshape(-1, d),
-        *_optional([score for _, pairs, _ in sets for _, score in pairs]), probs[0])
-    return columns, f
+        np.array([w is not None for w in win_emb], bool),
+        {variant: w._replace(values=matrix(w.values, w.lengths))
+         for variant, w in windows[1].items()}, row_counts, tuple(horizons), row_stored,
+        matrix(*samples[:2]), *_optional([score for _, pairs, _ in sets for _, score in pairs]),
+        probs[0])
 
 
 # Decodes a JSON float to the bytes of its literal and a JSON string to a
@@ -864,13 +867,16 @@ def _project_block(raws: list, embedding_dim: int, index: Optional[int]
             objs.append(_PROJECTING_DECODER.decode(raw))
         except json.JSONDecodeError:
             objs.append(None)
-    ok = [type(o) is dict and type(o.get("index")) is int and o["index"] >= 0
-          and type(o.get("e")) is list and len(o["e"]) == embedding_dim
+    sized = [type(o) is dict and type(o.get("e")) is list and len(o["e"]) == embedding_dim
+             for o in objs]
+    ok = [s and type(o.get("index")) is int and o["index"] >= 0
           and set(map(type, o["e"])) == {bytes} and isinstance(o.get("text"), (str, type(None)))
-          for o in objs]
-    e = np.empty((len(raws), embedding_dim))
+          for s, o in zip(sized, objs)]
+    # a row is kept only if its e holds embedding_dim values: if none does,
+    # none is, and the header's embedding_dim sizes nothing
+    e = np.empty((len(raws), embedding_dim if any(sized) else 0))
     e[ok] = np.array([o["e"] for o, good in zip(objs, ok) if good], float).reshape(
-        -1, embedding_dim)
+        sum(ok), e.shape[1])
     ok = np.array(ok, bool) & np.isfinite(e).all(axis=1)
     f, text, base = _Faults(len(raws)), [], index
     for r, raw in enumerate(raws):
@@ -927,7 +933,7 @@ def _trace_header(path, head_no: int, head: str) -> tuple[str, int, dict]:
     try:
         header = json.loads(head)
         story_id = _file_name(header["story_id"])
-        embedding_dim = _json_int(header["embedding_dim"], "embedding_dim")
+        embedding_dim = _embedding_dim(header["embedding_dim"])
         meta = _json_meta(header.get("meta", {}))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc

@@ -15,7 +15,7 @@ import numpy as np
 
 from .annotation import zscore
 from .model import (Columns, DegenerateStatisticsError, MetricSeries, SentenceRecord, StoryTrace,
-                    ValidationError, _Faults, _gather, _refuse, per_sentence_series)
+                    ValidationError, _Faults, _one_row, _refuse, per_sentence_series)
 from .suspense import DistanceKind, _distances, consecutive_distances
 
 
@@ -81,7 +81,7 @@ def _paired(c: Columns, windows: dict, variant: str, rows: np.ndarray, what: str
 def variant_salience(rec: SentenceRecord, variant: str) -> float:
     """BCF salience of the window after `variant` (deleted, swapped or
     no_knowledge) is applied to the sentence."""
-    return float(_variant_saliences(_gather([rec]), variant, np.zeros(1, np.intp))[0])
+    return float(_variant_saliences(_one_row(rec), variant, np.zeros(1, np.intp))[0])
 
 
 def _variant_saliences(c: Columns, variant: str, rows: np.ndarray) -> np.ndarray:
@@ -99,7 +99,7 @@ def _variant_saliences(c: Columns, variant: str, rows: np.ndarray) -> np.ndarray
 
 def emb_salience(rec: SentenceRecord) -> float:
     """Cosine distance between the base and deleted window embeddings."""
-    return float(_emb_saliences(_gather([rec]), np.zeros(1, np.intp))[0])
+    return float(_emb_saliences(_one_row(rec), np.zeros(1, np.intp))[0])
 
 
 def _emb_saliences(c: Columns, rows: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import (Columns, ContinuationSet, MetricSeries, SentenceRecord, StoryTrace,
-                    ValidationError, _gather, _unchecked, per_sentence_series)
+                    ValidationError, _one_row, _unchecked, per_sentence_series)
 
 
 class DistanceKind(Enum):
@@ -128,7 +128,7 @@ def weighted_suspense(e_t, cont: ContinuationSet, alphas, kind: DistanceKind) ->
     if np.any(alphas < 0):
         raise ValidationError("alphas must be non-negative")
     state, _ = _check_samples(e_t, cont.sample_embeddings(), "continuation")
-    c = _gather([_unchecked(SentenceRecord, 0, state[0], *[None] * 5, cont)])
+    c = _one_row(_unchecked(SentenceRecord, 0, state[0], *[None] * 5, cont))
     return float(_weighted_distances(c, np.zeros(1, np.intp), len(cont.samples), state, kind,
                                      alphas)[0])
 
@@ -156,7 +156,19 @@ def perplexity(avg_nll: float) -> float:
     """exp of the average negative log-likelihood in nats per token."""
     if not math.isfinite(avg_nll):
         raise ValidationError("avg_nll must be finite")
-    return math.exp(avg_nll)
+    value = _exp(avg_nll)
+    if value == math.inf:
+        raise ValidationError(f"perplexity of avg_nll {avg_nll} overflows a float")
+    return value
+
+
+def _exp(x: float) -> float:
+    """math.exp (np.exp differs from it in the last bit), but inf where the
+    result overflows a float, for the series check to name its sentence."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +367,7 @@ def _embedding_similarity(trace, cfg):
 def _perplexity(trace, cfg):
     c = trace.columns
     values = np.zeros(len(trace))
-    values[c.has_avg_ll] = [perplexity(-ll) for ll in c.avg_ll[c.has_avg_ll].tolist()]
+    values[c.has_avg_ll] = [_exp(-ll) for ll in c.avg_ll[c.has_avg_ll].tolist()]
     return values, c.has_avg_ll
 
 

@@ -1,6 +1,7 @@
 """Deterministic hashed embeddings and the smoothed n-gram trace builder."""
 
 import hashlib
+import json
 import math
 from collections import Counter
 from unittest.mock import patch
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from storymetrics import baseline
 from storymetrics.baseline import (HashEmbedder, NgramLM, _log_quotients, build_trace,
                                    lm_loglik, tokenize)
-from storymetrics.model import ValidationError
+from storymetrics.model import ValidationError, write_trace
 from storymetrics.salience import SalienceConfig, salience_series
 
 
@@ -207,6 +208,19 @@ def test_build_trace_minimal_two_sentences():
     assert set(first.window_embedding) == {"base", "deleted"}
     # the final sentence has no following window
     assert trace.sentences[1].window_token_loglikes is None
+
+
+def test_built_windows_iterate_and_are_written_sorted(tmp_path):
+    """build_trace holds its variants in KNOWN_VARIANTS order; its records
+    and its file give them sorted, as those of a trace that was read."""
+    trace = build_trace(["the storm came", "the harbor waited"], HashEmbedder(dim=4, seed=0))
+    assert list(trace.columns.win_ll) != sorted(trace.columns.win_ll)
+    for name in ("window_token_loglikes", "window_embedding"):
+        variants = list(getattr(trace.sentences[0], name))
+        assert variants == sorted(variants)
+    write_trace(trace, tmp_path / "t.trace")
+    record = json.loads((tmp_path / "t.trace").read_text().splitlines()[1])
+    assert list(record["win_ll"]) == sorted(record["win_ll"])
 
 
 def test_build_trace_rejects_short_or_empty():

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storymetrics import baseline, cli
+from storymetrics import baseline, cli, salience, suspense
 from storymetrics.cli import build_parser, main, read_series_csv
-from storymetrics.model import (AnnotationSet, GoldLabels, Judgment, ValidationError,
-                                content_lines, read_gold, write_annotations, write_gold,
-                                write_trace)
+from storymetrics.model import (KNOWN_VARIANTS, AnnotationSet, ContinuationSample,
+                                ContinuationSet, GoldLabels, Judgment, SentenceRecord,
+                                StoryTrace, ValidationError, content_lines, read_gold,
+                                write_annotations, write_gold, write_trace)
 from strategies import series_columns
 
 
@@ -120,7 +122,9 @@ _BAD_HEADERS = {"header_dim_float": ("embedding_dim", 8.0),
                 # meta maps names to strings
                 "header_meta_nested": ("meta", {"k": [1, {"x": None}]}),
                 "header_meta_pairs": ("meta", [["a", "b"]]),
-                "header_meta_number": ("meta", {"k": 1})}
+                "header_meta_number": ("meta", {"k": 1}),
+                "header_dim_zero": ("embedding_dim", 0),
+                "header_dim_negative": ("embedding_dim", -1)}
 
 
 _BAD_CELLS = {"csv_not_numeric": "abc", "csv_nan": "nan", "csv_inf": "inf"}
@@ -228,6 +232,88 @@ def test_malformed_input_exit_2_names_line(tmp_path, demo_trace, capsys, case):
     err = capsys.readouterr().err
     assert line in err
     assert named is None or str(named) in err
+
+
+# what the mutation property puts in place of one field; _INFINITE is
+# written as the JSON literal 1e999, which json reads as inf
+_INFINITE = "<1e999>"
+_MUTANTS = (10**400, -1000.0, True, "x", None, [], {}, _INFINITE)
+
+
+def _field_paths(value, path=()):
+    """The path of `value` and of each field within it, into the first item
+    of a list."""
+    yield path
+    items = (value.items() if type(value) is dict
+             else enumerate(value[:1]) if type(value) is list else ())
+    for key, item in items:
+        yield from _field_paths(item, path + (key,))
+
+
+def _with_field(line: str, path: tuple, value) -> str:
+    obj = root = {"line": json.loads(line)}
+    for key in ("line", *path)[:-1]:
+        obj = obj[key]
+    obj[("line", *path)[-1]] = value
+    return json.dumps(root["line"]).replace(json.dumps(_INFINITE), "1e999")
+
+
+def test_one_corrupt_field_ends_in_an_exit_code_that_names_the_line(tmp_path, capsys):
+    """Each field of the header and of a record line that carries every
+    field, replaced in turn by each of _MUTANTS: analyze (every metric and
+    measure) and align end in a documented exit code, with no traceback or
+    warning, and with an error that names the file and a line in it, or the
+    sentence (or every sentence) a scoring error is about."""
+    rng = np.random.default_rng(3)
+    records = [SentenceRecord(
+        index=i, embedding=rng.normal(size=4), text=f"s{i}", avg_log_likelihood=-2.5,
+        window_token_loglikes={v: -rng.random(2) for v in KNOWN_VARIANTS},
+        window_embedding={v: rng.normal(size=4) for v in KNOWN_VARIANTS}, sentiment=0.5,
+        continuations=ContinuationSet(1, tuple(ContinuationSample(rng.normal(size=4), -1.0)
+                                               for _ in range(2)), np.array([0.25, 0.75])))
+        for i in range(3)]
+    good, bad = tmp_path / "good.trace", tmp_path / "bad.trace"
+    write_trace(StoryTrace("story", tuple(records), 4), good)
+    lines = good.read_text().splitlines()
+    commands = (["analyze", "--metrics", ",".join(suspense.METRIC_NAMES),
+                 "--measures", ",".join(salience.MEASURES), "--out", str(tmp_path / "x")],
+                ["align", "--trace", str(bad), "--out", str(tmp_path / "y")])
+    faults = []
+    for at in (0, 2):
+        for path in _field_paths(json.loads(lines[at])):
+            for value in _MUTANTS:
+                bad.write_text("\n".join(lines[:at] + [_with_field(lines[at], path, value)]
+                                         + lines[at + 1:]) + "\n")
+                for command in commands:
+                    case = f"line {at + 1} {path} = {value!r:.20}: {command[0]}"
+                    try:
+                        code = main([*command, "--trace", str(bad)])
+                    except Exception as exc:  # a warning, too, under filterwarnings = error
+                        faults.append(f"{case}: {type(exc).__name__}: {exc}")
+                        continue
+                    err = capsys.readouterr().err
+                    named = str(bad) in err
+                    if code not in (0, 2, 3, 4) or (code and not named) or (
+                            named and not re.search(r"line \d+|sentence \d+|every sentence", err)):
+                        faults.append(f"{case}: exit {code}: {err}")
+    assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("command", ["analyze", "align"])
+@pytest.mark.parametrize("dim, message", [
+    (0, "line 1: malformed trace header: embedding_dim must be positive"),
+    (-1, "line 1: malformed trace header: embedding_dim must be positive"),
+    # sizes nothing: the first record's length is judged against it
+    (10**400, "line 2: embedding length 8 does not match embedding_dim=1000")])
+def test_header_embedding_dim_is_checked(tmp_path, demo_trace, capsys, command, dim, message):
+    lines = demo_trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["embedding_dim"] = dim
+    demo_trace.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    argv = {"analyze": ["analyze", "--trace", str(demo_trace)],
+            "align": ["align", "--trace", str(demo_trace), "--trace", str(demo_trace)]}[command]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert f"{demo_trace} {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -133,10 +133,43 @@ def test_trace_requires_sentences():
 
 
 def test_trace_rejects_noncontiguous_indices():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=re.escape(
+            "sentence 1: sentence index 2, expected 1; indices must be contiguous from 0")):
         StoryTrace(story_id="s",
                    sentences=(_record(0, [1, 0]), _record(2, [0, 1])),
                    embedding_dim=2)
+
+
+def test_trace_keeps_only_its_columns():
+    """A trace built from records checks them into columns and lets them
+    go: its sentences are new views of the columns, with no vector shared
+    with the records it was given, and each number of them a float."""
+    records = make_random_trace(np.random.default_rng(5), 6, 3).sentences
+    records += (_record(6, [1.0, 2.0, 3.0], avg_log_likelihood=-3),)
+    trace = StoryTrace(story_id="s", sentences=records, embedding_dim=3)
+    assert "sentences" not in vars(trace)
+    _assert_views_of_columns(trace)
+    given = [vec for rec in records for _, vec in _vectors(rec)]
+    kept = [vec for rec in trace.sentences for _, vec in _vectors(rec)]
+    assert len(kept) == len(given)
+    assert not any(np.shares_memory(a, b) for a in kept for b in given)
+    assert all(a is not b for a, b in zip(trace.sentences, records))
+    assert repr(trace.sentences[-1].avg_log_likelihood) == "-3.0"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SentenceRecord(0, [10**400]), "embedding contains non-finite values"),
+    (lambda: SentenceRecord(0, [1.0, -10**400]), "embedding contains non-finite values"),
+    (lambda: _record(0, [1.0], avg_log_likelihood=10**400), "avg_log_likelihood must be finite"),
+    (lambda: _record(0, [1.0], window_token_loglikes={"base": [10**400]}),
+     "window_token_loglikes['base'] contains non-finite values"),
+    (lambda: ContinuationSample([1.0], raw_score=-10**400), "sample raw_score must be finite"),
+    (lambda: ContinuationSample([10**400]), "sample embedding contains non-finite values"),
+    (lambda: ContinuationSet(1, (ContinuationSample([1.0]),), probabilities=[10**400]),
+     "continuation probabilities contains non-finite values")])
+def test_constructors_refuse_integers_too_large_for_a_float(make, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()
 
 
 def test_trace_rejects_dim_mismatch():

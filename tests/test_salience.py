@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storymetrics.annotation import zscore
-from storymetrics.model import (KNOWN_VARIANTS, DegenerateStatisticsError, MetricSeries,
-                                SentenceRecord, StoryTrace, ValidationError)
+from storymetrics.model import (KNOWN_VARIANTS, ContinuationSample, ContinuationSet,
+                                DegenerateStatisticsError, MetricSeries, SentenceRecord,
+                                StoryTrace, ValidationError)
 from storymetrics.salience import (SalienceConfig, _coherences, bcf_salience,
                                    clus_salience, coherence,
                                    combine_like_clus, emb_salience,
@@ -28,6 +29,18 @@ def _rec(index, win_ll=None, win_emb=None, sentiment=None):
 
 
 # --- coherence / bcf -----------------------------------------------------------
+
+def test_scalars_score_a_record_whose_vectors_differ_in_length():
+    """A record stands alone: its index and the lengths of its window and
+    sample vectors need not fit any trace."""
+    rec = SentenceRecord(
+        index=5, embedding=np.array([1.0, 0.0]),
+        window_token_loglikes={"base": [-1.0, -2.0], "deleted": [-3.0]},
+        window_embedding={"base": [1.0, 1.0, 0.0], "deleted": [1.0, 0.0, 1.0]},
+        continuations=ContinuationSet(1, (ContinuationSample(np.ones(3)),)))
+    assert emb_salience(rec) == 0.5000000000000001
+    assert variant_salience(rec, "deleted") == 1.5
+
 
 def test_coherence_values():
     assert coherence([-1.0, -1.0, -1.0]) == -1.0

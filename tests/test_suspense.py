@@ -311,6 +311,16 @@ def test_metric_series_unknown_name():
         metric_series(trace, "nope", MetricConfig())
 
 
+def test_perplexity_that_overflows_a_float_is_refused():
+    assert perplexity(709.0) == math.exp(709.0)
+    with pytest.raises(ValidationError, match="overflows a float"):
+        perplexity(1000.0)
+    trace = _trace_from_embeddings([[1.0, 0.0], [0.0, 1.0]], avg_log_likelihood=[-1.0, -1000.0])
+    with pytest.raises(ValidationError, match="'perplexity' contains non-finite values, "
+                       "first at sentence 1"):
+        metric_series(trace, "perplexity", MetricConfig())
+
+
 def test_metric_series_all_inputs_missing():
     trace = _trace_from_embeddings([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
