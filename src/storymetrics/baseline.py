@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import (KNOWN_VARIANTS, Columns, StoryTrace, ValidationError, Windows, _distinct,
-                    _trace_of, each_distinct)
+                    _run_sums, _trace_of, each_distinct)
 
 
 def tokenize(text: str) -> list[str]:
@@ -270,10 +270,9 @@ def build_trace(sentences: Sequence[str], embedder: HashEmbedder,
             np.concatenate([np.repeat(lo, hi - lo), hi[row], lo[row], hi[row], hi[row]]),
             (np.concatenate([unshifted, bigram_shift, unshifted[:len(win)]]),
              np.concatenate([unshifted, context_shift, unshifted[:len(win)]])))
-        cut = np.concatenate(([0], np.cumsum(hi - lo))).tolist()
-        avg_lls[t] = [float(np.mean(scores[i:j])) for i, j in zip(cut, cut[1:])]
+        avg_lls[t] = _run_sums(scores, hi - lo) / (hi - lo)  # each as np.mean gives it
         for k, variant in enumerate(KNOWN_VARIANTS):
-            win_ll[variant][at:at + len(win)] = scores[cut[-1] + k * len(win):][:len(win)]
+            win_ll[variant][at:at + len(win)] = scores[len(sent) + k * len(win):][:len(win)]
         at += len(win)
         windowed = stop > hi
         rows = embedder.embed_spans(codes, np.concatenate([lo, lo[windowed], hi[windowed]]),

@@ -150,11 +150,16 @@ def _check_vectors(f: _Faults, what, flat, lengths, not_1d, rows=None) -> None:
                 items if rows is None else np.asarray(rows)[items])
 
 
-def _sums(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The sum of each vector, as np.sum adds it alone."""
-    ends = np.cumsum(lengths).tolist()
-    return np.array([flat[end - size:end].sum() for end, size in zip(ends, lengths.tolist())],
-                    float)
+def _run_sums(flat: np.ndarray, lengths) -> np.ndarray:
+    """The sum of each run of `flat`, the runs end to end with `lengths`, as
+    np.sum adds a run alone: one sum(axis=1) per run length (np.add.reduceat
+    adds in order, which differs in the last bit, and gives an empty run no 0)."""
+    lengths = np.asarray(lengths, np.intp)
+    starts, sums = np.cumsum(lengths) - lengths, np.empty(len(lengths))
+    for length in _distinct(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        sums[rows] = flat[starts[rows, None] + np.arange(length)].sum(axis=1)
+    return sums
 
 
 def _check_sets(f: _Faults, counts, sizes, probs: tuple, stored, rows=None,
@@ -178,7 +183,7 @@ def _check_sets(f: _Faults, counts, sizes, probs: tuple, stored, rows=None,
                 "sample count", prob_rows)
         f.check(flat < 0, lambda k: "continuation probabilities must be non-negative",
                 np.repeat(prob_rows, lengths))
-        f.check(np.abs(_sums(flat, lengths) - 1.0) > PROB_SUM_TOL,
+        f.check(np.abs(_run_sums(flat, lengths) - 1.0) > PROB_SUM_TOL,
                 lambda k: "continuation probabilities must sum to 1", prob_rows)
 
 
@@ -239,8 +244,9 @@ def _json_meta(meta) -> dict:
     return meta
 
 
-# slots: a chapter trace holds tens of thousands of records, sets and samples
-@dataclass(frozen=True, slots=True)
+# slots: a chapter trace holds tens of thousands of records, sets and samples.
+# eq=False: a type that holds arrays compares and hashes by identity.
+@dataclass(frozen=True, slots=True, eq=False)
 class ContinuationSample:
     embedding: np.ndarray
     raw_score: Optional[float] = None
@@ -255,7 +261,7 @@ class ContinuationSample:
         object.__setattr__(self, "embedding", embedding)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ContinuationSet:
     """Imagined continuations n sentences ahead, optionally with an
     explicit probability vector over the samples."""
@@ -285,7 +291,7 @@ class ContinuationSet:
         return np.stack([s.embedding for s in self.samples])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SentenceRecord:
     index: int
     embedding: np.ndarray
@@ -373,15 +379,6 @@ class Columns:
         return np.cumsum(counts) - counts
 
 
-def _bare_columns(base: int, embeddings: np.ndarray, text: tuple) -> Columns:
-    """Rows with an index, embedding and text each, and no other field."""
-    none, zeros = np.zeros(len(text), bool), np.zeros(len(text))
-    return Columns(base, embeddings, text, zeros, none, zeros, none, none, {}, none, {},
-                   np.zeros(len(text), np.intp), (0,) * len(text), none,
-                   np.empty((0, embeddings.shape[1])), np.empty(0), np.empty(0, bool),
-                   np.empty(0))
-
-
 def _row(rec: SentenceRecord) -> tuple:
     """A checked record's fields, in the row form of _fields."""
     cont = rec.continuations
@@ -449,7 +446,7 @@ def _concat(parts: list) -> Columns:
     return Columns(**joined)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StoryTrace:
     """A story's trace, held only as `columns`: the records it is built
     from are checked into columns and let go. Its `sentences` are built on
@@ -458,7 +455,7 @@ class StoryTrace:
     sentences: tuple[SentenceRecord, ...]
     embedding_dim: int
     meta: Mapping[str, str] = field(default_factory=dict)
-    columns: Columns = field(init=False, repr=False, compare=False)
+    columns: Columns = field(init=False, repr=False)
 
     def __post_init__(self):
         _file_name(self.story_id)
@@ -502,7 +499,7 @@ def _trace_of(story_id: str, columns: Columns, embedding_dim: int, meta: dict) -
     return trace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSeries:
     """A named per-sentence curve."""
 
@@ -774,12 +771,13 @@ def _continuation_fields(cont) -> tuple:
     return horizon, samples, probs
 
 
-def _read_block(raws: list, embedding_dim: int, index: Optional[int]) -> tuple[Columns, _Faults]:
-    """_columns of the record lines `raws`, and their first fault."""
+def _read_block(raws: list, embedding_dim: int, index, parse) -> tuple[Columns, _Faults]:
+    """_columns of the record lines `raws`, each parsed into the row form by
+    `parse` (_fields, or _projected_fields), and their first fault."""
     f, fields = _Faults(len(raws)), []
     for raw in raws:
         try:
-            fields.append(_fields(raw))
+            fields.append(parse(raw))
         except ValidationError as exc:
             f.end, f.message = len(fields), str(exc)
             break
@@ -848,50 +846,26 @@ def _columns(fields: list, embedding_dim: Optional[int], index: Optional[int],
         probs[0])
 
 
-# Decodes a JSON float to the bytes of its literal and a JSON string to a
-# str, so a projected read converts only the floats it keeps, and can still
-# tell a number from a string.
+# Decodes a JSON float to the bytes of its literal, for _columns to convert,
+# and a JSON string to a str: a projected read converts only the floats it
+# keeps, and still tells a number from a string.
 _PROJECTING_DECODER = json.JSONDecoder(parse_float=str.encode)
 
 
-def _project_block(raws: list, embedding_dim: int, index: Optional[int]
-                   ) -> tuple[Columns, _Faults]:
-    """_read_block's index, e and text columns of the record lines `raws`. A
-    line is taken as projected if it is a JSON object whose `index` is the
-    one it must carry, whose `e` holds `embedding_dim` finite JSON floats
-    (converted in one call for the block) and whose `text` is a string or
-    absent; any other line is judged by _read_block."""
-    objs = []
-    for raw in raws:
-        try:
-            objs.append(_PROJECTING_DECODER.decode(raw))
-        except json.JSONDecodeError:
-            objs.append(None)
-    sized = [type(o) is dict and type(o.get("e")) is list and len(o["e"]) == embedding_dim
-             for o in objs]
-    ok = [s and type(o.get("index")) is int and o["index"] >= 0
-          and set(map(type, o["e"])) == {bytes} and isinstance(o.get("text"), (str, type(None)))
-          for s, o in zip(sized, objs)]
-    # a row is kept only if its e holds embedding_dim values: if none does,
-    # none is, and the header's embedding_dim sizes nothing
-    e = np.empty((len(raws), embedding_dim if any(sized) else 0))
-    e[ok] = np.array([o["e"] for o, good in zip(objs, ok) if good], float).reshape(
-        sum(ok), e.shape[1])
-    ok = np.array(ok, bool) & np.isfinite(e).all(axis=1)
-    f, text, base = _Faults(len(raws)), [], index
-    for r, raw in enumerate(raws):
-        want = None if base is None else base + r
-        if ok[r] and want in (None, objs[r]["index"]):
-            text.append(objs[r].get("text"))
-            base = objs[r]["index"] - r
-            continue
-        row, fault = _read_block([raw], embedding_dim, want)
-        if fault.message is not None:
-            f.end, f.message = r, fault.message
-            break
-        e[r], base = row.embeddings[0], row.base - r
-        text.append(row.text[0])
-    return _bare_columns(base or 0, e[:f.end], tuple(text)), f
+def _projected_fields(raw: str) -> tuple:
+    """A record line's index, text and e in the row form of _fields, its
+    other fields None. Only a JSON object whose `e` is a non-empty list of
+    float literals is projected (its e is checked by _columns); any other
+    line is parsed, and judged, by _fields."""
+    try:
+        obj = _PROJECTING_DECODER.decode(raw)
+    except json.JSONDecodeError:
+        obj = None
+    e = obj.get("e") if type(obj) is dict else None
+    if type(e) is not list or set(map(type, e)) != {bytes}:
+        return (*_fields(raw)[:3], None, None, None, None, None)
+    _refuse(_record_fault(obj.get("index"), obj.get("text"), None, None))
+    return (obj["index"], obj.get("text"), e, None, None, None, None, None)
 
 
 # Binary readline gathers a line longer than its file's buffer piece by
@@ -941,10 +915,10 @@ def _trace_header(path, head_no: int, head: str) -> tuple[str, int, dict]:
 
 
 def read_trace(path, *, full: bool = True) -> StoryTrace:
-    """The trace in `path`. With full=False it holds only each record's
-    `index`, `e` and `text`, and only those fields (with the header and the
-    JSON syntax of every line) are checked; a line the projection does not
-    accept is judged by the full read, so both give the same errors.
+    """The trace in `path`. With full=False each line is parsed into the row
+    form with only `index`, `e` and `text`, which (with the header and the
+    JSON syntax of every line) _columns checks as it checks a full read's; a
+    faulty line is judged again by the full read, so both give one error.
 
     The record lines are read in byte ranges, each cut just after a \\n: one,
     read here, or in a file of PARALLEL_READ_BYTES or more one per process
@@ -986,6 +960,7 @@ def _range_columns(path, embedding_dim: int, full: bool, span: tuple[int, int]):
     against the records before it."""
     start, end = span
     blocks, fault, index = [], None, 0 if start == 0 else None
+    parse = _fields if full else _projected_fields
     with open(path, "rb", buffering=_LINE_BUFFER) as fh:
         fh.seek(start)
         lines = content_lines(path, fh, end)
@@ -999,7 +974,7 @@ def _range_columns(path, embedding_dim: int, full: bool, span: tuple[int, int]):
                     raws.append(raw)
             except ParseError as exc:  # a line that is not UTF-8
                 fault = (exc.line_no, None)
-            columns, f = (_read_block if full else _project_block)(raws, embedding_dim, index)
+            columns, f = _read_block(raws, embedding_dim, index, parse)
             blocks.append(columns)
             if f.message is not None:
                 fault = (nos[f.end], raws[f.end])
@@ -1022,7 +997,7 @@ def _line_fault(path, embedding_dim: int, start: int,
     no += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
     if raw is None:
         return ParseError(f"{path} line {no}: not valid UTF-8")
-    message = _read_block([raw], embedding_dim, index)[1].message
+    message = _read_block([raw], embedding_dim, index, _fields)[1].message
     if message is None:
         raise AssertionError(f"{path} line {no} was judged a fault, and then not")
     return ParseError(f"{path} line {no}: {message}")

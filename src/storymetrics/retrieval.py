@@ -30,7 +30,7 @@ def _is_distribution(dist: np.ndarray) -> bool:
                 and abs(float(dist.sum()) - 1.0) <= 1e-9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as it holds arrays
 class Passage:
     id: str
     key: np.ndarray

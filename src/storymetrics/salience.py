@@ -15,7 +15,8 @@ import numpy as np
 
 from .annotation import zscore
 from .model import (Columns, DegenerateStatisticsError, MetricSeries, SentenceRecord, StoryTrace,
-                    ValidationError, _Faults, _one_row, _refuse, per_sentence_series)
+                    ValidationError, _Faults, _one_row, _refuse, _run_sums,
+                    per_sentence_series)
 from .suspense import DistanceKind, _distances, consecutive_distances
 
 
@@ -39,20 +40,7 @@ def coherence(token_loglikes) -> float:
     vals = np.asarray(token_loglikes, float).ravel()
     if vals.size == 0:
         raise ValidationError("coherence of an empty window is undefined")
-    return float(_coherences(vals, np.array([vals.size]))[0])
-
-
-def _coherences(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """coherence of each non-empty window, the windows given end to end in
-    `values`, with their lengths. Each group of equal-length windows is one
-    mean(axis=1), which adds a row as np.mean adds it alone
-    (np.add.reduceat(...) / n differs in the last bit)."""
-    starts = np.cumsum(lengths) - lengths
-    means = np.empty(len(lengths))
-    for length in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == length)
-        means[rows] = values[starts[rows, None] + np.arange(length)].mean(axis=1)
-    return means
+    return float(vals.mean())
 
 
 def bcf_salience(c_base: float, c_variant: float) -> float:
@@ -85,11 +73,13 @@ def variant_salience(rec: SentenceRecord, variant: str) -> float:
 
 
 def _variant_saliences(c: Columns, variant: str, rows: np.ndarray) -> np.ndarray:
-    """variant_salience of the sentences `rows`, from one _coherences call
-    per variant. The first of them whose windows are missing, or whose
-    coherences are not finite, raises."""
+    """variant_salience of the sentences `rows`, from one _run_sums call
+    per variant (a window's sum over its length is its np.mean). The first
+    of them whose windows are missing, or whose coherences are not finite,
+    raises."""
     f, pair = _paired(c, c.win_ll, variant, rows, "window log-likelihoods")
-    coherences = (np.stack([_coherences(w.values, w.lengths)[at] for w, at in pair], axis=1)
+    coherences = (np.stack([(_run_sums(w.values, w.lengths) / w.lengths)[at] for w, at in pair],
+                           axis=1)
                   if pair else np.zeros((0, 2)))
     f.check(~np.isfinite(coherences).all(axis=1),
             lambda k: f"sentence {c.base + rows[k]}: coherences must be finite")

@@ -17,9 +17,10 @@ from storymetrics import model
 from storymetrics.model import (PROB_RENORM_TOL, AnnotationSet, ContinuationSample,
                                 ContinuationSet, GoldLabels, Judgment,
                                 MetricSeries, ParseError, SentenceRecord,
-                                StoryTrace, ValidationError, _json_numbers,
+                                StoryTrace, ValidationError, _json_numbers, _run_sums,
                                 read_annotations, read_gold, read_trace,
                                 write_annotations, write_gold, write_trace)
+from storymetrics.retrieval import Passage
 
 from strategies import FINITE, traces
 from test_cli import _BAD_RECORDS
@@ -120,6 +121,41 @@ def traces_equal(a, b):
 
 
 # --- type invariants ---------------------------------------------------------
+
+def _vector():
+    return np.array([1.0, 2.0])
+
+
+_HOLDERS_OF_ARRAYS = {
+    "sample": lambda: ContinuationSample(_vector()),
+    "set": lambda: ContinuationSet(1, (ContinuationSample(_vector()),), [1.0]),
+    "record": lambda: SentenceRecord(0, _vector(), window_embedding={"base": _vector()}),
+    "trace": lambda: StoryTrace("s", (SentenceRecord(0, _vector()),), 2),
+    "series": lambda: MetricSeries("m", _vector()),
+    "passage": lambda: Passage("p", _vector(), "x", "kb"),
+}
+
+
+@pytest.mark.parametrize("make", _HOLDERS_OF_ARRAYS.values(), ids=_HOLDERS_OF_ARRAYS)
+def test_types_that_hold_arrays_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_run_sums_equal_np_sum_of_each_run():
+    """Runs of every length from 0 to 300, several of each, in shuffled
+    order: bit for bit np.sum of each run alone. A run of length 0 sums to
+    0, with no warning. (test_salience checks their means against np.mean.)"""
+    rng = np.random.default_rng(12)
+    lengths = rng.permutation(np.repeat(np.arange(301), 3))
+    runs = [rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4) for n in lengths]
+    assert (_run_sums(np.concatenate(runs), lengths).tolist()
+            == [float(np.sum(run)) for run in runs])
+    assert _run_sums(np.empty(0), [0, 0]).tolist() == [0.0, 0.0]
+    assert _run_sums(np.empty(0), []).tolist() == []
+
 
 def test_minimal_trace_valid():
     trace = _minimal_trace()
@@ -511,6 +547,12 @@ _IRREGULAR_LINES = {
     "not_object": ('[1.0,0.0]', "missing or malformed embedding"),
     "bad_json": ('{"index":1,"e":[1.0,', "invalid JSON"),
     "index_gap": ('{"index":2,"e":[1.0,0.0]}', "sentence index 2, expected 1"),
+    "e_int_last": ('{"index":1,"e":[0.5,2],"text":"b","avg_ll":-1.0,"sentiment":0.5}', None),
+    "e_1e999": ('{"index":1,"e":[0.5,1e999],"text":"b"}', "embedding contains non-finite values"),
+    "e_true_last": ('{"index":1,"e":[0.5,true]}', "embedding must hold only numbers, got True"),
+    "index_missing": ('{"e":[1.0,0.0],"text":"b"}', "malformed record: 'index'"),
+    "index_true_with_text": ('{"index":true,"e":[1.0,0.0],"text":"b"}',
+                             "index must be an integer, got True"),
 }
 
 
@@ -535,6 +577,34 @@ def test_projected_read_judges_irregular_lines_as_the_full_read(tmp_path, line, 
     assert errors[0].startswith(f"{path} line 3: ") and message in errors[0]
 
 
+def test_projected_row_keeps_only_index_text_and_e():
+    """A projected row keeps only a line's index, text and e: e as the bytes
+    of its float literals, or, where it is not all float literals, as the
+    full parse gives it."""
+    line = '{"index":1,"e":[0.5,2],"text":"b","avg_ll":-1.0,"sentiment":0.5}'
+    assert model._projected_fields(line) == (1, "b", [0.5, 2], *[None] * 5)
+    line = '{"index":1,"e":[0.5,2.0],"text":"b","avg_ll":-1.0,"sentiment":0.5}'
+    assert model._projected_fields(line) == (1, "b", [b"0.5", b"2.0"], *[None] * 5)
+
+
+def test_projected_read_takes_a_line_whose_unread_fields_are_malformed(tmp_path):
+    """avg_ll, win_ll and cont are not read by a projected read: a line that
+    the full read refuses for them alone is taken, and the projected
+    columns hold none of the fields it does not read, of any line."""
+    path = tmp_path / "t.trace"
+    path.write_text('{"story_id":"s","embedding_dim":2,"meta":{}}\n'
+                    '{"index":0,"e":[1.0,0.0],"avg_ll":-1.0,"win_ll":{"base":[-1.0]},'
+                    '"win_emb":{"base":[1.0,0.0]},"cont":{"n":1,"samples":[{"e":[1.0,0.0]}]}}\n'
+                    '{"index":1,"e":[0.5,0.5],"text":"b","avg_ll":"x","win_ll":[1],'
+                    '"cont":{"n":0}}\n')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} line 3: "):
+        read_trace(path)
+    c = read_trace(path, full=False).columns
+    assert c.text == (None, "b") and c.embeddings.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+    assert not (c.has_avg_ll.any() or c.has_win_ll.any() or c.has_win_emb.any())
+    assert c.counts.tolist() == [0, 0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(trace=traces())
 def test_projected_read_equals_full_read(tmp_path_factory, trace):
@@ -546,8 +616,8 @@ def test_projected_read_equals_full_read(tmp_path_factory, trace):
         assert (repr(a.index), repr(a.text)) == (repr(b.index), repr(b.text))
         assert a.embedding.tobytes() == b.embedding.tobytes()
         assert a.continuations is None and a.window_token_loglikes is None
-    # every record write_trace emits takes the projection, not the full read
-    with patch.object(model, "_read_block", side_effect=AssertionError("judged in full")):
+    # every record write_trace emits takes the projection, not the full parse
+    with patch.object(model, "_fields", side_effect=AssertionError("parsed in full")):
         assert len(read_trace(path, full=False)) == len(trace)
 
 

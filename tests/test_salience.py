@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from storymetrics.annotation import zscore
 from storymetrics.model import (KNOWN_VARIANTS, ContinuationSample, ContinuationSet,
                                 DegenerateStatisticsError, MetricSeries, SentenceRecord,
-                                StoryTrace, ValidationError)
-from storymetrics.salience import (SalienceConfig, _coherences, bcf_salience,
+                                StoryTrace, ValidationError, _run_sums)
+from storymetrics.salience import (SalienceConfig, bcf_salience,
                                    clus_salience, coherence,
                                    combine_like_clus, emb_salience,
                                    imp_adjust, positional_baseline,
@@ -348,7 +348,7 @@ def test_grouped_coherences_equal_np_mean_of_each_window():
     lengths = rng.permutation(np.repeat(np.arange(1, 301), 3))
     windows = [-rng.exponential(3.0, length) * 10.0 ** rng.integers(-3, 4)
                for length in lengths]
-    got = _coherences(np.concatenate(windows), lengths)
+    got = _run_sums(np.concatenate(windows), lengths) / lengths  # as _variant_saliences
     assert got.tolist() == [float(np.mean(w)) for w in windows]
     assert [coherence(w) for w in windows] == got.tolist()
 
