@@ -35,9 +35,9 @@ import numpy as np
 
 from . import alignment, annotation, baseline, evaluation, salience, suspense, svgplot
 from .model import (AnnotationSet, DegenerateStatisticsError, GoldLabels, Judgment,
-                    MetricSeries, ParseError, StoryTrace, ValidationError, _first, _map,
-                    content_lines, read_annotations, read_gold, read_trace, write_annotations,
-                    write_gold, write_trace)
+                    MetricSeries, ParseError, StoryTrace, ValidationError, _Faults, _map,
+                    _write_lines, content_lines, read_annotations, read_gold, read_trace,
+                    write_annotations, write_gold, write_trace)
 
 DEFAULT_METRICS = ("ely_surprise", "ely_suspense", "alpha_ely_suspense",
                    "hale_surprise", "sample_ely_suspense", "embedding_similarity")
@@ -73,8 +73,7 @@ def _write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
     cells = [map(float.__repr__, np.asarray(col, float).tolist()) for col in columns.values()]
     lines = ["sentence," + ",".join(columns)]
     lines.extend(f"{i},{','.join(row)}" for i, row in enumerate(zip(*cells)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
@@ -98,31 +97,24 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
             texts.append(text)
     except ParseError as exc:  # a fault of its line, after those of the lines read
         unreadable = exc
-    width = len(header) - 1
-    # Each check runs on the rows that passed the ones before it, and stops
-    # them at its first fault, so the fault left is that of the first faulty
-    # row, found by the first check that the row fails.
-    end = _first((text.count(",") != width for text in texts), len(texts))
-    fault = "wrong column count"
-    cells = ",".join(texts[:end]).split(",") if end else []
+    width, f = len(header) - 1, _Faults(len(texts))
+    f.check((text.count(",") != width for text in texts), lambda k: "wrong column count")
+    cells = ",".join(texts[:f.end]).split(",") if f.end else []
     ids = cells[::width + 1]
     del cells[::width + 1]
-    wrong = _first((cell.strip() != str(row) for row, cell in enumerate(ids)), end)
-    if wrong < end:
-        end, fault = wrong, f"sentence {ids[wrong]!r} in row {wrong}"
-    del cells[end * width:]
+    f.check((cell.strip() != str(row) for row, cell in enumerate(ids)),
+            lambda k: f"sentence {ids[k]!r} in row {k}")
+    del cells[f.end * width:]
     try:
         values = np.array(list(map(float, cells)))
     except ValueError:
-        bad = _first(map(_not_a_float, cells), len(cells))
-        end, fault = bad // width, str(_not_a_float(cells[bad]))
-        values = np.array(list(map(float, cells[:end * width])))
-    values = values.reshape(end, width)
-    infinite = _first(~np.isfinite(values).all(axis=1), end)
-    if infinite < end:
-        end, fault = infinite, f"non-finite value in {texts[infinite]!r}"
-    if end < len(texts):
-        raise ValidationError(f"{path} line {nos[end]}: {fault}")
+        f.check(map(_not_a_float, cells), lambda k: str(_not_a_float(cells[k])),
+                np.arange(len(cells)) // width)
+        values = np.array(list(map(float, cells[:f.end * width])))
+    values = values.reshape(f.end, width)
+    f.check(~np.isfinite(values).all(axis=1), lambda k: f"non-finite value in {texts[k]!r}")
+    if f.message is not None:
+        raise ValidationError(f"{path} line {nos[f.end]}: {f.message}")
     if unreadable is not None:
         raise unreadable
     if not texts:
@@ -140,7 +132,8 @@ def _not_a_float(cell: str) -> Optional[ValueError]:
 
 
 def _columns(trace: StoryTrace, metrics: Sequence[str], measures: Sequence[str],
-             cfg: suspense.MetricConfig, seed: int, zscore: bool) -> dict[str, np.ndarray]:
+             cfg: suspense.MetricConfig, seed: int, zscore: bool) -> tuple[str, dict]:
+    """The trace's story_id and its analyze columns."""
     cols = {name: suspense.metric_series(trace, name, cfg).values for name in metrics}
     for measure in measures:
         scfg = salience.SalienceConfig(measure=measure, rng_seed=seed)
@@ -148,20 +141,20 @@ def _columns(trace: StoryTrace, metrics: Sequence[str], measures: Sequence[str],
     if zscore:
         cols = {name: annotation.zscore(MetricSeries(name, vals)).values
                 for name, vals in cols.items()}
-    return cols
+    return trace.story_id, cols
 
 
-def _analyze_job(path, **options):
-    """Read the trace at `path` and compute its columns: `(story_id,
-    columns)`, or a _Failed."""
+def _job(read, score, paths: tuple):
+    """score(read(*paths)) for one story's input files, or the _Failed of
+    the stage that raised. A scoring error is prefixed with paths[0]."""
     try:
-        trace = read_trace(path)
+        inputs = read(*paths)
     except _USER_ERRORS as exc:
         return _Failed(_READING, exc)
     try:
-        return trace.story_id, _columns(trace, **options)
+        return score(inputs)
     except _USER_ERRORS as exc:
-        return _Failed(_SCORING, type(exc)(f"{path}: {exc}"))
+        return _Failed(_SCORING, type(exc)(f"{paths[0]}: {exc}"))
 
 
 def analyze(trace_paths: Sequence, out_dir, metrics: Sequence[str],
@@ -171,8 +164,9 @@ def analyze(trace_paths: Sequence, out_dir, metrics: Sequence[str],
     metric, then one per salience measure (seeded by `seed`), all z-scored
     if asked. Returns the columns, in trace order. Every trace is read
     before any error of a computation is reported."""
-    results = _map(partial(_analyze_job, metrics=metrics, measures=measures, cfg=cfg,
-                           seed=seed, zscore=zscore), list(trace_paths))
+    score = partial(_columns, metrics=metrics, measures=measures, cfg=cfg, seed=seed,
+                    zscore=zscore)
+    results = _map(partial(_job, read_trace, score), [(path,) for path in trace_paths])
     _raise_first(results, _READING)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -309,8 +303,8 @@ def _evaluation_mode(mode: str) -> tuple:
 
 
 def _read_story(mode: str, pred_path, ref_path, trace_path) -> tuple:
-    """One story's prediction columns, reference and trace (or None), each
-    checked against the others."""
+    """One story's id (its prediction CSV's name), prediction columns,
+    reference and trace (or None), each checked against the others."""
     _, load, gold_kind, _ = _evaluation_mode(mode)
     pred = read_series_csv(pred_path)
     ref = load(ref_path)
@@ -340,7 +334,7 @@ def _read_story(mode: str, pred_path, ref_path, trace_path) -> tuple:
             no = _gold_line(ref_path, lambda _, raw: last in map(int, raw.split()))
             raise ValidationError(f"{ref_path} line {no}: gold index {last} is beyond the "
                                   f"{len(trace)} sentences of {trace_path}")
-    return pred, ref, trace
+    return Path(pred_path).stem, pred, ref, trace
 
 
 def _gold_line(path, names) -> int:
@@ -353,20 +347,6 @@ def _gold_line(path, names) -> int:
     return next(no for j, (no, raw) in enumerate(entries) if names(j, raw))
 
 
-def _evaluate_job(paths: tuple, mode: str, k: Optional[int]):
-    """Read and score one story's (prediction CSV, reference file, trace or
-    None): its result rows, or a _Failed."""
-    try:
-        inputs = _read_story(mode, *paths)
-    except _USER_ERRORS as exc:
-        return _Failed(_READING, exc)
-    try:
-        *_, score = _evaluation_mode(mode)
-        return score(Path(paths[0]).stem, *inputs, k)
-    except _USER_ERRORS as exc:
-        return _Failed(_SCORING, exc)
-
-
 def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = None,
              gold: Optional[Sequence] = None, traces: Optional[Sequence] = None,
              k: Optional[int] = None) -> None:
@@ -374,7 +354,7 @@ def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = 
     row per story and measure, then the per-measure means, to `out`. Every
     story is read before any error of a computation is reported."""
     given = {"--annotations": annotations, "--gold": gold, "--trace": traces, "--k": k}
-    reads = _evaluation_mode(mode)[0]
+    reads, *_, score = _evaluation_mode(mode)
     stray = [option for option, value in given.items()
              if value is not None and option not in reads]
     if stray:
@@ -386,7 +366,7 @@ def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = 
         raise ValidationError(f"one {reads[0]} file per prediction CSV required")
     if traces and len(traces) != len(preds):
         raise ValidationError("one --trace per prediction CSV required when given")
-    results = _map(partial(_evaluate_job, mode=mode, k=k),
+    results = _map(partial(_job, partial(_read_story, mode), lambda story: score(*story, k)),
                    list(zip(preds, refs, traces or [None] * len(preds))))
     _raise_first(results, _READING)
     _raise_first(results, _SCORING)
@@ -394,10 +374,7 @@ def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = 
     rows.extend(_aggregate_rows(rows))
     out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RESULT_HEADER + "\n")
-        for row in rows:
-            fh.write(_row_line(row) + "\n")
+    _write_lines(out_path, [RESULT_HEADER, *map(_row_line, rows)])
 
 
 def cmd_evaluate(args) -> int:
@@ -418,11 +395,10 @@ def cmd_align(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_gold(result.labels, out_dir / f"{fulltext.story_id}_gold.txt")
     report = alignment.alignment_report(result.labels, len(fulltext))
-    with open(out_dir / f"{fulltext.story_id}_report.csv", "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("label_count,fulltext_sentences,coverage,empty_windows\n")
-        fh.write(f"{report['label_count']},{report['fulltext_sentences']},"
-                 f"{_fmt_value(report['coverage'])},{result.empty_windows}\n")
+    _write_lines(out_dir / f"{fulltext.story_id}_report.csv", [
+        "label_count,fulltext_sentences,coverage,empty_windows",
+        f"{report['label_count']},{report['fulltext_sentences']},"
+        f"{_fmt_value(report['coverage'])},{result.empty_windows}"])
     return 0
 
 

@@ -50,13 +50,6 @@ class Judgment(Enum):
     BIG_INCREASE = "BI"
 
 
-def _first(flags, default):
-    """The position of the first true flag, or `default`."""
-    if type(flags) is np.ndarray:
-        return int(flags.argmax()) if flags.any() else default
-    return next(itertools.compress(itertools.count(), flags), default)
-
-
 class _Faults:
     """The first fault among rows [0, end). Each check runs on the rows
     before the first fault found so far, and a fault it finds there
@@ -71,7 +64,10 @@ class _Faults:
         """`flags`, one per row or per item of the rows `rows` (ascending):
         the first flagged, k, is a fault with message(k) if its row is
         before the fault found so far."""
-        k = _first(flags, None)
+        if type(flags) is np.ndarray:
+            k = int(flags.argmax()) if flags.any() else None
+        else:
+            k = next(itertools.compress(itertools.count(), flags), None)
         if k is not None and (row := k if rows is None else int(rows[k])) < self.end:
             self.end, self.message = row, message(k)
 
@@ -100,9 +96,10 @@ def _float(number) -> float:
 
 
 def _floats(value) -> np.ndarray:
-    """np.asarray(value, float), with _float's +-inf for a too-large integer."""
+    """A new float array of `value` (never the caller's own, which the
+    constructors make read-only), with _float's +-inf for a too-large integer."""
     try:
-        return np.asarray(value, float)
+        return np.array(value, float)
     except OverflowError:
         return np.vectorize(_float, otypes=[float])(np.array(value, object))
 
@@ -508,7 +505,7 @@ class MetricSeries:
     normalized: bool = False
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)  # a copy: it is made read-only
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"series {self.name!r} must be a non-empty 1-d sequence")
         infinite = np.flatnonzero(~np.isfinite(arr))
@@ -902,16 +899,24 @@ def content_lines(path, fh=None, end: float = math.inf) -> Iterator[tuple[int, s
                 yield no, text.rstrip("\n")
 
 
-def _trace_header(path, head_no: int, head: str) -> tuple[str, int, dict]:
-    """The story_id, embedding_dim and meta of a trace header line."""
+def _header(path, lines: Iterator[tuple[int, str]], what: str, parse) -> tuple:
+    """The JSON header, the first of `lines` (content_lines of the `what`
+    file at `path`): its line number, `parse` of its object, and `lines`,
+    now at the line after it. A KeyError, TypeError or ValueError of the
+    JSON or of `parse` names the header's line."""
+    head_no, head = next(lines, (None, None))
+    if head is None:
+        raise ParseError(f"{path}: empty {what} file")
     try:
-        header = json.loads(head)
-        story_id = _file_name(header["story_id"])
-        embedding_dim = _embedding_dim(header["embedding_dim"])
-        meta = _json_meta(header.get("meta", {}))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path} line {head_no}: malformed trace header: {exc}") from exc
-    return story_id, embedding_dim, meta
+        return head_no, parse(json.loads(head)), lines
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} line {head_no}: malformed {what} header: {exc}") from exc
+
+
+def _story_header(header) -> tuple[str, int, dict]:
+    """The story_id, embedding_dim and meta of a trace header."""
+    return (_file_name(header["story_id"]), _embedding_dim(header["embedding_dim"]),
+            _json_meta(header.get("meta", {})))
 
 
 def read_trace(path, *, full: bool = True) -> StoryTrace:
@@ -925,10 +930,8 @@ def read_trace(path, *, full: bool = True) -> StoryTrace:
     _map may run. Each range reads up to its first fault, and the first
     fault in line order is raised, so the error is the same at any CPU count."""
     with open(path, "rb") as fh:
-        head_no, head = next(content_lines(path, fh), (None, None))
-        if head is None:
-            raise ParseError(f"{path}: empty trace file")
-        story_id, embedding_dim, meta = _trace_header(path, head_no, head)
+        _, (story_id, embedding_dim, meta), _ = _header(
+            path, content_lines(path, fh), "trace", _story_header)
         head_end, size = fh.tell(), os.fstat(fh.fileno()).st_size
         n = _cpus() if size >= PARALLEL_READ_BYTES else 1
         cuts = [0]  # the range at 0 holds the header's line
@@ -1099,24 +1102,23 @@ def _worker_outcomes(pid: int, pipe) -> list:
 _TOKEN_TO_JUDGMENT = {j.value: j for j in Judgment}
 
 
+def _write_lines(path, lines) -> None:
+    """Write the text file at `path`: `lines`, each ended by \\n."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_annotations(annotations: AnnotationSet, path) -> None:
     lines = [_dump_line({"story_id": annotations.story_id})]
     for aid in sorted(annotations.annotators):
         tokens = " ".join(j.value for j in annotations.annotators[aid])
         lines.append(f"{aid}\t{tokens}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_annotations(path) -> AnnotationSet:
-    lines = content_lines(path)
-    head_no, head = next(lines, (None, None))
-    if head is None:
-        raise ParseError(f"{path}: empty annotation file")
-    try:
-        story_id = json.loads(head)["story_id"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"{path} line {head_no}: malformed annotation header: {exc}") from exc
+    _, story_id, lines = _header(path, content_lines(path), "annotation",
+                                 lambda header: header["story_id"])
     annotators, given_on = {}, {}  # annotator -> judgments, line number
     for line_no, raw in lines:
         parts = raw.split("\t", 1)
@@ -1155,19 +1157,12 @@ def write_gold(labels: GoldLabels, path) -> None:
                 lines.append(f"{pos} {lo} {hi}")
             else:
                 lines.append(str(pos))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_gold(path) -> GoldLabels:
-    lines = content_lines(path)
-    head_no, head = next(lines, (None, None))
-    if head is None:
-        raise ParseError(f"{path}: empty gold file")
-    try:
-        kind = json.loads(head)["kind"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"{path} line {head_no}: malformed gold header: {exc}") from exc
+    head_no, kind, lines = _header(path, content_lines(path), "gold",
+                                   lambda header: header["kind"])
     if kind not in ("salience", "turning_points"):
         raise ParseError(f"{path} line {head_no}: unknown gold label kind {kind!r}")
     if kind == "salience":

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ParseError, ValidationError, _json_int, _json_numbers, content_lines
+from .model import (ParseError, ValidationError, _floats, _header, _json_int,
+                    _json_numbers, _write_lines, content_lines)
 from .suspense import softmax
 
 
@@ -42,13 +43,13 @@ class Passage:
     def __post_init__(self):
         if self.source not in ("kb", "memory"):
             raise ValidationError(f"unknown passage source {self.source!r}")
-        key = np.asarray(self.key, float, order="C")  # contiguous, as a key matrix row is
+        key = np.array(self.key, float, order="C")  # contiguous, as a key matrix row is
         if key.ndim != 1 or key.size == 0 or not np.isfinite(key).all():
             raise ValidationError(f"passage {self.id!r}: key must be a finite 1-d vector")
         key.setflags(write=False)
         object.__setattr__(self, "key", key)
         if self.token_dist is not None:
-            dist = np.asarray(self.token_dist, float)
+            dist = np.array(self.token_dist, float)
             if not _is_distribution(dist):
                 raise ValidationError(f"passage {self.id!r}: token_dist is not a distribution")
             dist.setflags(write=False)
@@ -261,22 +262,15 @@ def write_passages(store: PassageStore, path) -> None:
         if p.token_dist is not None:
             obj["token_dist"] = [float(v) for v in p.token_dist]
         lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_passages(path) -> PassageStore:
     """The passage file at `path`. `dim` and a `position` must be JSON
     integers, `id`, `source` and `payload` strings, and `key` and
     `token_dist` arrays of JSON numbers: nothing is converted."""
-    lines = content_lines(path)
-    head_no, head = next(lines, (None, None))
-    if head is None:
-        raise ParseError(f"{path}: empty passage file")
-    try:
-        store = PassageStore(dim=_json_int(json.loads(head)["dim"], "dim"))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path} line {head_no}: malformed passage header: {exc}") from exc
+    _, store, lines = _header(path, content_lines(path), "passage",
+                              lambda header: PassageStore(dim=_json_int(header["dim"], "dim")))
     for line_no, raw in lines:
         try:
             obj = json.loads(raw)
@@ -284,10 +278,10 @@ def read_passages(path) -> PassageStore:
                 if type(obj[name]) is not str:
                     raise ValidationError(f"{name} must be a string, got {obj[name]!r}")
             store.add(Passage(
-                id=obj["id"], key=np.asarray(_json_numbers(obj["key"], "key"), float),
+                id=obj["id"], key=_floats(_json_numbers(obj["key"], "key")),
                 payload=obj["payload"], source=obj["source"],
                 position=_json_int(obj["position"], "position") if "position" in obj else None,
-                token_dist=(np.asarray(_json_numbers(obj["token_dist"], "token_dist"), float)
+                token_dist=(_floats(_json_numbers(obj["token_dist"], "token_dist"))
                             if "token_dist" in obj else None),
             ))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

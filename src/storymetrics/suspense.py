@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import (Columns, ContinuationSet, MetricSeries, SentenceRecord, StoryTrace,
-                    ValidationError, _one_row, _unchecked, per_sentence_series)
+                    ValidationError, _distinct, _one_row, _unchecked, per_sentence_series)
 
 
 class DistanceKind(Enum):
@@ -216,7 +216,7 @@ def _after_first(values, available=None) -> tuple[np.ndarray, np.ndarray]:
 def _groups(counts: np.ndarray) -> list:
     """The rows with a continuation set, grouped by sample count: a list of
     (rows, count) pairs."""
-    return [(np.flatnonzero(counts == k), k) for k in np.unique(counts[counts > 0]).tolist()]
+    return [(np.flatnonzero(counts == k), k) for k in _distinct(counts[counts > 0]).tolist()]
 
 
 def _slot_blocks(c: Columns, pos: np.ndarray, k: int):

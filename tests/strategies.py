@@ -11,7 +11,12 @@ seeded by a drawn integer, so that long traces of wide vectors stay cheap
 to draw.
 
 `series_columns()` draws the named float columns of a series CSV.
+
+`line_mutants(lines)` gives every one-token change of a line file, and
+every file with one line dropped or duplicated.
 """
+
+import re
 
 import numpy as np
 from hypothesis import strategies as st
@@ -110,3 +115,22 @@ def series_columns(draw) -> dict[str, np.ndarray]:
     names = draw(st.lists(SERIES_NAMES, min_size=1, max_size=3, unique=True))
     n = draw(st.integers(1, 50))
     return {name: np.array(draw(st.lists(FINITE, min_size=n, max_size=n))) for name in names}
+
+
+# what line_mutants puts in place of one token; the last is an integer too
+# large for a float
+TOKEN_MUTANTS = ("x", "", "-1", "1.5", "1e999", "nan", "1" + "0" * 400)
+
+
+def line_mutants(lines: list[str]):
+    """(case, lines) for `lines` with one token (a run of characters other
+    than white space, commas and JSON punctuation) replaced by each of
+    TOKEN_MUTANTS, and with one line dropped or duplicated."""
+    for at, line in enumerate(lines):
+        for token in re.finditer(r'[^\s,"{}:\[\]]+', line):
+            for value in TOKEN_MUTANTS:
+                changed = line[:token.start()] + value + line[token.end():]
+                yield (f"line {at + 1}: {token.group()!r} -> {value!r:.12}",
+                       lines[:at] + [changed] + lines[at + 1:])
+        yield f"line {at + 1} dropped", lines[:at] + lines[at + 1:]
+        yield f"line {at + 1} duplicated", lines[:at + 1] + lines[at:]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from storymetrics import baseline, cli, salience, suspense
@@ -21,7 +21,7 @@ from storymetrics.model import (KNOWN_VARIANTS, AnnotationSet, ContinuationSampl
                                 ContinuationSet, GoldLabels, Judgment, SentenceRecord,
                                 StoryTrace, ValidationError, content_lines, read_gold,
                                 write_annotations, write_gold, write_trace)
-from strategies import series_columns
+from strategies import line_mutants, series_columns
 
 
 @pytest.fixture()
@@ -296,6 +296,64 @@ def test_one_corrupt_field_ends_in_an_exit_code_that_names_the_line(tmp_path, ca
                     if code not in (0, 2, 3, 4) or (code and not named) or (
                             named and not re.search(r"line \d+|sentence \d+|every sentence", err)):
                         faults.append(f"{case}: exit {code}: {err}")
+    assert not faults, "\n".join(faults)
+
+
+# one story's valid inputs for the mutation property of the files other
+# than traces: the first column of the series CSV becomes constant if its
+# 0.5 turns into -1
+_INPUT_FILES = {
+    "story.csv": ["sentence,a,b", *(f"{i},{a},{b}" for i, (a, b) in enumerate(zip(
+        ["-1"] * 7 + ["0.5"], ["0.5", "-0.0", "3.0", "1e-300", "2.5", "0.25", "1.0", "0.75"])))],
+    "story.ann": ['{"story_id":"story"}', "a1\tS I I D S BI D S", "a2\tS D I I S I BD S"],
+    "tp.txt": ['{"kind":"turning_points"}', "1 0 2", "2 1 3", "4 3 5", "5 4 6", "6 5 7"],
+    "salient.txt": ['{"kind":"salience"}', "1 3"],
+}
+
+
+def test_one_corrupt_token_of_another_input_ends_in_an_exit_code_that_names_it(
+        tmp_path, capsys):
+    """Each line_mutants change of a series CSV, an annotation file, a
+    turning-point and a salience gold file, under each command that reads
+    it (in-process): a documented exit code, no traceback or warning, and
+    an error that begins with one of the story's files, then a line number
+    or the rest of the message. A scoring error begins with the story's CSV."""
+    good = {name: tmp_path / name for name in _INPUT_FILES}
+    for name, lines in _INPUT_FILES.items():
+        good[name].write_text("\n".join(lines) + "\n")
+    csv, ann, tp, sal = good.values()
+    out, plots = ["--out", str(tmp_path / "r.csv")], ["--out", str(tmp_path / "plots")]
+    commands = {
+        "story.csv": [["evaluate", "{}", "--mode", "suspense", "--annotations", str(ann), *out],
+                      ["evaluate", "{}", "--mode", "turning-points", "--gold", str(tp), *out],
+                      ["evaluate", "{}", "--mode", "salience", "--gold", str(sal), *out],
+                      ["plot", "{}", *plots]],
+        "story.ann": [["evaluate", str(csv), "--mode", "suspense", "--annotations", "{}", *out]],
+        "tp.txt": [["evaluate", str(csv), "--mode", "turning-points", "--gold", "{}", *out],
+                   ["plot", str(csv), "--gold", "{}", *plots]],
+        "salient.txt": [["evaluate", str(csv), "--mode", "salience", "--gold", "{}", *out],
+                        ["plot", str(csv), "--gold", "{}", *plots]],
+    }
+    faults = []
+    for name, lines in _INPUT_FILES.items():
+        bad = tmp_path / "bad" / name
+        bad.parent.mkdir(exist_ok=True)
+        named = "|".join(re.escape(str(p)) for p in (bad, *good.values()))
+        begins = re.compile(rf"error: ({named})( line \d+:|:| has )")
+        for case, changed in [("unchanged", lines), *line_mutants(lines)]:
+            bad.write_text("\n".join(changed) + "\n")
+            for command in commands[name]:
+                argv = [str(bad) if arg == "{}" else arg for arg in command]
+                label = f"{name} {case}: {' '.join(command[:4])}"
+                try:
+                    code = main(argv)
+                except Exception as exc:  # a warning, too, under filterwarnings = error
+                    faults.append(f"{label}: {type(exc).__name__}: {exc}")
+                    continue
+                err = capsys.readouterr().err
+                if (code not in (0, 2, 3, 4) or (case == "unchanged" and code)
+                        or (code and not begins.match(err))):
+                    faults.append(f"{label}: exit {code}: {err}")
     assert not faults, "\n".join(faults)
 
 
@@ -954,9 +1012,9 @@ _CORRUPTIONS = {
     "cell_inf": lambda line: line.rsplit(",", 1)[0] + ",-inf",
     "cell_overflow": lambda line: line.rsplit(",", 1)[0] + ",1e999",
     "cell_padded": lambda line: line.rsplit(",", 1)[0] + ", 2.5 ",
-    "sentence_word": lambda line: "x," + line.split(",", 1)[1],
+    "sentence_word": lambda line: "x," + line.partition(",")[2],
     "sentence_padded": lambda line: " " + line,
-    "sentence_float": lambda line: line.split(",", 1)[0] + ".0," + line.split(",", 1)[1],
+    "sentence_float": lambda line: line.partition(",")[0] + ".0," + line.partition(",")[2],
     "blank": lambda line: "",
     "not_utf8": lambda line: "\udcff",
 }
@@ -965,6 +1023,7 @@ _CORRUPTIONS = {
 @settings(max_examples=60, deadline=None)
 @given(columns=series_columns(), faults=st.lists(
     st.tuples(st.integers(0, 60), st.sampled_from(sorted(_CORRUPTIONS))), max_size=2))
+@example(columns={"0": np.array([0.0])}, faults=[(0, "blank"), (0, "sentence_float")])
 def test_series_csv_reader_equals_the_row_by_row_reader(tmp_path_factory, columns, faults):
     """Any one or two corrupted lines (the header included) give the old
     reader's columns or its error, which names the first faulty line."""

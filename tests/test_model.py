@@ -144,6 +144,28 @@ def test_types_that_hold_arrays_compare_and_hash_by_identity(make):
     assert hash(a) == hash(a) and len({a, b}) == 2
 
 
+# each array field a constructor makes read-only, built from the caller's
+# float64 array of two values
+_ARRAY_FIELDS = {
+    "MetricSeries.values": lambda a: MetricSeries("m", a).values,
+    "SentenceRecord.embedding": lambda a: SentenceRecord(0, a).embedding,
+    "ContinuationSample.embedding": lambda a: ContinuationSample(a).embedding,
+    "ContinuationSet.probabilities": lambda a: ContinuationSet(
+        1, (ContinuationSample(np.ones(2)),) * 2, a).probabilities,
+    "Passage.key": lambda a: Passage("p", a, "x", "kb").key,
+    "Passage.token_dist": lambda a: Passage("p", np.ones(1), "x", "kb", token_dist=a).token_dist,
+}
+
+
+@pytest.mark.parametrize("field", _ARRAY_FIELDS)
+def test_a_constructor_copies_the_callers_array(field):
+    caller = np.array([0.25, 0.75])
+    held = _ARRAY_FIELDS[field](caller)
+    assert caller.flags.writeable and not held.flags.writeable
+    caller[0] = 0.5
+    assert held.tolist() == [0.25, 0.75]
+
+
 def test_run_sums_equal_np_sum_of_each_run():
     """Runs of every length from 0 to 300, several of each, in shuffled
     order: bit for bit np.sum of each run alone. A run of length 0 sums to
@@ -763,10 +785,8 @@ def _serial_read(path, full=True) -> StoryTrace:
         with open(path, "r", encoding="utf-8") as fh:
             lines = ((no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1)
                      if not ln.isspace())
-            head_no, head = next(lines, (None, None))
-            if head is None:
-                raise ParseError(f"{path}: empty trace file")
-            story_id, embedding_dim, meta = model._trace_header(path, head_no, head)
+            _, (story_id, embedding_dim, meta), lines = model._header(
+                path, lines, "trace", model._story_header)
             records = []
             for line_no, raw in lines:
                 records.append(_oracle_record(path, line_no, raw, embedding_dim,

@@ -14,6 +14,7 @@ from storymetrics.retrieval import (MemoryCache, Passage, PassageStore,
                                     marginal_weights, marginalize_token_dists,
                                     read_passages, retrieve, score, topk_merge,
                                     write_passages)
+from strategies import line_mutants
 
 
 def _passage(pid, key, source="kb", **kwargs):
@@ -336,6 +337,28 @@ def test_passage_file_refuses_what_it_would_convert(tmp_path, case):
     path.write_text(json.dumps(header) + "\n" + json.dumps(passage) + "\n")
     with pytest.raises(ParseError, match=re.escape(f"{path} {message}")):
         read_passages(path)
+
+
+def test_one_corrupt_token_of_a_passage_file_is_a_parse_error_that_names_it(tmp_path):
+    """Each line_mutants change of a passage file is read, or raises a
+    ParseError that begins with the file, then a line number or the rest of
+    the message."""
+    lines = ['{"dim":2}', '{"id":"p0","source":"kb","key":[0.5,-1.0],"payload":"a b",'
+             '"position":0,"token_dist":[0.25,0.75]}',
+             '{"id":"p1","source":"memory","key":[1.5,2.0],"payload":"c","position":3}']
+    path = tmp_path / "kb.psg"
+    begins = re.compile(rf"{re.escape(str(path))}( line \d+)?: ")
+    faults = []
+    for case, changed in line_mutants(lines):
+        path.write_text("\n".join(changed) + "\n")
+        try:
+            read_passages(path)
+        except ParseError as exc:
+            if not begins.match(str(exc)):
+                faults.append(f"{case}: {exc}")
+        except Exception as exc:  # a warning, too, under filterwarnings = error
+            faults.append(f"{case}: {type(exc).__name__}: {exc}")
+    assert not faults, "\n".join(faults)
 
 
 # --- the matrix scan against the per-pair reference ------------------------------------
