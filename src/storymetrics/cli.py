@@ -26,7 +26,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # Not used here. perfbench's traced run patches cli.ThreadPoolExecutor and
 # fails with a KeyError when the name is missing.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
@@ -46,27 +45,6 @@ DEFAULT_MEASURES = ("like", "swap", "know_diff", "emb_surp", "emb_sal", "clus")
 
 # the errors main() reports with an exit code
 _USER_ERRORS = (ValidationError, DegenerateStatisticsError, OSError)
-_READING, _SCORING = 0, 1
-
-
-@dataclass(frozen=True)
-class _Failed:
-    """An error a job met at a stage (_READING its inputs, or _SCORING them).
-    Jobs return it instead of raising it, so that the parent sees every
-    job's outcome and raises what a serial run would have raised."""
-    stage: int
-    error: Exception
-
-
-def _raise_first(results: list, stage: int) -> None:
-    """Raise the error of the first job, in input order, that failed at `stage`."""
-    for result in results:
-        if isinstance(result, _Failed) and result.stage == stage:
-            raise result.error
-
-
-def _fmt_value(v: float) -> str:
-    return repr(float(v))
 
 
 def _write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
@@ -145,16 +123,15 @@ def _columns(trace: StoryTrace, metrics: Sequence[str], measures: Sequence[str],
 
 
 def _job(read, score, paths: tuple):
-    """score(read(*paths)) for one story's input files, or the _Failed of
-    the stage that raised. A scoring error is prefixed with paths[0]."""
-    try:
-        inputs = read(*paths)
-    except _USER_ERRORS as exc:
-        return _Failed(_READING, exc)
+    """score(read(*paths)) for one story's input files. A reading error is
+    raised, so _map raises the first in input order; a scoring error is
+    returned, prefixed with paths[0], for the caller to raise after every
+    story is read."""
+    inputs = read(*paths)
     try:
         return score(inputs)
     except _USER_ERRORS as exc:
-        return _Failed(_SCORING, type(exc)(f"{paths[0]}: {exc}"))
+        return type(exc)(f"{paths[0]}: {exc}")
 
 
 def analyze(trace_paths: Sequence, out_dir, metrics: Sequence[str],
@@ -167,10 +144,11 @@ def analyze(trace_paths: Sequence, out_dir, metrics: Sequence[str],
     score = partial(_columns, metrics=metrics, measures=measures, cfg=cfg, seed=seed,
                     zscore=zscore)
     results = _map(partial(_job, read_trace, score), [(path,) for path in trace_paths])
-    _raise_first(results, _READING)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _raise_first(results, _SCORING)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
     for story_id, cols in results:
         _write_series_csv(out_dir / f"{story_id}.csv", cols)
     return [cols for _, cols in results]
@@ -190,43 +168,32 @@ RESULT_HEADER = ("story_id,measure,tau,rho,tau_lo,tau_hi,rho_lo,rho_hi,"
                  "tp_distance,map,recall_at_k,rouge_l,n")
 
 
-def _blank_row(story_id: str, measure: str) -> dict:
-    return {"story_id": story_id, "measure": measure, "tau": "", "rho": "",
-            "tau_lo": "", "tau_hi": "", "rho_lo": "", "rho_hi": "",
-            "tp_distance": "", "map": "", "recall_at_k": "", "rouge_l": "", "n": ""}
+def _result_line(story_id: str, measure: str, values: dict) -> str:
+    """One row of the results table: each float by float.__repr__, n as an
+    integer, and an absent value empty."""
+    cells = (repr(float(values[key])) if key in values else ""
+             for key in RESULT_HEADER.split(",")[2:-1])
+    return ",".join([story_id, measure, *cells, str(values["n"])])
 
 
-def _row_line(row: dict) -> str:
-    keys = RESULT_HEADER.split(",")
-    return ",".join(str(row[k]) for k in keys)
-
-
-def _fisher_bounds(r: float, n: int) -> tuple[str, str]:
+def _fisher_bounds(name: str, r: float, n: int) -> dict:
+    """The 95% Fisher interval of the correlation `name`, or {} where it is undefined."""
     if n > 3 and -1.0 < r < 1.0:
         lo, hi = evaluation.fisher_ci(r, n, 0.95)
-        return _fmt_value(lo), _fmt_value(hi)
-    return "", ""
+        return {f"{name}_lo": lo, f"{name}_hi": hi}
+    return {}
 
 
-def _eval_suspense(story_id: str, pred: dict[str, np.ndarray],
-                   annotations: AnnotationSet, *_) -> list[dict]:
-    rows = []
+def _eval_suspense(pred: dict[str, np.ndarray], annotations: AnnotationSet,
+                   *_) -> list[tuple[str, dict]]:
     n = annotations.length
     results = annotation.pairwise_correlations(
         [MetricSeries(name, values) for name, values in pred.items()], annotations)
-    for name, result in zip(pred, results):
-        row = _blank_row(story_id, name)
-        row["tau"], row["rho"] = _fmt_value(result.tau), _fmt_value(result.rho)
-        row["tau_lo"], row["tau_hi"] = _fisher_bounds(result.tau, n)
-        row["rho_lo"], row["rho_hi"] = _fisher_bounds(result.rho, n)
-        row["n"] = n
-        rows.append(row)
+    rows = [(name, {"tau": r.tau, "rho": r.rho, **_fisher_bounds("tau", r.tau, n),
+                    **_fisher_bounds("rho", r.rho, n), "n": n})
+            for name, r in zip(pred, results)]
     human = annotation.human_upper_bound(annotations)
-    row = _blank_row(story_id, "human_upper_bound")
-    row["tau"], row["rho"] = _fmt_value(human.tau), _fmt_value(human.rho)
-    row["n"] = n
-    rows.append(row)
-    return rows
+    return rows + [("human_upper_bound", {"tau": human.tau, "rho": human.rho, "n": n})]
 
 
 def _derive_windows(gold: GoldLabels, n: int) -> list[tuple[int, int]]:
@@ -236,8 +203,8 @@ def _derive_windows(gold: GoldLabels, n: int) -> list[tuple[int, int]]:
     return [(max(0, p - half), min(n - 1, p + half)) for p in gold.tp_positions]
 
 
-def _eval_turning_points(story_id: str, pred: dict[str, np.ndarray],
-                         gold: GoldLabels, *_) -> list[dict]:
+def _eval_turning_points(pred: dict[str, np.ndarray], gold: GoldLabels,
+                         *_) -> list[tuple[str, dict]]:
     rows = []
     for name, values in pred.items():
         n = values.shape[0]
@@ -245,15 +212,12 @@ def _eval_turning_points(story_id: str, pred: dict[str, np.ndarray],
         peaks = evaluation.find_peaks(values)
         assigned = evaluation.assign_turning_points(peaks, windows)
         dist = evaluation.tp_distance([a.index for a in assigned], gold.tp_positions, n)
-        row = _blank_row(story_id, name)
-        row["tp_distance"] = _fmt_value(dist)
-        row["n"] = n
-        rows.append(row)
+        rows.append((name, {"tp_distance": dist, "n": n}))
     return rows
 
 
-def _eval_salience(story_id: str, pred: dict[str, np.ndarray], gold: GoldLabels,
-                   trace: Optional[StoryTrace], k: Optional[int]) -> list[dict]:
+def _eval_salience(pred: dict[str, np.ndarray], gold: GoldLabels,
+                   trace: Optional[StoryTrace], k: Optional[int]) -> list[tuple[str, dict]]:
     gold_tokens = None  # ROUGE-L needs every sentence's text; each is tokenized once, if read
     if trace is not None and None not in trace.columns.text:
         tokens = cache(lambda i: baseline.tokenize(trace.columns.text[i]))
@@ -261,33 +225,30 @@ def _eval_salience(story_id: str, pred: dict[str, np.ndarray], gold: GoldLabels,
     rows = []
     for name, values in pred.items():
         series = MetricSeries(name, values)
-        row = _blank_row(story_id, name)
-        row["map"] = _fmt_value(evaluation.average_precision(series, gold))
-        row["recall_at_k"] = _fmt_value(evaluation.recall_at_k(series, gold, k))
+        row = {"map": evaluation.average_precision(series, gold),
+               "recall_at_k": evaluation.recall_at_k(series, gold, k), "n": values.shape[0]}
         if gold_tokens:
             order = evaluation._descending_ranking(values)[:k or len(gold.salient_indices)]
             pred_tokens = [tok for i in sorted(order) for tok in tokens(i)]
             if pred_tokens:
-                row["rouge_l"] = _fmt_value(evaluation.rouge_l(pred_tokens, gold_tokens))
-        row["n"] = values.shape[0]
-        rows.append(row)
+                row["rouge_l"] = evaluation.rouge_l(pred_tokens, gold_tokens)
+        rows.append((name, row))
     return rows
 
 
-def _aggregate_rows(rows: list[dict]) -> list[dict]:
+def _aggregate_rows(rows: list[tuple]) -> list[tuple]:
+    """The ALL row of each measure, in name order: the mean of each value
+    over the story rows (story_id, measure, values) that have it, and their count n."""
     by_measure: dict[str, list[dict]] = {}
-    for row in rows:
-        by_measure.setdefault(row["measure"], []).append(row)
+    for _, measure, values in rows:
+        by_measure.setdefault(measure, []).append(values)
     agg = []
     for measure in sorted(by_measure):
         group = by_measure[measure]
-        out = _blank_row("ALL", measure)
-        for field in ("tau", "rho", "tp_distance", "map", "recall_at_k", "rouge_l"):
-            vals = [float(r[field]) for r in group if r[field] != ""]
-            if vals:
-                out[field] = _fmt_value(float(np.mean(vals)))
-        out["n"] = len(group)
-        agg.append(out)
+        means = {field: np.mean(vals) for field in ("tau", "rho", "tp_distance", "map",
+                                                     "recall_at_k", "rouge_l")
+                 if (vals := [values[field] for values in group if field in values])}
+        agg.append(("ALL", measure, {**means, "n": len(group)}))
     return agg
 
 
@@ -303,8 +264,8 @@ def _evaluation_mode(mode: str) -> tuple:
 
 
 def _read_story(mode: str, pred_path, ref_path, trace_path) -> tuple:
-    """One story's id (its prediction CSV's name), prediction columns,
-    reference and trace (or None), each checked against the others."""
+    """One story's prediction columns, reference and trace (or None), each
+    checked against the others."""
     _, load, gold_kind, _ = _evaluation_mode(mode)
     pred = read_series_csv(pred_path)
     ref = load(ref_path)
@@ -314,6 +275,8 @@ def _read_story(mode: str, pred_path, ref_path, trace_path) -> tuple:
     if gold_kind is None and ref.length != n_rows:
         raise ValidationError(f"{pred_path} has {n_rows} rows but {ref_path} has "
                               f"{ref.length} judgments per annotator")
+    if gold_kind is None and len(ref.annotators) < 2:
+        raise ValidationError(f"{ref_path}: upper bound needs at least two annotators")
     if gold_kind == "turning_points":
         # the windows first: each contains its position
         spans = [("window", w, w[1], k) for k, w in enumerate(ref.tp_windows or ())]
@@ -323,18 +286,15 @@ def _read_story(mode: str, pred_path, ref_path, trace_path) -> tuple:
                 no = _gold_line(ref_path, lambda j, _: j == k)
                 raise ValidationError(f"{ref_path} line {no}: gold {what} {label} is out of "
                                       f"range for the {n_rows} sentences of {pred_path}")
-    trace = None
-    if trace_path is not None:
-        trace = read_trace(trace_path, full=False)
-        if n_rows != len(trace):
-            raise ValidationError(f"{pred_path} has {n_rows} rows but {trace_path} "
-                                  f"has {len(trace)} sentences")
-        last = max(ref.salient_indices, default=-1)
-        if last >= len(trace):
-            no = _gold_line(ref_path, lambda _, raw: last in map(int, raw.split()))
-            raise ValidationError(f"{ref_path} line {no}: gold index {last} is beyond the "
-                                  f"{len(trace)} sentences of {trace_path}")
-    return Path(pred_path).stem, pred, ref, trace
+    trace = None if trace_path is None else read_trace(trace_path, full=False)
+    if trace is not None and n_rows != len(trace):
+        raise ValidationError(f"{pred_path} has {n_rows} rows but {trace_path} "
+                              f"has {len(trace)} sentences")
+    if gold_kind == "salience" and (last := max(ref.salient_indices, default=-1)) >= n_rows:
+        no = _gold_line(ref_path, lambda _, raw: last in map(int, raw.split()))
+        raise ValidationError(f"{ref_path} line {no}: gold index {last} is beyond the "
+                              f"{n_rows} sentences of {trace_path or pred_path}")
+    return pred, ref, trace
 
 
 def _gold_line(path, names) -> int:
@@ -368,13 +328,15 @@ def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = 
         raise ValidationError("one --trace per prediction CSV required when given")
     results = _map(partial(_job, partial(_read_story, mode), lambda story: score(*story, k)),
                    list(zip(preds, refs, traces or [None] * len(preds))))
-    _raise_first(results, _READING)
-    _raise_first(results, _SCORING)
-    rows = [row for story_rows in results for row in story_rows]
+    rows = []
+    for pred, result in zip(preds, results):
+        if isinstance(result, Exception):
+            raise result
+        rows += [(Path(pred).stem, measure, values) for measure, values in result]
     rows.extend(_aggregate_rows(rows))
     out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_lines(out_path, [RESULT_HEADER, *map(_row_line, rows)])
+    _write_lines(out_path, [RESULT_HEADER, *(_result_line(*row) for row in rows)])
 
 
 def cmd_evaluate(args) -> int:
@@ -398,7 +360,7 @@ def cmd_align(args) -> int:
     _write_lines(out_dir / f"{fulltext.story_id}_report.csv", [
         "label_count,fulltext_sentences,coverage,empty_windows",
         f"{report['label_count']},{report['fulltext_sentences']},"
-        f"{_fmt_value(report['coverage'])},{result.empty_windows}"])
+        f"{float(report['coverage'])!r},{result.empty_windows}"])
     return 0
 
 

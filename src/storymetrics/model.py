@@ -71,10 +71,6 @@ class _Faults:
         if k is not None and (row := k if rows is None else int(rows[k])) < self.end:
             self.end, self.message = row, message(k)
 
-    def upto(self, rows=None) -> int:
-        """How many rows lie before the fault, or how many items of `rows`."""
-        return self.end if rows is None else int(np.searchsorted(rows, self.end))
-
 
 def _not_int(value) -> bool:
     """Whether a value is no JSON integer: a float, bool or string is none."""

@@ -533,6 +533,59 @@ def test_evaluate_salience_trace_shorter_than_inputs_exit_2(tmp_path, demo_trace
     assert not (tmp_path / "sal.csv").exists()
 
 
+def test_evaluate_salience_gold_past_series_without_trace_exit_2(tmp_path, capsys):
+    """Without --trace, a salient index is checked against the CSV's rows."""
+    csv = tmp_path / "story.csv"
+    csv.write_text("sentence,like\n" + "".join(f"{i},{i % 3}.5\n" for i in range(8)))
+    gold = tmp_path / "gold.txt"
+    gold.write_text('{"kind": "salience"}\n1 99\n')
+    assert main(["evaluate", str(csv), "--mode", "salience", "--gold", str(gold),
+                 "--out", str(tmp_path / "sal.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: {gold} line 2: gold index 99 is beyond the "
+                                       f"8 sentences of {csv}\n")
+    assert not (tmp_path / "sal.csv").exists()
+
+
+def test_evaluate_single_annotator_names_the_annotation_file(tmp_path, capsys):
+    csv = tmp_path / "story.csv"
+    csv.write_text("sentence,like\n" + "".join(f"{i},{i % 3}.5\n" for i in range(4)))
+    ann = tmp_path / "story.ann"
+    ann.write_text('{"story_id": "story"}\na1\tS I D I\n')
+    assert main(["evaluate", str(csv), "--mode", "suspense", "--annotations", str(ann),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: {ann}: upper bound needs at least two "
+                                       "annotators\n")
+
+
+def test_evaluate_all_rows_average_the_stories_that_have_each_value(tmp_path):
+    """Each value of an ALL row is the mean of the story rows that have it
+    (the story whose trace has no text has no rouge_l), and n counts the
+    stories."""
+    traces = _three_traces(tmp_path) + [_flat_trace(tmp_path / "s3.trace", "s3")]
+    csvs, options = [], []
+    for s, trace in enumerate(traces):
+        csvs.append(tmp_path / f"s{s}.csv")
+        gold = tmp_path / f"s{s}_gold.txt"
+        rows = range(len(trace.read_text().splitlines()) - 1)
+        csvs[-1].write_text("sentence,a,b\n" + "".join(f"{i},{(i * s) % 5}.5,{i % (s + 2)}\n"
+                                                      for i in rows))
+        gold.write_text('{"kind": "salience"}\n0 3\n')
+        options += ["--gold", str(gold), "--trace", str(trace)]
+    assert main(["evaluate", *map(str, csvs), "--mode", "salience", *options,
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+    stories = [row for row in rows if row[0] != "ALL"]
+    assert [row[11] == "" for row in stories] == [False] * 6 + [True] * 2
+    totals = [row for row in rows if row[0] == "ALL"]
+    assert [row[1] for row in totals] == ["a", "b"]
+    for total in totals:
+        group = [row for row in stories if row[1] == total[1]]
+        for field in range(2, 12):
+            values = [float(row[field]) for row in group if row[field]]
+            assert total[field] == (repr(float(np.mean(values))) if values else "")
+        assert total[12] == "4"
+
+
 @pytest.mark.parametrize("mode, option", [
     ("suspense", "--gold"), ("suspense", "--trace"), ("suspense", "--k"),
     ("turning-points", "--annotations"), ("turning-points", "--trace"),
@@ -752,6 +805,30 @@ def test_read_errors_of_any_trace_come_before_compute_errors(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert {2: f"{other} line 3: ", 3: str(other), 4: "is constant"}[code] in err
     assert (tmp_path / "out").exists() == (code == 4)  # made after the reads
+
+
+@pytest.mark.parametrize("second, code", [("malformed", 2), ("missing", 3), ("constant", 4)])
+def test_evaluate_read_errors_of_any_story_come_before_scoring_errors(tmp_path, capsys, cpus,
+                                                                       second, code):
+    """The first story fails only when scored (constant annotator curves,
+    exit 4); a read error of the second story's annotations still wins."""
+    csvs = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
+    anns = [tmp_path / "s1.ann", tmp_path / "s2.ann"]
+    for csv, ann in zip(csvs, anns):
+        csv.write_text("sentence,like\n" + "".join(f"{i},{i % 3}.5\n" for i in range(4)))
+        ann.write_text('{"story_id": "s"}\na1\tS S S S\na2\tS S S S\n')
+    if second == "malformed":
+        anns[1].write_text('{"story_id": "s"}\na1\tS X S S\na2\tS S S S\n')
+    elif second == "missing":
+        anns[1].unlink()
+    argv = ["evaluate", *map(str, csvs), "--mode", "suspense",
+            *(a for ann in anns for a in ("--annotations", str(ann))),
+            "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert {2: f"error: {anns[1]} line 2: ", 3: str(anns[1]),
+            4: f"error: {csvs[0]}: "}[code] in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("case", ["trace", "second_trace", "csv_lf", "csv_crlf", "csv_cr"])
