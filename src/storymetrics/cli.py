@@ -34,9 +34,9 @@ import numpy as np
 
 from . import alignment, annotation, baseline, evaluation, salience, suspense, svgplot
 from .model import (AnnotationSet, DegenerateStatisticsError, GoldLabels, Judgment,
-                    MetricSeries, ParseError, StoryTrace, ValidationError, _Faults, _map,
-                    _write_lines, content_lines, read_annotations, read_gold, read_trace,
-                    write_annotations, write_gold, write_trace)
+                    MetricSeries, ParseError, StoryTrace, ValidationError, _Faults,
+                    _entry_line, _map, _write_lines, content_lines, read_annotations,
+                    read_gold, read_trace, write_annotations, write_gold, write_trace)
 
 DEFAULT_METRICS = ("ely_surprise", "ely_suspense", "alpha_ely_suspense",
                    "hale_surprise", "sample_ely_suspense", "embedding_similarity")
@@ -125,13 +125,16 @@ def _columns(trace: StoryTrace, metrics: Sequence[str], measures: Sequence[str],
 def _job(read, score, paths: tuple):
     """score(read(*paths)) for one story's input files. A reading error is
     raised, so _map raises the first in input order; a scoring error is
-    returned, prefixed with paths[0], for the caller to raise after every
-    story is read."""
+    returned, prefixed with paths[0] and, if it is about one sentence, that
+    sentence's line there, for the caller to raise after every story is read."""
     inputs = read(*paths)
     try:
         return score(inputs)
     except _USER_ERRORS as exc:
-        return type(exc)(f"{paths[0]}: {exc}")
+        where, sentence = paths[0], getattr(exc, "sentence", None)
+        if sentence is not None:
+            where = f"{where} line {_entry_line(where, lambda j, _: j == sentence)[0]}"
+        return type(exc)(f"{where}: {exc}")
 
 
 def analyze(trace_paths: Sequence, out_dir, metrics: Sequence[str],
@@ -149,9 +152,21 @@ def analyze(trace_paths: Sequence, out_dir, metrics: Sequence[str],
     for result in results:
         if isinstance(result, Exception):
             raise result
-    for story_id, cols in results:
-        _write_series_csv(out_dir / f"{story_id}.csv", cols)
+    outs = _outputs(trace_paths, [out_dir / f"{story_id}.csv" for story_id, _ in results])
+    for out, (_, cols) in zip(outs, results):
+        _write_series_csv(out, cols)
     return [cols for _, cols in results]
+
+
+def _outputs(inputs: Sequence, outs: list) -> list:
+    """`outs`, the file each of `inputs` writes; two inputs that would write
+    one file are refused, naming both."""
+    writer = {}
+    for path, out in zip(inputs, outs):
+        if out in writer:
+            raise ValidationError(f"{writer[out]} and {path} would both write {out}")
+        writer[out] = path
+    return outs
 
 
 def cmd_analyze(args) -> int:
@@ -283,7 +298,7 @@ def _read_story(mode: str, pred_path, ref_path, trace_path) -> tuple:
         spans += [("position", p, p, k) for k, p in enumerate(ref.tp_positions)]
         for what, label, last, k in spans:
             if last >= n_rows:
-                no = _gold_line(ref_path, lambda j, _: j == k)
+                no, _ = _entry_line(ref_path, lambda j, _: j == k)
                 raise ValidationError(f"{ref_path} line {no}: gold {what} {label} is out of "
                                       f"range for the {n_rows} sentences of {pred_path}")
     trace = None if trace_path is None else read_trace(trace_path, full=False)
@@ -291,20 +306,12 @@ def _read_story(mode: str, pred_path, ref_path, trace_path) -> tuple:
         raise ValidationError(f"{pred_path} has {n_rows} rows but {trace_path} "
                               f"has {len(trace)} sentences")
     if gold_kind == "salience" and (last := max(ref.salient_indices, default=-1)) >= n_rows:
-        no = _gold_line(ref_path, lambda _, raw: last in map(int, raw.split()))
+        no, _ = _entry_line(ref_path, lambda _, raw: last in map(int, raw.split()))
         raise ValidationError(f"{ref_path} line {no}: gold index {last} is beyond the "
                               f"{n_rows} sentences of {trace_path or pred_path}")
+    if gold_kind == "salience" and not ref.salient_indices:
+        raise ValidationError(f"{ref_path}: gold salient set is empty")
     return pred, ref, trace
-
-
-def _gold_line(path, names) -> int:
-    """The number of the first entry line of the gold file at `path` (the
-    lines after its header, counted j from 0) that names(j, line) accepts:
-    GoldLabels keeps no line numbers, so the file is read again, on an
-    error path only."""
-    entries = content_lines(path)
-    next(entries)
-    return next(no for j, (no, raw) in enumerate(entries) if names(j, raw))
 
 
 def evaluate(mode: str, preds: Sequence, out, annotations: Optional[Sequence] = None,
@@ -368,18 +375,18 @@ def plot(preds: Sequence, out, gold_path=None) -> None:
     """One SVG per series CSV, marking the gold positions and the peaks of
     the first series in name order."""
     out_dir = Path(out)
+    outs = _outputs(preds, [out_dir / (Path(path).stem + ".svg") for path in preds])
     out_dir.mkdir(parents=True, exist_ok=True)
     gold_indices: list[int] = []
     if gold_path is not None:
         gold = read_gold(gold_path)
         gold_indices = (sorted(gold.salient_indices) if gold.kind == "salience"
                         else list(gold.tp_positions))
-    for path in preds:
+    for path, out_path in zip(preds, outs):
         columns = read_series_csv(path)
         first = columns[sorted(columns)[0]]
         peaks = [p.index for p in evaluation.find_peaks(first)]
         svg = svgplot.render_svg(columns, gold_indices=gold_indices, peak_indices=peaks)
-        out_path = out_dir / (Path(path).stem + ".svg")
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
 

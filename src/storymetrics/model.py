@@ -25,7 +25,12 @@ import numpy as np
 
 
 class ValidationError(ValueError):
-    """A constructed object violates one of its invariants."""
+    """A constructed object violates one of its invariants. `sentence`, if
+    not None, is the one sentence of a trace or series that it is about."""
+
+    def __init__(self, message: str, sentence: Optional[int] = None):
+        super().__init__(message)
+        self.sentence = sentence
 
 
 class ParseError(ValidationError):
@@ -507,7 +512,7 @@ class MetricSeries:
         infinite = np.flatnonzero(~np.isfinite(arr))
         if infinite.size:
             raise ValidationError(f"series {self.name!r} contains non-finite values, "
-                                  f"first at sentence {infinite[0]}")
+                                  f"first at sentence {infinite[0]}", int(infinite[0]))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -673,7 +678,8 @@ def write_trace(trace: StoryTrace, path) -> None:
                                  for part in parts) + "\n")
 
 
-_NUMBER_TYPES = {float, int}
+# A bytes value is a float literal that a projected read keeps as written.
+_NUMBER_TYPES = {float, int, bytes}
 
 
 def _json_numbers(value, what: str):
@@ -708,14 +714,22 @@ def _json_vectors(vectors: list) -> tuple:
     return flat, lengths, [type(v) is _Scalar for v in vectors]
 
 
-def _fields(raw: str) -> tuple:
+# Decodes a JSON float to the bytes of its literal, for _columns to convert,
+# and a JSON string to a str: a projected read converts only the floats it
+# keeps, and still tells a number from a string.
+_PROJECTING_DECODER = json.JSONDecoder(parse_float=str.encode)
+
+
+def _fields(raw: str, full: bool = True) -> tuple:
     """The fields of a record line, each vector as _json_vector gives it,
     and a continuation set as (n, [(sample e, score)], probs), its stored
     probabilities renormalized: what the reader gathers into columns. A
     line whose fields are not all there, or whose fields of one value are
-    faulty, raises a ValidationError with the line's message."""
+    faulty, raises a ValidationError with the line's message. With
+    full=False only index, text and e are read, each float of e as the
+    bytes of its literal, and the other fields are None."""
     try:
-        obj = json.loads(raw)
+        obj = json.loads(raw) if full else _PROJECTING_DECODER.decode(raw)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from None
     try:
@@ -724,6 +738,9 @@ def _fields(raw: str) -> tuple:
         raise ValidationError(f"missing or malformed embedding: {exc}") from None
     try:
         index, cont = obj["index"], obj.get("cont")
+        if not full:
+            _refuse(_record_fault(index, obj.get("text"), None, None))
+            return index, obj.get("text"), e, None, None, None, None, None
         windows = [None if win is None else {variant: _json_vector(vec, f"{name}[{variant!r}]")
                                              for variant, vec in win.items()}
                    for name, win in (("window_token_loglikes", obj.get("win_ll")),
@@ -764,13 +781,13 @@ def _continuation_fields(cont) -> tuple:
     return horizon, samples, probs
 
 
-def _read_block(raws: list, embedding_dim: int, index, parse) -> tuple[Columns, _Faults]:
+def _read_block(raws: list, embedding_dim: int, index, full: bool) -> tuple[Columns, _Faults]:
     """_columns of the record lines `raws`, each parsed into the row form by
-    `parse` (_fields, or _projected_fields), and their first fault."""
+    _fields (only index, text and e unless `full`), and their first fault."""
     f, fields = _Faults(len(raws)), []
     for raw in raws:
         try:
-            fields.append(parse(raw))
+            fields.append(_fields(raw, full))
         except ValidationError as exc:
             f.end, f.message = len(fields), str(exc)
             break
@@ -839,28 +856,6 @@ def _columns(fields: list, embedding_dim: Optional[int], index: Optional[int],
         probs[0])
 
 
-# Decodes a JSON float to the bytes of its literal, for _columns to convert,
-# and a JSON string to a str: a projected read converts only the floats it
-# keeps, and still tells a number from a string.
-_PROJECTING_DECODER = json.JSONDecoder(parse_float=str.encode)
-
-
-def _projected_fields(raw: str) -> tuple:
-    """A record line's index, text and e in the row form of _fields, its
-    other fields None. Only a JSON object whose `e` is a non-empty list of
-    float literals is projected (its e is checked by _columns); any other
-    line is parsed, and judged, by _fields."""
-    try:
-        obj = _PROJECTING_DECODER.decode(raw)
-    except json.JSONDecodeError:
-        obj = None
-    e = obj.get("e") if type(obj) is dict else None
-    if type(e) is not list or set(map(type, e)) != {bytes}:
-        return (*_fields(raw)[:3], None, None, None, None, None)
-    _refuse(_record_fault(obj.get("index"), obj.get("text"), None, None))
-    return (obj["index"], obj.get("text"), e, None, None, None, None, None)
-
-
 # Binary readline gathers a line longer than its file's buffer piece by
 # piece: with the default 8 KiB, the lines of a trace, about 19 KB each,
 # took twice as long to read as with this.
@@ -872,7 +867,7 @@ def content_lines(path, fh=None, end: float = math.inf) -> Iterator[tuple[int, s
     number; given `fh`, those of that open binary file from its position up
     to byte `end` (just after a \\n), numbered from 1 there. \\n, \\r\\n and a
     lone \\r each end a line, as in text I/O. A line that is not UTF-8 raises
-    a ParseError that names it, with its number as `line_no`."""
+    a ParseError that names it."""
     if fh is None:
         with open(path, "rb", buffering=_LINE_BUFFER) as fh:
             yield from content_lines(path, fh)
@@ -888,9 +883,7 @@ def content_lines(path, fh=None, end: float = math.inf) -> Iterator[tuple[int, s
             try:
                 text = line.decode("utf-8")
             except UnicodeDecodeError:
-                fault = ParseError(f"{path} line {no}: not valid UTF-8")
-                fault.line_no = no
-                raise fault from None
+                raise ParseError(f"{path} line {no}: not valid UTF-8") from None
             if text and not text.isspace():
                 yield no, text.rstrip("\n")
 
@@ -937,12 +930,12 @@ def read_trace(path, *, full: bool = True) -> StoryTrace:
     read = partial(_range_columns, path, embedding_dim, full)
     parts = [read(spans[0])] if n == 1 else _map(read, spans)
     done = 0  # the records of the ranges before
-    for (start, _), (columns, fault) in zip(spans, parts):
+    for columns, faulty in parts:
         if columns.text and columns.base != done:  # a gap at the cut, before any later fault
-            raise _line_fault(path, embedding_dim, start, None, done)
+            raise _record_error(path, embedding_dim, done)
         done += len(columns.text)
-        if fault is not None:
-            raise _line_fault(path, embedding_dim, start, fault, done)
+        if faulty:
+            raise _record_error(path, embedding_dim, done)
     if not done:
         raise ValidationError(f"{path}: trace has no sentences")
     return _trace_of(story_id, _concat([columns for columns, _ in parts]), embedding_dim, meta)
@@ -950,53 +943,52 @@ def read_trace(path, *, full: bool = True) -> StoryTrace:
 
 def _range_columns(path, embedding_dim: int, full: bool, span: tuple[int, int]):
     """The columns of the records on the lines in bytes [start, end) of
-    `path` up to the first fault, and that fault's line, or None: its number
-    counted from `start`, and its text (None where it is not UTF-8). The
-    lines are read in blocks of _BLOCK, so that only one block's JSON
-    objects are held at once. The range at 0 starts with the header, which
-    read_trace has read, and its first record must carry index 0; another
-    range's first record carries its own index, which read_trace checks
-    against the records before it."""
+    `path` up to the first fault, and whether there is one: a faulty record,
+    or a line that is not UTF-8. The lines are read in blocks of _BLOCK, so
+    that only one block's JSON objects are held at once. The range at 0
+    starts with the header, which read_trace has read, and its first record
+    must carry index 0; another range's first record carries its own index,
+    which read_trace checks against the records before it."""
     start, end = span
-    blocks, fault, index = [], None, 0 if start == 0 else None
-    parse = _fields if full else _projected_fields
+    blocks, faulty, index = [], False, 0 if start == 0 else None
     with open(path, "rb", buffering=_LINE_BUFFER) as fh:
         fh.seek(start)
         lines = content_lines(path, fh, end)
         if start == 0:
             next(lines, None)
-        while fault is None:
-            nos, raws = [], []
+        while not faulty:
+            raws = []
             try:
-                for no, raw in itertools.islice(lines, _BLOCK):
-                    nos.append(no)
+                for _, raw in itertools.islice(lines, _BLOCK):
                     raws.append(raw)
-            except ParseError as exc:  # a line that is not UTF-8
-                fault = (exc.line_no, None)
-            columns, f = _read_block(raws, embedding_dim, index, parse)
+            except ParseError:  # a line that is not UTF-8, after the lines read
+                faulty = True
+            columns, f = _read_block(raws, embedding_dim, index, full)
             blocks.append(columns)
-            if f.message is not None:
-                fault = (nos[f.end], raws[f.end])
+            faulty = faulty or f.message is not None
             if len(raws) < _BLOCK:
                 break
             index = columns.base + len(raws)
-    return _concat(blocks), fault
+    return _concat(blocks), faulty
 
 
-def _line_fault(path, embedding_dim: int, start: int,
-                line: Optional[tuple[int, Optional[str]]], index: int) -> ParseError:
-    """The error of a line of the range at byte `start`: `line` as
-    _range_columns gives a fault, or, if None, the range's first line. Only
-    here are the line ends before `start` counted, for its number in the
-    file; a record line is judged again as a one-line read, with the index
-    it must carry, and fails again."""
-    with open(path, "rb") as fh:
-        head = fh.read(start)
-        no, raw = line or next(content_lines(path, fh))
-    no += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-    if raw is None:
-        return ParseError(f"{path} line {no}: not valid UTF-8")
-    message = _read_block([raw], embedding_dim, index, _fields)[1].message
+def _entry_line(path, accept) -> tuple[int, str]:
+    """The number and text of the first entry line of the file at `path`
+    (the lines after its header, counted j from 0) that accept(j, line)
+    takes. The readers keep no line numbers, so the file is read again, on
+    an error path only; a line that is not UTF-8 raises its error as it is
+    reached."""
+    entries = content_lines(path)
+    next(entries)
+    return next((no, raw) for j, (no, raw) in enumerate(entries) if accept(j, raw))
+
+
+def _record_error(path, embedding_dim: int, index: int) -> ParseError:
+    """The error of record `index` of the trace at `path`, which a read
+    found faulty: its line, found by _entry_line, is judged again as a
+    one-line full read with the index it must carry, and fails again."""
+    no, raw = _entry_line(path, lambda j, _: j == index)
+    message = _read_block([raw], embedding_dim, index, True)[1].message
     if message is None:
         raise AssertionError(f"{path} line {no} was judged a fault, and then not")
     return ParseError(f"{path} line {no}: {message}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .annotation import zscore
 from .model import (Columns, DegenerateStatisticsError, MetricSeries, SentenceRecord, StoryTrace,
-                    ValidationError, _Faults, _one_row, _refuse, _run_sums,
+                    ValidationError, _Faults, _one_row, _run_sums,
                     per_sentence_series)
 from .suspense import DistanceKind, _distances, consecutive_distances
 
@@ -66,6 +66,13 @@ def _paired(c: Columns, windows: dict, variant: str, rows: np.ndarray, what: str
     return f, [(w, np.searchsorted(w.rows, rows)) for w in pair] if len(rows) else []
 
 
+def _refuse_row(f: _Faults, c: Columns, rows: np.ndarray) -> None:
+    """Raise the fault of `f`, whose checks ran over the sentences `rows`,
+    as the error of its sentence."""
+    if f.message is not None:
+        raise ValidationError(f.message, c.base + int(rows[f.end]))
+
+
 def variant_salience(rec: SentenceRecord, variant: str) -> float:
     """BCF salience of the window after `variant` (deleted, swapped or
     no_knowledge) is applied to the sentence."""
@@ -83,7 +90,7 @@ def _variant_saliences(c: Columns, variant: str, rows: np.ndarray) -> np.ndarray
                   if pair else np.zeros((0, 2)))
     f.check(~np.isfinite(coherences).all(axis=1),
             lambda k: f"sentence {c.base + rows[k]}: coherences must be finite")
-    _refuse(f.message)
+    _refuse_row(f, c, rows)
     return coherences[:, 0] - coherences[:, 1]
 
 
@@ -96,7 +103,7 @@ def _emb_saliences(c: Columns, rows: np.ndarray) -> np.ndarray:
     """emb_salience of the sentences `rows`, as one cosine-distance call
     over their base and deleted window embeddings."""
     f, pair = _paired(c, c.win_emb, "deleted", rows, "window embeddings")
-    _refuse(f.message)
+    _refuse_row(f, c, rows)
     if not pair:
         return np.zeros(0)
     return _distances(*(w.values[at] for w, at in pair), DistanceKind.COSINE)

@@ -12,6 +12,12 @@ to draw.
 
 `series_columns()` draws the named float columns of a series CSV.
 
+`annotation_sets()`, `gold_labels()` and `passage_stores()` draw the
+contents of the other line files: annotators with any names a line can
+hold, salience index sets (the empty one too) and turning points with and
+without windows, and passages of every field, with the float keys that
+series_columns draws.
+
 `line_mutants(lines)` gives every one-token change of a line file, and
 every file with one line dropped or duplicated.
 """
@@ -21,8 +27,10 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 
-from storymetrics.model import (KNOWN_VARIANTS, ContinuationSample, ContinuationSet,
-                                SentenceRecord, StoryTrace)
+from storymetrics.model import (KNOWN_VARIANTS, AnnotationSet, ContinuationSample,
+                                ContinuationSet, GoldLabels, Judgment, SentenceRecord,
+                                StoryTrace)
+from storymetrics.retrieval import Passage, PassageStore
 
 # From 16 on, a BLAS matrix product no longer adds a row's products in the
 # order np.dot does, so a fast path built on one shows.
@@ -115,6 +123,56 @@ def series_columns(draw) -> dict[str, np.ndarray]:
     names = draw(st.lists(SERIES_NAMES, min_size=1, max_size=3, unique=True))
     n = draw(st.integers(1, 50))
     return {name: np.array(draw(st.lists(FINITE, min_size=n, max_size=n))) for name in names}
+
+
+# text a line file can hold: no surrogate, which UTF-8 cannot encode
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+# an annotator name: no tab, which ends it, and no line end
+ANNOTATORS = st.text(st.characters(blacklist_characters="\t\r\n",
+                                   blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def annotation_sets(draw) -> AnnotationSet:
+    """1 to 4 annotators, each with the same number (1 to 12) of judgments."""
+    n = draw(st.integers(1, 12))
+    judgments = st.lists(st.sampled_from(Judgment), min_size=n, max_size=n).map(tuple)
+    return AnnotationSet(story_id=draw(TEXT), annotators=draw(
+        st.dictionaries(ANNOTATORS, judgments, min_size=1, max_size=4)))
+
+
+@st.composite
+def gold_labels(draw) -> GoldLabels:
+    """A salience index set, or 5 turning-point positions with or without
+    windows around them (a window may start below 0)."""
+    if draw(st.booleans()):
+        return GoldLabels(kind="salience",
+                          salient_indices=draw(st.frozensets(st.integers(0, 10**6))))
+    positions = draw(st.lists(st.integers(0, 1000), min_size=5, max_size=5))
+    windows = None
+    if draw(st.booleans()):
+        windows = [(p - draw(st.integers(0, 3)), p + draw(st.integers(0, 3))) for p in positions]
+    return GoldLabels(kind="turning_points", tp_positions=tuple(positions),
+                      tp_windows=windows and tuple(windows))
+
+
+@st.composite
+def passage_stores(draw) -> PassageStore:
+    """0 to 5 passages of one key dimension (1 to 6), each with or without
+    a position and a token distribution (zeros among its weights)."""
+    dim = draw(st.integers(1, 6))
+    passages = []
+    for _ in range(draw(st.integers(0, 5))):
+        dist = None
+        if draw(st.booleans()):
+            weights = np.array(draw(st.lists(st.sampled_from(WEIGHTS), min_size=1, max_size=5)))
+            weights[draw(st.integers(0, len(weights) - 1))] += 1.0  # a positive weight
+            dist = weights / weights.sum()
+        passages.append(Passage(
+            id=draw(TEXT), key=np.array(draw(st.lists(FINITE, min_size=dim, max_size=dim))),
+            payload=draw(TEXT), source=draw(st.sampled_from(("kb", "memory"))),
+            position=draw(st.none() | st.integers(0, 2**63)), token_dist=dist))
+    return PassageStore(dim=dim, passages=passages)
 
 
 # what line_mutants puts in place of one token; the last is an integer too

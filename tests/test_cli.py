@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from storymetrics import baseline, cli, salience, suspense
+from storymetrics import baseline, cli, model, salience, suspense
 from storymetrics.cli import build_parser, main, read_series_csv
 from storymetrics.model import (KNOWN_VARIANTS, AnnotationSet, ContinuationSample,
                                 ContinuationSet, GoldLabels, Judgment, SentenceRecord,
@@ -262,8 +262,9 @@ def test_one_corrupt_field_ends_in_an_exit_code_that_names_the_line(tmp_path, ca
     """Each field of the header and of a record line that carries every
     field, replaced in turn by each of _MUTANTS: analyze (every metric and
     measure) and align end in a documented exit code, with no traceback or
-    warning, and with an error that names the file and a line in it, or the
-    sentence (or every sentence) a scoring error is about."""
+    warning, and with an error that names the file and a line in it, or
+    every sentence a scoring error is about. A scoring error about one
+    sentence names that sentence's line."""
     rng = np.random.default_rng(3)
     records = [SentenceRecord(
         index=i, embedding=rng.normal(size=4), text=f"s{i}", avg_log_likelihood=-2.5,
@@ -293,8 +294,10 @@ def test_one_corrupt_field_ends_in_an_exit_code_that_names_the_line(tmp_path, ca
                         continue
                     err = capsys.readouterr().err
                     named = str(bad) in err
+                    sentence = re.search(r"sentence (\d+)", err)
                     if code not in (0, 2, 3, 4) or (code and not named) or (
-                            named and not re.search(r"line \d+|sentence \d+|every sentence", err)):
+                            named and not re.search(r"line \d+|every sentence", err)) or (
+                            sentence and f"{bad} line {int(sentence[1]) + 2}: " not in err):
                         faults.append(f"{case}: exit {code}: {err}")
     assert not faults, "\n".join(faults)
 
@@ -399,6 +402,33 @@ def test_evaluate_and_align_skip_fields_they_do_not_read(tmp_path, demo_trace, c
                  "--out", str(tmp_path / "sal.csv")]) == 0
     assert main(["align", "--trace", str(demo_trace), "--trace", str(demo_trace),
                  "--out", str(tmp_path / "aligned")]) == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+def test_evaluate_and_align_read_an_integer_in_e_as_a_float(tmp_path, demo_trace, monkeypatch,
+                                                            cpus):
+    """A record whose e holds an integer literal, beside a malformed cont
+    that neither command reads, is read as the same record with a float
+    literal there, at any CPU count (one byte range per CPU)."""
+    monkeypatch.setattr(model, "PARALLEL_READ_BYTES", 0)
+    curves, gold = tmp_path / "curves", tmp_path / "gold.txt"
+    assert main(["analyze", "--trace", str(demo_trace), "--metrics", "ely_surprise",
+                 "--out", str(curves)]) == 0
+    write_gold(GoldLabels(kind="salience", salient_indices=frozenset({1, 3})), gold)
+    outputs = []
+    for first in (1, 1.0):
+        _with_record_field(demo_trace, demo_trace, 3, "e", lambda e: [first, *e[1:]])
+        _with_record_field(demo_trace, demo_trace, 3, "cont",
+                           lambda _: {"n": 1, "samples": ["x"]})
+        assert f'"e": [{first!r}, ' in demo_trace.read_text().splitlines()[2]
+        out = tmp_path / f"out_{first!r}"
+        assert main(["evaluate", str(curves / "story.csv"), "--mode", "salience",
+                     "--gold", str(gold), "--trace", str(demo_trace),
+                     "--out", str(out / "sal.csv")]) == 0
+        assert main(["align", "--trace", str(demo_trace), "--trace", str(demo_trace),
+                     "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 3
 
 
 @settings(max_examples=100, deadline=None)
@@ -555,6 +585,23 @@ def test_evaluate_single_annotator_names_the_annotation_file(tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv")]) == 2
     assert capsys.readouterr().err == (f"error: {ann}: upper bound needs at least two "
                                        "annotators\n")
+
+
+def test_evaluate_salience_empty_gold_names_the_gold_file(tmp_path, capsys):
+    """A salience gold file with no index is refused naming it; plot --gold
+    draws no markers for it."""
+    csv = tmp_path / "story.csv"
+    csv.write_text("sentence,like\n" + "".join(f"{i},{i % 3}.5\n" for i in range(4)))
+    gold = tmp_path / "gold.txt"
+    gold.write_text('{"kind": "salience"}\n\n')
+    assert main(["evaluate", str(csv), "--mode", "salience", "--gold", str(gold),
+                 "--out", str(tmp_path / "sal.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {gold}: gold salient set is empty\n"
+    assert not (tmp_path / "sal.csv").exists()
+    assert main(["plot", str(csv), "--gold", str(gold), "--out", str(tmp_path / "marked")]) == 0
+    assert main(["plot", str(csv), "--out", str(tmp_path / "plain")]) == 0
+    assert ((tmp_path / "marked" / "story.svg").read_bytes()
+            == (tmp_path / "plain" / "story.svg").read_bytes())
 
 
 def test_evaluate_all_rows_average_the_stories_that_have_each_value(tmp_path):
@@ -831,6 +878,37 @@ def test_evaluate_read_errors_of_any_story_come_before_scoring_errors(tmp_path, 
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("third", [None, "malformed"])
+def test_analyze_and_plot_refuse_two_inputs_that_write_one_file(tmp_path, capsys, cpus, third):
+    """Two traces of one story_id, or two CSVs of one file name, in
+    different directories: exit 2 naming both, and no output written. A
+    read error of any trace still comes first."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    traces = [_flat_trace(tmp_path / d / "s.trace", "s") for d in "ab"]
+    if third is not None:
+        bad = _flat_trace(tmp_path / "t.trace", "t")
+        bad.write_text(bad.read_text().replace('"index": 2', '"index": "2"'))
+        traces.append(bad)
+    out = tmp_path / "out"
+    assert main(["analyze", *(a for t in traces for a in ("--trace", str(t))),
+                 "--metrics", "ely_surprise", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if third is None:
+        assert err == f"error: {traces[0]} and {traces[1]} would both write {out / 's.csv'}\n"
+    else:
+        assert err.startswith(f"error: {traces[2]} line 4: ")
+    assert not out.exists() or not any(out.iterdir())
+    csvs = [tmp_path / d / "s.csv" for d in "ab"]
+    for csv in csvs:
+        csv.write_text("sentence,like\n0,1.5\n1,0.5\n")
+    plots = tmp_path / "plots"
+    assert main(["plot", *map(str, csvs), "--out", str(plots)]) == 2
+    assert capsys.readouterr().err == (f"error: {csvs[0]} and {csvs[1]} would both write "
+                                       f"{plots / 's.svg'}\n")
+    assert not plots.exists()
+
+
 @pytest.mark.parametrize("case", ["trace", "second_trace", "csv_lf", "csv_crlf", "csv_cr"])
 def test_not_utf8_exit_2_names_line(tmp_path, demo_trace, capsys, cpus, case):
     if case.startswith("csv"):
@@ -979,9 +1057,23 @@ def test_scoring_error_names_its_trace(tmp_path, demo_trace, capsys):
     assert main(["analyze", "--trace", str(good), "--trace", str(bad), "--measures", "emb_sal",
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert (f"error: {bad}: sentence 3: window embeddings for 'base' and 'deleted' required"
-            in err)
+    assert (f"error: {bad} line 5: sentence 3: window embeddings for 'base' and 'deleted' "
+            "required" in err)
     assert str(good) not in err
+
+
+def test_scoring_error_about_one_sentence_names_its_line_in_the_input(tmp_path):
+    """A scoring error about one sentence names that sentence's line in the
+    file its story read, here a series CSV whose blank lines and line ends
+    of each kind are counted; an error about no one sentence names no line."""
+    csv = tmp_path / "story.csv"
+    csv.write_bytes(b"sentence,a\r\n\r\n0,1.5\r1,2.5\n \n2,0.5\n")
+    for error, prefix in ((ValidationError("sentence 2: bad", 2), f"{csv} line 6: "),
+                          (ValidationError("bad"), f"{csv}: ")):
+        def score(columns):
+            raise error
+        returned = cli._job(read_series_csv, score, (csv,))
+        assert type(returned) is ValidationError and str(returned) == f"{prefix}{error}"
 
 
 @pytest.mark.parametrize("option, field, value", [
@@ -998,7 +1090,7 @@ def test_overflow_exits_2_without_warning(tmp_path, demo_trace, capsys, option, 
     _with_record_field(demo_trace, bad, 5, field, value)  # sentence 3
     assert main(["analyze", "--trace", str(bad), option, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ")
+    assert err.startswith(f"error: {bad} line 5: ")
     assert "sentence 3" in err
     assert "Warning" not in err
 

@@ -18,11 +18,11 @@ from storymetrics.model import (PROB_RENORM_TOL, AnnotationSet, ContinuationSamp
                                 ContinuationSet, GoldLabels, Judgment,
                                 MetricSeries, ParseError, SentenceRecord,
                                 StoryTrace, ValidationError, _json_numbers, _run_sums,
-                                read_annotations, read_gold, read_trace,
+                                content_lines, read_annotations, read_gold, read_trace,
                                 write_annotations, write_gold, write_trace)
 from storymetrics.retrieval import Passage
 
-from strategies import FINITE, traces
+from strategies import FINITE, annotation_sets, gold_labels, traces
 from test_cli import _BAD_RECORDS
 
 
@@ -600,13 +600,12 @@ def test_projected_read_judges_irregular_lines_as_the_full_read(tmp_path, line, 
 
 
 def test_projected_row_keeps_only_index_text_and_e():
-    """A projected row keeps only a line's index, text and e: e as the bytes
-    of its float literals, or, where it is not all float literals, as the
-    full parse gives it."""
+    """A projected row keeps only a line's index, text and e: each float of
+    e as the bytes of its literal, and an integer as the integer."""
     line = '{"index":1,"e":[0.5,2],"text":"b","avg_ll":-1.0,"sentiment":0.5}'
-    assert model._projected_fields(line) == (1, "b", [0.5, 2], *[None] * 5)
+    assert model._fields(line, full=False) == (1, "b", [b"0.5", 2], *[None] * 5)
     line = '{"index":1,"e":[0.5,2.0],"text":"b","avg_ll":-1.0,"sentiment":0.5}'
-    assert model._projected_fields(line) == (1, "b", [b"0.5", b"2.0"], *[None] * 5)
+    assert model._fields(line, full=False) == (1, "b", [b"0.5", b"2.0"], *[None] * 5)
 
 
 def test_projected_read_takes_a_line_whose_unread_fields_are_malformed(tmp_path):
@@ -627,6 +626,26 @@ def test_projected_read_takes_a_line_whose_unread_fields_are_malformed(tmp_path)
     assert c.counts.tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+def test_projected_read_takes_an_integer_in_e_beside_a_malformed_cont(tmp_path, monkeypatch,
+                                                                      cpus):
+    """A record whose e holds an integer literal is projected as one whose
+    e holds only float literals: its malformed cont, which the projection
+    does not read, is refused by the full read alone, at any CPU count."""
+    monkeypatch.setattr(model, "PARALLEL_READ_BYTES", 0)
+    lines, reads = _written(tmp_path, dim=2), []
+    for e in ("[1,0.25]", "[1.0,0.25]"):
+        lines[3] = f'{{"index":2,"e":{e},"text":"c","cont":{{"n":1,"samples":["x"]}}}}'
+        path = tmp_path / "t.trace"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))} line 4: malformed "
+                           "continuation set: string indices must be integers"):
+            read_trace(path)
+        reads.append(read_trace(path, full=False))
+    _assert_same_trace(*reads)
+    assert reads[0].columns.embeddings[2].tolist() == [1.0, 0.25]
+
+
 @settings(max_examples=60, deadline=None)
 @given(trace=traces())
 def test_projected_read_equals_full_read(tmp_path_factory, trace):
@@ -638,9 +657,10 @@ def test_projected_read_equals_full_read(tmp_path_factory, trace):
         assert (repr(a.index), repr(a.text)) == (repr(b.index), repr(b.text))
         assert a.embedding.tobytes() == b.embedding.tobytes()
         assert a.continuations is None and a.window_token_loglikes is None
-    # every record write_trace emits takes the projection, not the full parse
-    with patch.object(model, "_fields", side_effect=AssertionError("parsed in full")):
+    # json.loads decodes only the header: every record line takes the projection
+    with patch.object(model.json, "loads", wraps=json.loads) as loads:
         assert len(read_trace(path, full=False)) == len(trace)
+    assert loads.call_count == 1
 
 
 # --- the read in byte ranges, against the text-I/O read ---------------------
@@ -696,7 +716,7 @@ def _parse_continuations(obj) -> ContinuationSet:
 def _projected_record(raw: str, embedding_dim: int, index):
     """The index, e and text of a record line, or None unless the line is a
     JSON object whose `index` is the integer `index` (any, if None), whose
-    `e` holds `embedding_dim` finite JSON floats and whose `text` is a
+    `e` holds `embedding_dim` finite JSON numbers and whose `text` is a
     string or absent."""
     try:
         obj = model._PROJECTING_DECODER.decode(raw)
@@ -706,12 +726,13 @@ def _projected_record(raw: str, embedding_dim: int, index):
         return None
     e = obj.get("e")
     if (type(obj.get("index")) is not int or index not in (None, obj["index"])
-            or type(e) is not list or len(e) != embedding_dim or set(map(type, e)) != {bytes}):
+            or type(e) is not list or len(e) != embedding_dim
+            or not set(map(type, e)) <= {bytes, int}):
         return None
-    try:  # refuses a non-string text, and a float literal out of range (read as inf)
+    try:  # refuses a non-string text, and a number out of range (read as inf)
         return SentenceRecord(index=obj["index"], embedding=np.array(e, float),
                               text=obj.get("text"))
-    except ValidationError:
+    except (ValidationError, OverflowError):
         return None
 
 
@@ -941,11 +962,17 @@ def test_read_in_ranges_blank_lines_and_line_ends(tmp_path, monkeypatch, cpus, e
     serial, ranged = _both_reads(monkeypatch, path)
     assert not isinstance(serial, str)
     _assert_same_trace(ranged, serial)
+    # _entry_line numbers each record's line as content_lines does
+    numbered = list(content_lines(path))[1:]
+    assert [model._entry_line(path, lambda j, _: j == k) for k in range(9)] == numbered
     # a bad record after the blank lines: the message names its line in the file
-    lines[-1] = _record_with(lines[-1], "sentiment", 2.0)
-    path.write_text(eol.join(lines) + eol, newline="")
-    serial, ranged = _both_reads(monkeypatch, path)
-    assert f"line {len(lines)}: " in serial and ranged == serial
+    for k, (no, _) in enumerate(numbered):
+        bad = lines[:]
+        bad[lines.index(numbered[k][1])] = _record_with(numbered[k][1], "sentiment", 2.0)
+        path.write_text(eol.join(bad) + eol, newline="")
+        serial, ranged = _both_reads(monkeypatch, path)
+        assert f"line {no}: sentiment must lie in [-1, 1]" in serial and ranged == serial
+    assert no == len(lines)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
@@ -959,6 +986,8 @@ def test_read_in_ranges_mixed_line_ends(tmp_path, monkeypatch, cpus):
     serial, ranged = _both_reads(monkeypatch, path)
     assert not isinstance(serial, str)
     _assert_same_trace(ranged, serial)
+    numbered = list(content_lines(path))[1:]
+    assert [model._entry_line(path, lambda j, _: j == k) for k in range(9)] == numbered
     for bad in (4, 5, 6):  # after each line end in turn
         path.write_text(data.replace(f'"index":{bad - 1},', f'"index":"{bad - 1}",'),
                         newline="")
@@ -1061,6 +1090,14 @@ def test_annotation_round_trip(tmp_path):
     assert loaded.annotators == annotations.annotators
 
 
+@settings(max_examples=60, deadline=None)
+@given(annotations=annotation_sets())
+def test_annotation_round_trip_property(tmp_path_factory, annotations):
+    path = tmp_path_factory.mktemp("ann") / "s.ann"
+    write_annotations(annotations, path)
+    assert read_annotations(path) == annotations
+
+
 def test_annotation_rejects_unknown_token(tmp_path):
     path = tmp_path / "s.ann"
     path.write_text('{"story_id":"s"}\na1\tS I XX\n')
@@ -1074,6 +1111,14 @@ def test_annotation_rejects_length_mismatch():
             "a1": (Judgment.SAME, Judgment.INCREASE),
             "a2": (Judgment.SAME,),
         })
+
+
+@settings(max_examples=60, deadline=None)
+@given(gold=gold_labels())
+def test_gold_round_trip_property(tmp_path_factory, gold):
+    path = tmp_path_factory.mktemp("gold") / "g.txt"
+    write_gold(gold, path)
+    assert read_gold(path) == gold
 
 
 def test_gold_salience_round_trip(tmp_path):

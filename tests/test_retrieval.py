@@ -14,7 +14,7 @@ from storymetrics.retrieval import (MemoryCache, Passage, PassageStore,
                                     marginal_weights, marginalize_token_dists,
                                     read_passages, retrieve, score, topk_merge,
                                     write_passages)
-from strategies import line_mutants
+from strategies import line_mutants, passage_stores
 
 
 def _passage(pid, key, source="kb", **kwargs):
@@ -264,6 +264,21 @@ def test_passage_file_round_trip(tmp_path):
     first = next(iter(loaded))
     assert first.position == 3
     np.testing.assert_allclose(first.token_dist, [0.25, 0.75])
+
+
+@settings(max_examples=60, deadline=None)
+@given(store=passage_stores())
+def test_passage_file_round_trip_property(tmp_path_factory, store):
+    path = tmp_path_factory.mktemp("psg") / "p.psg"
+    write_passages(store, path)
+    loaded = read_passages(path)
+    assert loaded.dim == store.dim and len(loaded) == len(store)
+    for a, b in zip(loaded, store):
+        assert (a.id, a.payload, a.source, repr(a.position)) == (b.id, b.payload, b.source,
+                                                                 repr(b.position))
+        assert a.key.dtype == np.float64 and a.key.tobytes() == b.key.tobytes()
+        assert ((a.token_dist is None and b.token_dist is None)
+                or a.token_dist.tobytes() == b.token_dist.tobytes())
 
 
 def test_passage_file_parse_error_names_line(tmp_path):
