@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GoldLabels, ValidationError
+from .suspense import _unit_rows
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class AlignConfig:
             raise ValidationError("window_fraction must lie in (0, 1]")
         if not (0.0 <= self.min_sim <= 1.0):
             raise ValidationError("min_sim must lie in [0, 1]")
-        if self.slack < 0.0:
+        if not self.slack >= 0.0:  # NaN, too
             raise ValidationError("slack must be >= 0")
         if self.max_matches < 1:
             raise ValidationError("max_matches must be >= 1")
@@ -39,21 +40,13 @@ class AlignmentResult:
     empty_windows: int
 
 
-def _unit_rows(vectors, name: str) -> np.ndarray:
-    mat = np.asarray(vectors, float)
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0):
-        raise ValidationError(f"{name} contains a zero vector")
-    return mat / norms[:, None]
-
-
 def align(summary_emb, fulltext_emb, cfg: AlignConfig = AlignConfig()) -> AlignmentResult:
     """Label full-text sentences that nearly-best match some summary
     sentence within its relative-position window."""
     if len(summary_emb) == 0 or len(fulltext_emb) == 0:
         raise ValidationError("alignment needs non-empty summary and full text")
-    summary = _unit_rows(summary_emb, "summary embeddings")
-    fulltext = _unit_rows(fulltext_emb, "full-text embeddings")
+    summary = _unit_rows(summary_emb, "summary embeddings contains a zero vector")
+    fulltext = _unit_rows(fulltext_emb, "full-text embeddings contains a zero vector")
     n_s, n_f = summary.shape[0], fulltext.shape[0]
     sims = summary @ fulltext.T
 

@@ -154,7 +154,8 @@ def _mean_correlations(curves: Sequence[np.ndarray], groups, degenerate: str
     and counted; if every pair of a group is, that is an error. The groups
     are checked in order, then every tau and rho is computed in one batched
     call each."""
-    constant = [float(c.std()) == 0.0 for c in curves]
+    with np.errstate(over="ignore", invalid="ignore"):  # a std that overflows is not 0
+        constant = [float(c.std()) == 0.0 for c in curves]
     tied = [bool((c == c[0]).all()) for c in curves]
     kept = []
     for group in groups:

@@ -109,13 +109,13 @@ def _not_a_float(cell: str) -> Optional[ValueError]:
     return None
 
 
-def _columns(trace: StoryTrace, metrics: Sequence[str], measures: Sequence[str],
-             cfg: suspense.MetricConfig, seed: int, zscore: bool) -> tuple[str, dict]:
+def _columns(trace: StoryTrace, metrics: Sequence[str],
+             measures: Sequence[salience.SalienceConfig], cfg: suspense.MetricConfig,
+             zscore: bool) -> tuple[str, dict]:
     """The trace's story_id and its analyze columns."""
     cols = {name: suspense.metric_series(trace, name, cfg).values for name in metrics}
-    for measure in measures:
-        scfg = salience.SalienceConfig(measure=measure, rng_seed=seed)
-        cols[measure] = salience.salience_series(trace, scfg).values
+    for scfg in measures:
+        cols[scfg.measure] = salience.salience_series(trace, scfg).values
     if zscore:
         cols = {name: annotation.zscore(MetricSeries(name, vals)).values
                 for name, vals in cols.items()}
@@ -143,9 +143,11 @@ def analyze(trace_paths: Sequence, out_dir, metrics: Sequence[str],
     """Write `<story_id>.csv` per trace file into out_dir: one column per
     metric, then one per salience measure (seeded by `seed`), all z-scored
     if asked. Returns the columns, in trace order. Every trace is read
-    before any error of a computation is reported."""
-    score = partial(_columns, metrics=metrics, measures=measures, cfg=cfg, seed=seed,
-                    zscore=zscore)
+    before any error of a computation is reported, and an unknown metric or
+    measure before any trace is read."""
+    metrics = [suspense._known_metric(name) for name in metrics]
+    measures = [salience.SalienceConfig(measure=measure, rng_seed=seed) for measure in measures]
+    score = partial(_columns, metrics=metrics, measures=measures, cfg=cfg, zscore=zscore)
     results = _map(partial(_job, read_trace, score), [(path,) for path in trace_paths])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -507,6 +509,17 @@ def cmd_demo(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """The value of --seed: an integer, and not negative, as numpy's generators take it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="storymetrics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -518,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--distance", choices=[kind.value for kind in suspense.DistanceKind],
                     default="sql2")
     an.add_argument("--zscore", action="store_true")
-    an.add_argument("--seed", type=int, default=0)
+    an.add_argument("--seed", type=_seed, default=0)
     an.add_argument("--out", required=True)
     an.set_defaults(func=cmd_analyze)
 
@@ -550,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=cmd_plot)
 
     demo = sub.add_parser("demo", help="synthetic end-to-end pipeline")
-    demo.add_argument("--seed", type=int, default=7)
+    demo.add_argument("--seed", type=_seed, default=7)
     demo.add_argument("--out", required=True)
     demo.set_defaults(func=cmd_demo)
     return parser
@@ -560,18 +573,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateStatisticsError as exc:
+    except (ValueError, OSError) as exc:  # a ValueError no check names is a bad input, too
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # the last resort for a bad input no check names
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return (4 if isinstance(exc, DegenerateStatisticsError)
+                else 3 if isinstance(exc, OSError) else 2)
 
 
 if __name__ == "__main__":

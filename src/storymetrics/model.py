@@ -44,6 +44,16 @@ class DegenerateStatisticsError(ValueError):
 PROB_SUM_TOL = 1e-9
 PROB_RENORM_TOL = 1e-6
 
+
+def _is_distribution(dist: np.ndarray) -> bool:
+    """Finite, non-negative and summing to 1 within PROB_SUM_TOL (NaN fails
+    every comparison, so it is tested for first; a sum that overflows fails
+    without a numpy warning)."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(dist).all() and np.all(dist >= 0)
+                    and abs(float(dist.sum()) - 1.0) <= PROB_SUM_TOL)
+
+
 KNOWN_VARIANTS = ("base", "deleted", "swapped", "no_knowledge")
 
 
@@ -520,11 +530,15 @@ class MetricSeries:
         return int(self.values.shape[0])
 
 
-def per_sentence_series(what: str, name: str, trace: StoryTrace, values,
-                        available) -> MetricSeries:
-    """The curve `name` over `trace` from its per-sentence values and the
-    mask of the sentences that have its inputs. A sentence without them
-    scores 0; a curve that no sentence can compute is an error."""
+def per_sentence_series(what: str, curves: Mapping, name: str, trace: StoryTrace,
+                        cfg) -> MetricSeries:
+    """The series of the curve `name` over `trace`: curves[name](trace, cfg)
+    gives its per-sentence values and the mask of the sentences that have
+    its inputs. A sentence without them scores 0; a curve that no sentence
+    can compute is an error."""
+    # finite inputs can overflow; the series then names its first non-finite sentence
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, available = curves[name](trace, cfg)
     if not np.any(available):
         raise ValidationError(
             f"{what} {name!r}: required inputs absent for every sentence of {trace.story_id!r}")
@@ -763,10 +777,7 @@ def _continuation_fields(cont) -> tuple:
         probs = cont.get("probs")
         if probs is not None:
             probs = _json_vector(probs, "continuation probabilities")
-            try:
-                total = float(np.sum(probs))  # as np.sum adds it
-            except OverflowError:  # an integer too large for a float
-                total = float(np.sum(_floats(probs)))
+            total = float(np.sum(_floats(probs)))  # as np.sum adds it
             if abs(total - 1.0) > PROB_RENORM_TOL:
                 raise ValidationError(f"continuation probabilities sum to {total}, "
                                       f"outside renormalization tolerance")
@@ -928,7 +939,7 @@ def read_trace(path, *, full: bool = True) -> StoryTrace:
             cuts.append(fh.seek(max(cuts[-1], head_end, size * k // n) - 1) + len(fh.readline()))
     spans = list(zip(cuts, cuts[1:] + [size]))
     read = partial(_range_columns, path, embedding_dim, full)
-    parts = [read(spans[0])] if n == 1 else _map(read, spans)
+    parts = _map(read, spans)
     done = 0  # the records of the ranges before
     for columns, faulty in parts:
         if columns.text and columns.base != done:  # a gap at the cut, before any later fault

@@ -19,16 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (ParseError, ValidationError, _floats, _header, _json_int,
-                    _json_numbers, _write_lines, content_lines)
+from .model import (ParseError, ValidationError, _floats, _header, _is_distribution,
+                    _json_int, _json_numbers, _write_lines, content_lines)
 from .suspense import softmax
-
-
-def _is_distribution(dist: np.ndarray) -> bool:
-    """Finite, non-negative and summing to 1 (NaN fails every comparison,
-    so it is tested for first)."""
-    return bool(np.isfinite(dist).all() and np.all(dist >= 0)
-                and abs(float(dist.sum()) - 1.0) <= 1e-9)
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity, as it holds arrays

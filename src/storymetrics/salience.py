@@ -17,7 +17,7 @@ from .annotation import zscore
 from .model import (Columns, DegenerateStatisticsError, MetricSeries, SentenceRecord, StoryTrace,
                     ValidationError, _Faults, _one_row, _run_sums,
                     per_sentence_series)
-from .suspense import DistanceKind, _distances, consecutive_distances
+from .suspense import DistanceKind, _distances, _unit_rows, consecutive_distances
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,9 @@ def imp_adjust(salience: float, sentiment: float) -> float:
 
 
 def _kmeans_cosine(unit: np.ndarray, k: int, max_iter: int = 100,
-                   tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic Lloyd's k-means under cosine distance on unit vectors.
+                   tol: float = 1e-9) -> np.ndarray:
+    """The centroids of deterministic Lloyd's k-means under cosine distance
+    on unit vectors.
 
     Init takes k evenly spaced points in sentence order; assignment ties
     break to the lowest cluster index.
@@ -141,9 +142,7 @@ def _kmeans_cosine(unit: np.ndarray, k: int, max_iter: int = 100,
         centroids = new_centroids
         if moved <= tol:
             break
-    dists = 1.0 - _cosine_to_centroids(unit, centroids)
-    assign = np.argmin(dists, axis=1)
-    return assign, centroids
+    return centroids
 
 
 def _cosine_to_centroids(unit: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -160,17 +159,11 @@ def _cosine_to_centroids(unit: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def clus_salience(embeddings, cfg: SalienceConfig) -> MetricSeries:
     """Centroid-proximity salience: negated cosine distance to the assigned
     k-means centroid, one cluster per cfg.clus_per sentences."""
-    embs = np.asarray(embeddings, float)
-    n = embs.shape[0]
-    norms = np.linalg.norm(embs, axis=1)
-    if np.any(norms == 0):
-        raise ValidationError("clus_salience requires non-zero embeddings")
-    unit = embs / norms[:, None]
+    unit = _unit_rows(embeddings, "clus_salience requires non-zero embeddings")
+    n = unit.shape[0]
     k = min(math.ceil(n / cfg.clus_per), n)
-    assign, centroids = _kmeans_cosine(unit, k)
-    sims = _cosine_to_centroids(unit, centroids)
-    scores = -(1.0 - sims[np.arange(n), assign])
-    return MetricSeries(name="clus", values=scores)
+    dists = 1.0 - _cosine_to_centroids(unit, _kmeans_cosine(unit, k))
+    return MetricSeries(name="clus", values=-dists[np.arange(n), np.argmin(dists, axis=1)])
 
 
 def combine_like_clus(like: MetricSeries, clus: MetricSeries) -> MetricSeries:
@@ -202,25 +195,21 @@ def positional_baseline(n: int, kind: str, seed: int = 0) -> MetricSeries:
     return MetricSeries(name=kind, values=values)
 
 
-def _window_variant(variant: str):
-    def series(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
-        # The last sentence has no following window.
+def _windowed(has: str, saliences, *args):
+    """The curve of a measure of the sentences that have windows, `has`
+    naming their mask (the last sentence has no following window), scored
+    by saliences(columns, *args, rows)."""
+    def curve(trace: StoryTrace, cfg: SalienceConfig):
         c = trace.columns
-        values = np.zeros(len(trace))
-        values[c.has_win_ll] = _variant_saliences(c, variant, np.flatnonzero(c.has_win_ll))
-        return per_sentence_series("measure", cfg.measure, trace, values, c.has_win_ll)
-    return series
+        values, available = np.zeros(len(trace)), getattr(c, has)
+        values[available] = saliences(c, *args, np.flatnonzero(available))
+        return values, available
+    return curve
 
 
-def _positional(kind: str):
-    return lambda trace, cfg: positional_baseline(len(trace), kind, cfg.rng_seed)
-
-
-def _emb_sal(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
-    c = trace.columns
-    values = np.zeros(len(trace))
-    values[c.has_win_emb] = _emb_saliences(c, np.flatnonzero(c.has_win_emb))
-    return per_sentence_series("measure", cfg.measure, trace, values, c.has_win_emb)
+def _every(series):
+    """The curve of a measure that every sentence has, from its series(trace, cfg)."""
+    return lambda trace, cfg: (series(trace, cfg).values, np.ones(len(trace), bool))
 
 
 def _clus(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
@@ -228,19 +217,18 @@ def _clus(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
     return clus_salience(trace.columns.embeddings, cfg)
 
 
-# measure -> series(trace, cfg)
+# measure -> curve(trace, cfg) -> (values, available), as a metric's
 _MEASURES = {
-    "like": _window_variant("deleted"),
-    "swap": _window_variant("swapped"),
-    "know_diff": _window_variant("no_knowledge"),
+    "like": _windowed("has_win_ll", _variant_saliences, "deleted"),
+    "swap": _windowed("has_win_ll", _variant_saliences, "swapped"),
+    "know_diff": _windowed("has_win_ll", _variant_saliences, "no_knowledge"),
     # cosine distance between consecutive sentence embeddings
-    "emb_surp": lambda trace, cfg: per_sentence_series(
-        "measure", cfg.measure, trace, *consecutive_distances(trace, DistanceKind.COSINE)),
-    "emb_sal": _emb_sal,
-    "clus": _clus,
-    "random": _positional("random"),
-    "ascending": _positional("ascending"),
-    "descending": _positional("descending"),
+    "emb_surp": lambda trace, cfg: consecutive_distances(trace, DistanceKind.COSINE),
+    "emb_sal": _windowed("has_win_emb", _emb_saliences),
+    "clus": _every(_clus),
+    # the positional baselines, each of the kind cfg.measure names
+    **dict.fromkeys(("random", "ascending", "descending"), _every(
+        lambda trace, cfg: positional_baseline(len(trace), cfg.measure, cfg.rng_seed))),
 }
 MEASURES = tuple(_MEASURES)
 
@@ -248,10 +236,9 @@ MEASURES = tuple(_MEASURES)
 def salience_series(trace: StoryTrace, cfg: SalienceConfig) -> MetricSeries:
     """Per-sentence salience under cfg.measure, with optional importance
     adjustment and Clus combination."""
-    # finite inputs can overflow; the series then names its first non-finite sentence
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = _MEASURES[cfg.measure](trace, cfg)
-        if cfg.imp_adjust:  # imp_adjust of each; an absent sentiment is 0
+    series = per_sentence_series("measure", _MEASURES, cfg.measure, trace, cfg)
+    if cfg.imp_adjust:  # imp_adjust of each; an absent sentiment is 0
+        with np.errstate(over="ignore"):  # the series names the first sentence that overflows
             series = MetricSeries(name=series.name + "_imp", values=series.values * (
                 1.0 + np.abs(trace.columns.sentiment)))
     if cfg.combine_like_clus and cfg.measure != "clus":

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .model import (Columns, ContinuationSet, MetricSeries, SentenceRecord, StoryTrace,
-                    ValidationError, _distinct, _one_row, _unchecked, per_sentence_series)
+                    ValidationError, _distinct, _is_distribution, _one_row, _unchecked,
+                    per_sentence_series)
 
 
 class DistanceKind(Enum):
@@ -37,7 +38,8 @@ class MetricConfig:
     alpha_floor: float = 0.0
 
     def __post_init__(self):
-        if self.alpha_pos_weight < 0 or self.alpha_neg_weight < 0 or self.alpha_floor < 0:
+        if not all(w >= 0 for w in (self.alpha_pos_weight, self.alpha_neg_weight,
+                                    self.alpha_floor)):  # NaN, too
             raise ValidationError("alpha weights must be non-negative")
 
 
@@ -76,8 +78,7 @@ def entropy(dist) -> float:
     probs = np.asarray(dist, float)
     if probs.ndim != 1 or probs.size == 0:
         raise ValidationError("distribution must be a non-empty 1-d vector")
-    if (not np.all(np.isfinite(probs)) or np.any(probs < 0)
-            or abs(float(probs.sum()) - 1.0) > 1e-9):
+    if not _is_distribution(probs):
         raise ValidationError("invalid probability distribution")
     nz = probs[probs > 0]
     return float(-np.sum(nz * np.log(nz)))
@@ -189,6 +190,16 @@ def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not (na.all() and nb.all()):
         raise ValidationError("cosine similarity undefined for zero vectors")
     return np.vecdot(a, b) / (na * nb)
+
+
+def _unit_rows(vectors, message: str) -> np.ndarray:
+    """The rows of `vectors` scaled to unit length; a zero row is refused
+    with `message`."""
+    mat = np.asarray(vectors, float)
+    norms = np.linalg.norm(mat, axis=1)
+    if np.any(norms == 0):
+        raise ValidationError(message)
+    return mat / norms[:, None]
 
 
 def _distances(a: np.ndarray, b: np.ndarray, kind: DistanceKind) -> np.ndarray:
@@ -394,9 +405,11 @@ METRIC_NAMES = tuple(_METRICS)
 def metric_series(trace: StoryTrace, name: str, cfg: MetricConfig) -> MetricSeries:
     """Per-sentence curve for a named metric. Sentences lacking the needed
     inputs contribute 0; if no sentence has them, that is an error."""
+    return per_sentence_series("metric", _METRICS, _known_metric(name), trace, cfg)
+
+
+def _known_metric(name: str) -> str:
+    """`name`, if it names a metric."""
     if name not in _METRICS:
         raise ValidationError(f"unknown metric {name!r}")
-    # finite inputs can overflow; the series then names its first non-finite sentence
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, available = _METRICS[name](trace, cfg)
-    return per_sentence_series("metric", name, trace, values, available)
+    return name

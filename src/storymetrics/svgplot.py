@@ -85,13 +85,9 @@ def render_svg(series: Mapping[str, Sequence[float]],
         color = PALETTE[pos % len(PALETTE)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
-    for idx in sorted(set(int(i) for i in gold_indices)):
-        if 0 <= idx < n:
-            x, y = to_xy(idx, float(base[idx]))
-            parts.append(_star(x, y))
-    for idx in sorted(set(int(i) for i in peak_indices)):
-        if 0 <= idx < n:
-            x, y = to_xy(idx, float(base[idx]))
-            parts.append(_triangle(x, y))
+    for marker, indices in ((_star, gold_indices), (_triangle, peak_indices)):
+        for idx in sorted(set(int(i) for i in indices)):
+            if 0 <= idx < n:
+                parts.append(marker(*to_xy(idx, float(base[idx]))))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -124,3 +124,12 @@ def test_alignment_report():
     assert alignment_report(labels, 148)["coverage"] == pytest.approx(31 / 148)
     full = GoldLabels(kind="salience", salient_indices=frozenset(range(10)))
     assert alignment_report(full, 10)["coverage"] == 1.0
+
+
+def test_align_config_refuses_a_nan_slack_and_takes_an_infinite_one():
+    with pytest.raises(ValidationError, match="slack must be >= 0"):
+        AlignConfig(slack=float("nan"))
+    # every window's candidate above min_sim is kept
+    result = align([[1.0, 0.0]], [[1.0, 0.0], [0.6, 0.8]], AlignConfig(window_fraction=1.0,
+                                                                       slack=float("inf")))
+    assert result.per_summary == ((0, 1),)

@@ -1,6 +1,8 @@
 """Command-line pipelines: exit codes, determinism, and file round-trips."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -21,7 +23,7 @@ from storymetrics.model import (KNOWN_VARIANTS, AnnotationSet, ContinuationSampl
                                 ContinuationSet, GoldLabels, Judgment, SentenceRecord,
                                 StoryTrace, ValidationError, content_lines, read_gold,
                                 write_annotations, write_gold, write_trace)
-from strategies import line_mutants, series_columns
+from strategies import ANNOTATORS, line_mutants, series_columns
 
 
 @pytest.fixture()
@@ -314,49 +316,112 @@ _INPUT_FILES = {
 }
 
 
-def test_one_corrupt_token_of_another_input_ends_in_an_exit_code_that_names_it(
-        tmp_path, capsys):
+def _input_commands(paths: dict, out_dir: Path) -> dict:
+    """The commands that read each of one story's input files (named as in
+    _INPUT_FILES, at `paths`), "{}" standing for that file."""
+    csv, ann, tp, sal = (str(paths[name]) for name in _INPUT_FILES)
+    out, plots = ["--out", str(out_dir / "r.csv")], ["--out", str(out_dir / "plots")]
+    return {
+        "story.csv": [["evaluate", "{}", "--mode", "suspense", "--annotations", ann, *out],
+                      ["evaluate", "{}", "--mode", "turning-points", "--gold", tp, *out],
+                      ["evaluate", "{}", "--mode", "salience", "--gold", sal, *out],
+                      ["plot", "{}", *plots]],
+        "story.ann": [["evaluate", csv, "--mode", "suspense", "--annotations", "{}", *out]],
+        "tp.txt": [["evaluate", csv, "--mode", "turning-points", "--gold", "{}", *out],
+                   ["plot", csv, "--gold", "{}", *plots]],
+        "salient.txt": [["evaluate", csv, "--mode", "salience", "--gold", "{}", *out],
+                        ["plot", csv, "--gold", "{}", *plots]],
+    }
+
+
+def _corrupt_input_faults(paths: dict, name: str, bad: Path, changed: list, case: str,
+                          must_pass: bool, out_dir: Path) -> list:
+    """`bad`, holding the lines `changed` of the input file `name`, under
+    each command that reads that file (in-process), the story's other files
+    at `paths`: what is wrong, if anything. Each must end in a documented
+    exit code (0 if `must_pass`), with no traceback or warning, and an
+    error that begins with one of the story's files, then a line number or
+    the rest of the message. A scoring error begins with the story's CSV."""
+    bad.write_text("\n".join(changed) + "\n")
+    named = "|".join(re.escape(str(p)) for p in (bad, *paths.values()))
+    begins = re.compile(rf"error: ({named})( line \d+:|:| has )")
+    faults = []
+    for command in _input_commands(paths, out_dir)[name]:
+        argv = [str(bad) if arg == "{}" else arg for arg in command]
+        label = f"{name} {case}: {' '.join(command[:4])}"
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        except Exception as exc:  # a warning, too, under filterwarnings = error
+            faults.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        if code not in (0, 2, 3, 4) or (must_pass and code) or (
+                code and not begins.match(err.getvalue())):
+            faults.append(f"{label}: exit {code}: {err.getvalue()}")
+    return faults
+
+
+def test_one_corrupt_token_of_another_input_ends_in_an_exit_code_that_names_it(tmp_path):
     """Each line_mutants change of a series CSV, an annotation file, a
     turning-point and a salience gold file, under each command that reads
-    it (in-process): a documented exit code, no traceback or warning, and
-    an error that begins with one of the story's files, then a line number
-    or the rest of the message. A scoring error begins with the story's CSV."""
+    it: _corrupt_input_faults finds nothing wrong, and the unchanged files
+    pass."""
     good = {name: tmp_path / name for name in _INPUT_FILES}
     for name, lines in _INPUT_FILES.items():
         good[name].write_text("\n".join(lines) + "\n")
-    csv, ann, tp, sal = good.values()
-    out, plots = ["--out", str(tmp_path / "r.csv")], ["--out", str(tmp_path / "plots")]
-    commands = {
-        "story.csv": [["evaluate", "{}", "--mode", "suspense", "--annotations", str(ann), *out],
-                      ["evaluate", "{}", "--mode", "turning-points", "--gold", str(tp), *out],
-                      ["evaluate", "{}", "--mode", "salience", "--gold", str(sal), *out],
-                      ["plot", "{}", *plots]],
-        "story.ann": [["evaluate", str(csv), "--mode", "suspense", "--annotations", "{}", *out]],
-        "tp.txt": [["evaluate", str(csv), "--mode", "turning-points", "--gold", "{}", *out],
-                   ["plot", str(csv), "--gold", "{}", *plots]],
-        "salient.txt": [["evaluate", str(csv), "--mode", "salience", "--gold", "{}", *out],
-                        ["plot", str(csv), "--gold", "{}", *plots]],
-    }
     faults = []
     for name, lines in _INPUT_FILES.items():
         bad = tmp_path / "bad" / name
         bad.parent.mkdir(exist_ok=True)
-        named = "|".join(re.escape(str(p)) for p in (bad, *good.values()))
-        begins = re.compile(rf"error: ({named})( line \d+:|:| has )")
         for case, changed in [("unchanged", lines), *line_mutants(lines)]:
-            bad.write_text("\n".join(changed) + "\n")
-            for command in commands[name]:
-                argv = [str(bad) if arg == "{}" else arg for arg in command]
-                label = f"{name} {case}: {' '.join(command[:4])}"
-                try:
-                    code = main(argv)
-                except Exception as exc:  # a warning, too, under filterwarnings = error
-                    faults.append(f"{label}: {type(exc).__name__}: {exc}")
-                    continue
-                err = capsys.readouterr().err
-                if (code not in (0, 2, 3, 4) or (case == "unchanged" and code)
-                        or (code and not begins.match(err))):
-                    faults.append(f"{label}: exit {code}: {err}")
+            faults += _corrupt_input_faults(good, name, bad, changed, case, case == "unchanged",
+                                            tmp_path)
+    assert not faults, "\n".join(faults)
+
+
+@st.composite
+def _stories(draw) -> dict:
+    """One consistent story, as the input files of _INPUT_FILES hold it: a
+    series_columns() CSV of n rows, annotators of n judgments each, and
+    turning-point and salience gold within the n sentences."""
+    columns = draw(series_columns())
+    n = len(next(iter(columns.values())))
+    judgments = st.lists(st.sampled_from(Judgment), min_size=n, max_size=n).map(tuple)
+    positions = draw(st.lists(st.integers(0, n - 1), min_size=5, max_size=5))
+    windows = None
+    if draw(st.booleans()):
+        margins = st.integers(0, 2)
+        windows = tuple((max(0, p - draw(margins)), min(n - 1, p + draw(margins)))
+                        for p in positions)
+    return {"story.csv": columns,
+            "story.ann": AnnotationSet("story", draw(st.dictionaries(ANNOTATORS, judgments,
+                                                                      min_size=1, max_size=3))),
+            "tp.txt": GoldLabels(kind="turning_points", tp_positions=tuple(positions),
+                                 tp_windows=windows),
+            "salient.txt": GoldLabels(kind="salience", salient_indices=draw(
+                st.frozensets(st.integers(0, n - 1), min_size=1)))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(story=_stories(), data=st.data())
+def test_one_corrupt_token_of_a_drawn_story_ends_in_an_exit_code_that_names_it(
+        tmp_path_factory, story, data):
+    """One line_mutants change of one file of a drawn story, under each
+    command that reads it: _corrupt_input_faults finds nothing wrong. A
+    drawn story may be degenerate (a constant column, say), so its
+    unchanged files need not pass."""
+    root = tmp_path_factory.mktemp("story")
+    good = {name: root / name for name in _INPUT_FILES}
+    cli._write_series_csv(good["story.csv"], story["story.csv"])
+    write_annotations(story["story.ann"], good["story.ann"])
+    write_gold(story["tp.txt"], good["tp.txt"])
+    write_gold(story["salient.txt"], good["salient.txt"])
+    name = data.draw(st.sampled_from(sorted(_INPUT_FILES)), label="file")
+    case, changed = data.draw(st.sampled_from(list(line_mutants(
+        good[name].read_text().splitlines()))), label="change")
+    (root / "bad").mkdir()
+    faults = _corrupt_input_faults(good, name, root / "bad" / name, changed, case, False, root)
     assert not faults, "\n".join(faults)
 
 
@@ -482,6 +547,20 @@ def test_evaluate_suspense_perfect_prediction(tmp_path, demo_trace):
     human = [ln for ln in lines if ln.startswith("story,human_upper_bound,")]
     assert len(human) == 1
     assert float(human[0].split(",")[2]) == pytest.approx(1.0)
+
+
+def test_evaluate_suspense_of_a_column_whose_std_overflows(tmp_path, capsys):
+    """The squares of the constancy check's std overflow: the column is not
+    constant, it is scored, and numpy warns of nothing (a warning fails the
+    test under filterwarnings = error)."""
+    csv, ann = tmp_path / "story.csv", tmp_path / "story.ann"
+    csv.write_text("sentence,a\n0,1e308\n1,-1e308\n2,1e308\n3,0.5\n")
+    ann.write_text('{"story_id":"story"}\na1\tS I D I\na2\tS I D D\n')
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", str(csv), "--mode", "suspense", "--annotations", str(ann),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1].startswith("story,a,")
 
 
 def test_evaluate_requires_matching_annotations(tmp_path, demo_trace):
@@ -705,6 +784,37 @@ def test_align_and_plot(tmp_path, demo_trace):
     assert svg.startswith("<svg")
     assert "<text" not in svg
     assert svg.count("<polyline") == 6  # one per default metric
+
+
+def test_align_refuses_a_nan_theta_and_takes_an_infinite_one(tmp_path, demo_trace, capsys):
+    argv = ["align", "--trace", str(demo_trace), "--trace", str(demo_trace),
+            "--out", str(tmp_path / "aligned")]
+    assert main([*argv, "--theta", "nan"]) == 2
+    assert capsys.readouterr().err == "error: slack must be >= 0\n"
+    assert main([*argv, "--theta", "inf"]) == 0
+    assert read_gold(tmp_path / "aligned" / "story_gold.txt").salient_indices
+
+
+@pytest.mark.parametrize("option, names, message", [
+    ("--metrics", "ely_surprise,foo", "unknown metric 'foo'"),
+    ("--measures", "like,foo", "unknown salience measure 'foo'")])
+def test_an_unknown_name_is_refused_before_any_trace_is_read(tmp_path, capsys, option,
+                                                              names, message):
+    """Not an I/O error of the missing trace, and not prefixed with it."""
+    code = main(["analyze", "--trace", str(tmp_path / "missing.trace"), option, names,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["analyze", "--trace", "t", "--measures", "random"],
+                                     ["demo"]])
+def test_a_negative_seed_is_refused_by_the_parser(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_plot_deterministic(tmp_path, demo_trace):

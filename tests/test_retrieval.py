@@ -93,7 +93,7 @@ def test_passage_rejects_bad_source_and_dist():
         _passage("p", [1.0], source="web")
     with pytest.raises(ValidationError):
         _passage("p", [1.0], token_dist=np.array([0.5, 0.6]))
-    for bad in ([np.nan, 0.5], [np.inf, 0.0], [1.0, np.nan]):
+    for bad in ([np.nan, 0.5], [np.inf, 0.0], [1.0, np.nan], [1e308, 1e308]):
         with pytest.raises(ValidationError, match="token_dist is not a distribution"):
             _passage("p", [1.0], token_dist=np.array(bad))
 

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from storymetrics import model
 from storymetrics.model import (ContinuationSample, ContinuationSet,
                                 SentenceRecord, StoryTrace, ValidationError)
+from storymetrics.retrieval import Passage
 from storymetrics.suspense import (DistanceKind, MetricConfig, alpha_weight,
                                    continuation_distribution,
                                    cosine_similarity, distance,
@@ -101,9 +103,29 @@ def test_entropy_values():
 
 
 def test_entropy_rejects_invalid_distribution():
-    for dist in ([0.5, 0.6], [math.nan, 0.5], [math.nan, 1.0], [math.inf, 0.5]):
+    for dist in ([0.5, 0.6], [math.nan, 0.5], [math.nan, 1.0], [math.inf, 0.5], [1e308, 1e308]):
         with pytest.raises(ValidationError):
             entropy(dist)
+
+
+def test_a_distribution_may_miss_1_by_exactly_the_tolerance(monkeypatch):
+    """The sum tolerance is inclusive, for entropy and a passage's token
+    distribution alike. No float sum near 1 misses it by exactly 1e-9 (no
+    multiple of an ulp there), so the tolerance is set to one ulp of 1."""
+    monkeypatch.setattr(model, "PROB_SUM_TOL", 2.0 ** -52)
+    edge, beyond = [0.5, 0.5 + 2.0 ** -52], [0.5, 0.5 + 2.0 ** -51]  # sums exact
+    assert entropy(edge) > 0
+    assert Passage("p", np.ones(1), "", "kb", token_dist=np.array(edge))
+    with pytest.raises(ValidationError):
+        entropy(beyond)
+    with pytest.raises(ValidationError, match="token_dist is not a distribution"):
+        Passage("p", np.ones(1), "", "kb", token_dist=np.array(beyond))
+
+
+@pytest.mark.parametrize("weight", ["alpha_pos_weight", "alpha_neg_weight", "alpha_floor"])
+def test_metric_config_refuses_a_nan_weight(weight):
+    with pytest.raises(ValidationError, match="alpha weights must be non-negative"):
+        MetricConfig(**{weight: math.nan})
 
 
 def test_hale_uncertainty_reduction():
