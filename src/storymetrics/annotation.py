@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (AnnotationSet, DegenerateStatisticsError, Judgment,
-                    MetricSeries, ValidationError)
+                    MetricSeries, ValidationError, _distinct)
 from . import evaluation
 
 
@@ -37,13 +37,7 @@ class JudgmentMapping:
             raise ValidationError("increase magnitudes must be positive and separated by >= 0.05")
 
     def increments(self) -> dict[Judgment, float]:
-        return {
-            Judgment.BIG_DECREASE: self.big_decrease,
-            Judgment.DECREASE: self.decrease,
-            Judgment.SAME: self.same,
-            Judgment.INCREASE: self.increase,
-            Judgment.BIG_INCREASE: self.big_increase,
-        }
+        return {j: getattr(self, j.name.lower()) for j in Judgment}
 
 
 def absolute_curve(judgments: Sequence[Judgment],
@@ -71,71 +65,55 @@ def zscore(series: MetricSeries) -> MetricSeries:
     return MetricSeries(name=series.name, values=values, normalized=True)
 
 
-_ORDINAL_VALUE = {
-    Judgment.BIG_DECREASE: 0,
-    Judgment.DECREASE: 1,
-    Judgment.SAME: 2,
-    Judgment.INCREASE: 3,
-    Judgment.BIG_INCREASE: 4,
-}
+_ORDINAL_VALUE = {j: float(k) for k, j in enumerate(Judgment)}
 
 
 def krippendorff_alpha_table(data: Sequence[Sequence[Optional[float]]],
                              level: str = "ordinal") -> float:
-    """Krippendorff's alpha over a coders-by-units table; None marks a
-    missing value. Units with fewer than two values are unpairable and
-    excluded."""
+    """Krippendorff's alpha over a coders-by-units table, from each unit's count of
+    each category. None marks a missing value, and every other value must be
+    finite. Units with fewer than two values are unpairable and excluded."""
     if level not in ("nominal", "ordinal", "interval"):
         raise ValidationError(f"unknown measurement level {level!r}")
     if not data:
         raise ValidationError("no annotation data")
-    n_units = max(len(row) for row in data)
-    unit_values = []
-    for u in range(n_units):
-        vals = [row[u] for row in data if u < len(row) and row[u] is not None]
-        if len(vals) >= 2:
-            unit_values.append(vals)
-    if not unit_values:
+    table = np.full((len(data), max(len(row) for row in data)), np.nan)
+    for row, values in zip(table, data):
+        row[:len(values)] = np.array(values, float)  # None reads as NaN
+    if not np.isfinite([v for row in data for v in row if v is not None]).all():
+        raise ValidationError("annotation values must be finite or None")
+    cells = table.T[np.isfinite(table).sum(axis=0) >= 2]  # units by coders, pairable units
+    if not len(cells):
         raise DegenerateStatisticsError("no unit has two or more pairable values")
 
-    categories = sorted({v for vals in unit_values for v in vals})
-    cat_index = {c: i for i, c in enumerate(categories)}
-    m = len(categories)
-    coincidence = np.zeros((m, m))
-    for vals in unit_values:
-        mu = len(vals)
-        for a, b in itertools.permutations(range(mu), 2):
-            coincidence[cat_index[vals[a]], cat_index[vals[b]]] += 1.0 / (mu - 1)
-    n_c = coincidence.sum(axis=1)
+    units, coders = np.nonzero(np.isfinite(cells))
+    values = cells[units, coders]
+    categories = _distinct(values)
+    counts = np.zeros((len(cells), len(categories)))
+    np.add.at(counts, (units, np.searchsorted(categories, values)), 1.0)
+    # the coincidences, except on the diagonal, where every delta is 0
+    coincidence = (counts / (counts.sum(axis=1, keepdims=True) - 1.0)).T @ counts
+    n_c = counts.sum(axis=0)
     n_total = float(n_c.sum())
 
     if level == "nominal":
-        delta = 1.0 - np.eye(m)
-    elif level == "interval":
-        cats = np.asarray(categories, float)
-        delta = (cats[:, None] - cats[None, :]) ** 2
-    else:  # ordinal: cumulative-marginal difference
-        delta = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                span = n_c[i:j + 1].sum() - (n_c[i] + n_c[j]) / 2.0
-                delta[i, j] = delta[j, i] = span ** 2
+        delta = 1.0 - np.eye(len(categories))
+    else:  # interval: the values; ordinal: the midpoints of the cumulative marginals
+        at = categories if level == "interval" else np.cumsum(n_c) - n_c / 2.0
+        delta = (at[:, None] - at[None, :]) ** 2
 
     d_o = float((coincidence * delta).sum()) / n_total
     d_e = float((np.outer(n_c, n_c) * delta).sum()) / (n_total * (n_total - 1.0))
     if d_e == 0.0:
-        raise DegenerateStatisticsError(
-            "expected disagreement is zero (all values identical)")
+        raise DegenerateStatisticsError("expected disagreement is zero (all values identical)")
     return 1.0 - d_o / d_e
 
 
 def krippendorff_alpha(annotations: AnnotationSet, level: str = "ordinal") -> float:
     if len(annotations.annotators) < 2:
         raise ValidationError("agreement needs at least two annotators")
-    table = [
-        [float(_ORDINAL_VALUE[j]) for j in annotations.annotators[aid]]
-        for aid in sorted(annotations.annotators)
-    ]
+    table = [[_ORDINAL_VALUE[j] for j in annotations.annotators[aid]]
+             for aid in sorted(annotations.annotators)]
     return krippendorff_alpha_table(table, level)
 
 

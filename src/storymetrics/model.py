@@ -92,6 +92,12 @@ def _not_int(value) -> bool:
     return type(value) is bool or not isinstance(value, int)
 
 
+def _int_problem(values, what: str) -> Optional[str]:
+    """What is wrong with values that must be integers: the first that is none."""
+    bad = [v for v in values if _not_int(v)]
+    return f"{what} must be an integer, got {bad[0]!r}" if bad else None
+
+
 def _not_number(value) -> bool:
     """Whether an optional value (None: absent) is no JSON number; a bool is none."""
     return value is not None and (type(value) is bool or not isinstance(value, (int, float)))
@@ -579,6 +585,9 @@ class GoldLabels:
         object.__setattr__(self, "salient_indices", frozenset(self.salient_indices))
         object.__setattr__(self, "tp_positions", tuple(self.tp_positions))
         if self.kind == "salience":
+            problem = _int_problem(self.salient_indices, "a salient index")
+            if problem:
+                raise ValidationError(problem)
             if any(i < 0 for i in self.salient_indices):
                 raise ValidationError("salient indices must be >= 0")
         else:
@@ -586,7 +595,7 @@ class GoldLabels:
                 raise ValidationError("turning-point labels need exactly 5 positions, "
                                       f"got {len(self.tp_positions)}")
             if self.tp_windows is not None:
-                windows = tuple((int(lo), int(hi)) for lo, hi in self.tp_windows)
+                windows = tuple((lo, hi) for lo, hi in self.tp_windows)
                 if len(windows) != 5:
                     raise ValidationError("turning-point windows need exactly 5 entries, "
                                           f"got {len(windows)}")
@@ -599,6 +608,9 @@ class GoldLabels:
 
 def _turning_point_problem(pos: int, window: Optional[tuple[int, int]]) -> Optional[str]:
     """What is wrong with one turning-point entry, if anything."""
+    problem = _int_problem((pos, *(window or ())), "a turning-point position or window bound")
+    if problem:
+        return problem
     if pos < 0:
         return "turning-point positions must be >= 0"
     if window is not None:

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (ParseError, ValidationError, _floats, _header, _is_distribution,
-                    _json_int, _json_numbers, _write_lines, content_lines)
+from .model import (ParseError, ValidationError, _dump_line, _floats, _header,
+                    _is_distribution, _json_int, _json_numbers, _write_lines, content_lines)
 from .suspense import softmax
 
 
@@ -246,7 +246,7 @@ def retrieve(query, kb: PassageStore, cache: Optional[MemoryCache],
 
 
 def write_passages(store: PassageStore, path) -> None:
-    lines = [json.dumps({"dim": store.dim}, separators=(",", ":"))]
+    lines = [_dump_line({"dim": store.dim})]
     for p in store:
         obj: dict = {"id": p.id, "source": p.source,
                      "key": [float(v) for v in p.key], "payload": p.payload}
@@ -254,7 +254,7 @@ def write_passages(store: PassageStore, path) -> None:
             obj["position"] = p.position
         if p.token_dist is not None:
             obj["token_dist"] = [float(v) for v in p.token_dist]
-        lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False))
+        lines.append(_dump_line(obj))
     _write_lines(path, lines)
 
 

@@ -106,7 +106,11 @@ def _emb_saliences(c: Columns, rows: np.ndarray) -> np.ndarray:
     _refuse_row(f, c, rows)
     if not pair:
         return np.zeros(0)
-    return _distances(*(w.values[at] for w, at in pair), DistanceKind.COSINE)
+    base, deleted = (w.values[at] for w, at in pair)
+    if base.shape != deleted.shape:  # a standalone record's windows need not share a length
+        raise ValidationError(f"sentence {c.base + rows[0]}: window embeddings for 'base' and "
+                              "'deleted' differ in length", c.base + int(rows[0]))
+    return _distances(base, deleted, DistanceKind.COSINE)
 
 
 def imp_adjust(salience: float, sentiment: float) -> float:

@@ -1,6 +1,7 @@
 """Judgment curves, z-scoring, agreement, and human correlation bounds."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,90 @@ def test_krippendorff_permutation_symmetry():
         shuffled = table[rng.permutation(coders)][:, rng.permutation(units)]
         assert krippendorff_alpha_table(shuffled.tolist(), "nominal") == pytest.approx(
             base, abs=1e-12)
+
+
+@pytest.mark.parametrize("level", ["nominal", "ordinal", "interval"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_krippendorff_refuses_a_non_finite_value(level, bad):
+    """None marks a missing value; a NaN is not read as one, nor counted
+    as a category of its own."""
+    with pytest.raises(ValidationError, match="finite or None"):
+        krippendorff_alpha_table([[0.0, 1.0, bad, 0.0], [0.0, 1.0, 1.0, 0.0]], level)
+
+
+def _reference_alpha(data, level):
+    """Krippendorff's alpha as it was before the category counts: each
+    ordered pair of values of each unit added to the coincidences on its
+    own, and each ordinal distance summed over its span."""
+    if level not in ("nominal", "ordinal", "interval"):
+        raise ValidationError(f"unknown measurement level {level!r}")
+    if not data:
+        raise ValidationError("no annotation data")
+    n_units = max(len(row) for row in data)
+    unit_values = []
+    for u in range(n_units):
+        vals = [row[u] for row in data if u < len(row) and row[u] is not None]
+        if len(vals) >= 2:
+            unit_values.append(vals)
+    if not unit_values:
+        raise DegenerateStatisticsError("no unit has two or more pairable values")
+
+    categories = sorted({v for vals in unit_values for v in vals})
+    cat_index = {c: i for i, c in enumerate(categories)}
+    m = len(categories)
+    coincidence = np.zeros((m, m))
+    for vals in unit_values:
+        mu = len(vals)
+        for a, b in itertools.permutations(range(mu), 2):
+            coincidence[cat_index[vals[a]], cat_index[vals[b]]] += 1.0 / (mu - 1)
+    n_c = coincidence.sum(axis=1)
+    n_total = float(n_c.sum())
+
+    if level == "nominal":
+        delta = 1.0 - np.eye(m)
+    elif level == "interval":
+        cats = np.asarray(categories, float)
+        delta = (cats[:, None] - cats[None, :]) ** 2
+    else:  # ordinal: cumulative-marginal difference
+        delta = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                span = n_c[i:j + 1].sum() - (n_c[i] + n_c[j]) / 2.0
+                delta[i, j] = delta[j, i] = span ** 2
+
+    d_o = float((coincidence * delta).sum()) / n_total
+    d_e = float((np.outer(n_c, n_c) * delta).sum()) / (n_total * (n_total - 1.0))
+    if d_e == 0.0:
+        raise DegenerateStatisticsError(
+            "expected disagreement is zero (all values identical)")
+    return 1.0 - d_o / d_e
+
+
+@st.composite
+def _alpha_tables(draw):
+    """1 to 6 coders' rows over up to 11 units, some rows cut short, with
+    missing values (None) and values from a few categories or anywhere."""
+    units = draw(st.integers(0, 11))
+    values = st.none() | st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]) | st.floats(-10.0, 10.0)
+    return draw(st.lists(st.integers(0, units).flatmap(
+        lambda n: st.lists(values, min_size=n, max_size=n)), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_alpha_tables(), shorten=st.booleans())
+def test_krippendorff_equals_the_per_pair_reference(data, shorten):
+    """At every level, to within 1e-12, with the same error where alpha is
+    undefined; a row may be as long as the longest or cut short."""
+    if not shorten:
+        data = [row + [None] * (max(map(len, data)) - len(row)) for row in data]
+    for level in ("nominal", "ordinal", "interval"):
+        try:
+            want = _reference_alpha(data, level)
+        except DegenerateStatisticsError as exc:
+            with pytest.raises(DegenerateStatisticsError, match=re.escape(str(exc))):
+                krippendorff_alpha_table(data, level)
+            continue
+        assert krippendorff_alpha_table(data, level) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_krippendorff_needs_two_annotators():

@@ -314,6 +314,25 @@ def test_gold_windows_must_contain_positions():
                    tp_windows=((0, 2), (1, 3), (2, 4), (3, 5), (7, 9)))
 
 
+@pytest.mark.parametrize("kwargs, bad", [
+    ({"kind": "salience", "salient_indices": {1.5}}, "a salient index must be an integer, "
+     "got 1.5"),
+    ({"kind": "salience", "salient_indices": {0, True}}, "a salient index must be an integer, "
+     "got True"),
+    ({"kind": "turning_points", "tp_positions": (1, 2, 3.0, 4, 5)},
+     "a turning-point position or window bound must be an integer, got 3.0"),
+    ({"kind": "turning_points", "tp_positions": (1, 2, 3, 4, 5),
+      "tp_windows": ((0.9, 1.9), (1, 3), (2, 4), (3, 5), (4, 6))},
+     "a turning-point position or window bound must be an integer, got 0.9"),
+    ({"kind": "turning_points", "tp_positions": (1, 2, 3, 4, 5),
+      "tp_windows": ((0, 2), (1, 3), (2, 4), (3, 5), (4, True))},
+     "a turning-point position or window bound must be an integer, got True")])
+def test_gold_labels_refuse_what_is_no_integer(kwargs, bad):
+    """Not truncated, and a bool is not taken for 0 or 1."""
+    with pytest.raises(ValidationError, match=re.escape(bad)):
+        GoldLabels(**kwargs)
+
+
 # --- trace files -------------------------------------------------------------
 
 def test_trace_round_trip_minimal(tmp_path):

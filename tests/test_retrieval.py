@@ -354,26 +354,43 @@ def test_passage_file_refuses_what_it_would_convert(tmp_path, case):
         read_passages(path)
 
 
+def _passage_fault(path, case, changed):
+    """What is wrong with reading one line_mutants change of a passage
+    file, if anything: it must be read, or raise a ParseError that begins
+    with the file, then a line number or the rest of the message."""
+    path.write_text("\n".join(changed) + "\n")
+    try:
+        read_passages(path)
+    except ParseError as exc:
+        if not re.match(rf"{re.escape(str(path))}( line \d+)?: ", str(exc)):
+            return f"{case}: {exc}"
+    except Exception as exc:  # a warning, too, under filterwarnings = error
+        return f"{case}: {type(exc).__name__}: {exc}"
+    return None
+
+
 def test_one_corrupt_token_of_a_passage_file_is_a_parse_error_that_names_it(tmp_path):
-    """Each line_mutants change of a passage file is read, or raises a
-    ParseError that begins with the file, then a line number or the rest of
-    the message."""
+    """Each line_mutants change of a passage file: _passage_fault finds
+    nothing wrong."""
     lines = ['{"dim":2}', '{"id":"p0","source":"kb","key":[0.5,-1.0],"payload":"a b",'
              '"position":0,"token_dist":[0.25,0.75]}',
              '{"id":"p1","source":"memory","key":[1.5,2.0],"payload":"c","position":3}']
-    path = tmp_path / "kb.psg"
-    begins = re.compile(rf"{re.escape(str(path))}( line \d+)?: ")
-    faults = []
-    for case, changed in line_mutants(lines):
-        path.write_text("\n".join(changed) + "\n")
-        try:
-            read_passages(path)
-        except ParseError as exc:
-            if not begins.match(str(exc)):
-                faults.append(f"{case}: {exc}")
-        except Exception as exc:  # a warning, too, under filterwarnings = error
-            faults.append(f"{case}: {type(exc).__name__}: {exc}")
-    assert not faults, "\n".join(faults)
+    faults = [_passage_fault(tmp_path / "kb.psg", *mutant) for mutant in line_mutants(lines)]
+    assert not any(faults), "\n".join(filter(None, faults))
+
+
+@settings(max_examples=80, deadline=None)
+@given(store=passage_stores(), data=st.data())
+def test_one_corrupt_token_of_a_drawn_passage_file_is_a_parse_error_that_names_it(
+        tmp_path_factory, store, data):
+    """One line_mutants change of a drawn store's file, as written by
+    write_passages: _passage_fault finds nothing wrong."""
+    path = tmp_path_factory.mktemp("psg") / "kb.psg"
+    write_passages(store, path)
+    mutant = data.draw(st.sampled_from(list(line_mutants(path.read_text().splitlines()))),
+                       label="change")
+    fault = _passage_fault(path, *mutant)
+    assert fault is None, fault
 
 
 # --- the matrix scan against the per-pair reference ------------------------------------

@@ -42,6 +42,17 @@ def test_scalars_score_a_record_whose_vectors_differ_in_length():
     assert variant_salience(rec, "deleted") == 1.5
 
 
+def test_emb_salience_refuses_base_and_deleted_windows_of_different_lengths():
+    """Only the two windows it compares must share a length, and the error
+    names the record's sentence."""
+    rec = SentenceRecord(7, np.ones(2), window_embedding={"base": np.ones(2),
+                                                          "deleted": np.ones(3)})
+    with pytest.raises(ValidationError, match="^sentence 7: window embeddings for 'base' and "
+                       "'deleted' differ in length$") as caught:
+        emb_salience(rec)
+    assert caught.value.sentence == 7
+
+
 def test_coherence_values():
     assert coherence([-1.0, -1.0, -1.0]) == -1.0
     assert coherence([0.0, 0.0]) == 0.0
