@@ -9,6 +9,7 @@ statistics.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -34,9 +35,9 @@ import numpy as np
 
 from . import alignment, annotation, baseline, evaluation, salience, suspense, svgplot
 from .model import (AnnotationSet, DegenerateStatisticsError, GoldLabels, Judgment,
-                    MetricSeries, ParseError, StoryTrace, ValidationError, _Faults,
-                    _entry_line, _map, _write_lines, content_lines, read_annotations,
-                    read_gold, read_trace, write_annotations, write_gold, write_trace)
+                    MetricSeries, StoryTrace, ValidationError, _entry_line, _map,
+                    _write_lines, content_lines, read_annotations, read_gold, read_trace,
+                    write_annotations, write_gold, write_trace)
 
 DEFAULT_METRICS = ("ely_surprise", "ely_suspense", "alpha_ely_suspense",
                    "hale_surprise", "sample_ely_suspense", "embedding_similarity")
@@ -55,8 +56,8 @@ def _write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
 
 
 def read_series_csv(path) -> dict[str, np.ndarray]:
-    """The named columns of a series CSV. The data rows are checked as whole
-    columns; a faulty file raises the error of its first faulty line."""
+    """The named columns of a series CSV, read row by row; a faulty file
+    raises the error of its first faulty line."""
     lines = content_lines(path)
     head_no, head = next(lines, (None, None))
     if head is None:
@@ -68,45 +69,24 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
         if not name.strip() or name in header[:j]:
             fault = "duplicate" if name.strip() else "empty"
             raise ValidationError(f"{path} line {head_no}: {fault} column name {name!r}")
-    nos, texts, unreadable = [], [], None
-    try:
-        for no, text in lines:
-            nos.append(no)
-            texts.append(text)
-    except ParseError as exc:  # a fault of its line, after those of the lines read
-        unreadable = exc
-    width, f = len(header) - 1, _Faults(len(texts))
-    f.check((text.count(",") != width for text in texts), lambda k: "wrong column count")
-    cells = ",".join(texts[:f.end]).split(",") if f.end else []
-    ids = cells[::width + 1]
-    del cells[::width + 1]
-    f.check((cell.strip() != str(row) for row, cell in enumerate(ids)),
-            lambda k: f"sentence {ids[k]!r} in row {k}")
-    del cells[f.end * width:]
-    try:
-        values = np.array(list(map(float, cells)))
-    except ValueError:
-        f.check(map(_not_a_float, cells), lambda k: str(_not_a_float(cells[k])),
-                np.arange(len(cells)) // width)
-        values = np.array(list(map(float, cells[:f.end * width])))
-    values = values.reshape(f.end, width)
-    f.check(~np.isfinite(values).all(axis=1), lambda k: f"non-finite value in {texts[k]!r}")
-    if f.message is not None:
-        raise ValidationError(f"{path} line {nos[f.end]}: {f.message}")
-    if unreadable is not None:
-        raise unreadable
-    if not texts:
+    rows = []
+    for no, text in lines:
+        cells = text.split(",")
+        if len(cells) != len(header):
+            raise ValidationError(f"{path} line {no}: wrong column count")
+        if cells[0].strip() != str(len(rows)):
+            raise ValidationError(f"{path} line {no}: sentence {cells[0]!r} in row {len(rows)}")
+        try:
+            row = list(map(float, cells[1:]))
+        except ValueError as exc:
+            raise ValidationError(f"{path} line {no}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"{path} line {no}: non-finite value in {text!r}")
+        rows.append(row)
+    if not rows:
         raise ValidationError(f"{path}: series CSV has no data rows")
+    values = np.array(rows)
     return {name: values[:, j] for j, name in enumerate(header[1:])}
-
-
-def _not_a_float(cell: str) -> Optional[ValueError]:
-    """The error float() raises on `cell`, or None."""
-    try:
-        float(cell)
-    except ValueError as exc:
-        return exc
-    return None
 
 
 def _columns(trace: StoryTrace, metrics: Sequence[str],

@@ -186,40 +186,25 @@ def find_peaks(series) -> list[Peak]:
     inner = (starts > 0) & (ends < n)
     starts, ends = starts[inner], ends[inner]
     peaks = starts[(values[starts] > values[starts - 1]) & (values[ends] < values[starts])]
-    heights = values[peaks]
-    return list(map(Peak, peaks.tolist(), heights.tolist(),
-                    _prominences(values, peaks, heights).tolist()))
+    v = values.tolist()
+    left, right = _side_minima(v), _side_minima(v[::-1])[::-1]
+    # float arithmetic: 1e308 - -1e308 is inf, silently
+    return [Peak(p, v[p], v[p] - max(left[p], right[p])) for p in peaks.tolist()]
 
 
-def _prominences(values: np.ndarray, peaks: np.ndarray, heights: np.ndarray) -> np.ndarray:
-    """Each peak's height minus the higher of its side minima. Sparse tables
-    hold the maximum and the minimum of each block of 2**k values (O(n log n)
-    memory). Each side of every peak (the left sides, then the right ones)
-    grows at once, by blocks of halving size, as far as no value in them is
-    higher than the peak or NaN."""
-    highest, lowest = [values], [values]
-    size = 1
-    while 2 * size <= values.shape[0]:
-        highest.append(np.maximum(highest[-1][:-size], highest[-1][size:]))
-        lowest.append(np.minimum(lowest[-1][:-size], lowest[-1][size:]))
-        size *= 2
-    m = peaks.shape[0]
-    step = np.ones(2 * m, np.intp)
-    step[:m] = -1
-    left = step < 0
-    edge = np.concatenate((peaks, peaks))  # each side's farthest value reached
-    heights = np.concatenate((heights, heights))
-    low = heights  # and the minimum of the side
-    for k in reversed(range(len(highest))):
-        size = 1 << k
-        start = np.where(left, edge - size, edge + 1)  # of the block next to the side
-        at = np.minimum(np.maximum(start, 0), highest[k].shape[0] - 1)
-        # a NaN in the block is its maximum, and not <= any height
-        clear = (start == at) & (highest[k][at] <= heights)
-        low = np.where(clear, np.minimum(low, lowest[k][at]), low)
-        edge = np.where(clear, edge + step * size, edge)
-    with np.errstate(over="ignore"):  # as float arithmetic: 1e308 - -1e308 is inf, silently
-        return heights[:m] - np.maximum(low[:m], low[m:])
+def _side_minima(values: list) -> list:
+    """For each value, the minimum of it and of the values back to the
+    nearest one that is higher or NaN, by one pass over a monotonic stack of
+    (value, minimum of the run it closes). A NaN is never popped and pops
+    nothing."""
+    stack, minima = [], []
+    for x in values:
+        low = x
+        while stack and stack[-1][0] <= x:
+            low = min(low, stack.pop()[1])
+        stack.append((x, low))
+        minima.append(low)
+    return minima
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,14 @@ def _check_sets(f: _Faults, counts, sizes, probs: tuple, stored, rows=None,
                 lambda k: "continuation probabilities must sum to 1", prob_rows)
 
 
+def _tuple(values, what: str) -> tuple:
+    """tuple(values), with a ValidationError where values are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be iterable, got {values!r}") from None
+
+
 def _refuse(fault: Optional[str]) -> None:
     if fault is not None:
         raise ValidationError(fault)
@@ -285,7 +293,11 @@ class ContinuationSet:
     probabilities: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        samples = tuple(self.samples)
+        samples = _tuple(self.samples, "continuation samples")
+        for s in samples:
+            if not isinstance(s, ContinuationSample):
+                raise ValidationError(f"continuation sample must be a ContinuationSample, "
+                                      f"got {s!r}")
         _refuse(_set_fault(self.horizon, len(samples)))
         probs = [] if self.probabilities is None else [_floats(self.probabilities)]
         f = _Faults(1)
@@ -557,9 +569,19 @@ class AnnotationSet:
     annotators: Mapping[str, tuple[Judgment, ...]]
 
     def __post_init__(self):
-        cleaned = {aid: tuple(seq) for aid, seq in self.annotators.items()}
+        if not isinstance(self.annotators, Mapping):
+            raise ValidationError(f"annotators must be a mapping, got {self.annotators!r}")
+        cleaned = {aid: _tuple(seq, f"annotator {aid!r}: judgments")
+                   for aid, seq in self.annotators.items()}
         if not cleaned:
             raise ValidationError("annotation set has no annotators")
+        for aid, seq in cleaned.items():  # what the file's annotator<TAB>tokens lines hold
+            if type(aid) is not str or any(c in aid for c in "\t\r\n"):
+                raise ValidationError(f"annotator id must be a string with no tab, CR or LF, "
+                                      f"got {aid!r}")
+            for j in seq:
+                if not isinstance(j, Judgment):
+                    raise ValidationError(f"annotator {aid!r}: {j!r} is not a Judgment")
         lengths = {len(seq) for seq in cleaned.values()}
         if len(lengths) > 1:
             raise ValidationError("annotator sequences differ in length")
@@ -582,28 +604,28 @@ class GoldLabels:
     def __post_init__(self):
         if self.kind not in ("salience", "turning_points"):
             raise ValidationError(f"unknown gold label kind {self.kind!r}")
-        object.__setattr__(self, "salient_indices", frozenset(self.salient_indices))
-        object.__setattr__(self, "tp_positions", tuple(self.tp_positions))
+        indices = _tuple(self.salient_indices, "salient indices")
+        object.__setattr__(self, "tp_positions", _tuple(self.tp_positions, "tp_positions"))
         if self.kind == "salience":
-            problem = _int_problem(self.salient_indices, "a salient index")
-            if problem:
-                raise ValidationError(problem)
-            if any(i < 0 for i in self.salient_indices):
+            _refuse(_int_problem(indices, "a salient index"))
+            if any(i < 0 for i in indices):
                 raise ValidationError("salient indices must be >= 0")
         else:
             if len(self.tp_positions) != 5:
                 raise ValidationError("turning-point labels need exactly 5 positions, "
                                       f"got {len(self.tp_positions)}")
             if self.tp_windows is not None:
-                windows = tuple((lo, hi) for lo, hi in self.tp_windows)
+                windows = tuple(_tuple(w, "a turning-point window")
+                                for w in _tuple(self.tp_windows, "tp_windows"))
                 if len(windows) != 5:
                     raise ValidationError("turning-point windows need exactly 5 entries, "
                                           f"got {len(windows)}")
+                if any(len(w) != 2 for w in windows):
+                    raise ValidationError("a turning-point window must be a (lo, hi) pair")
                 object.__setattr__(self, "tp_windows", windows)
             for pos, window in zip(self.tp_positions, self.tp_windows or itertools.repeat(None)):
-                problem = _turning_point_problem(pos, window)
-                if problem:
-                    raise ValidationError(problem)
+                _refuse(_turning_point_problem(pos, window))
+        object.__setattr__(self, "salient_indices", frozenset(indices))
 
 
 def _turning_point_problem(pos: int, window: Optional[tuple[int, int]]) -> Optional[str]:

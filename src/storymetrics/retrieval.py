@@ -34,6 +34,11 @@ class Passage:
     token_dist: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        for name in ("id", "source", "payload"):
+            if type(getattr(self, name)) is not str:
+                raise ValidationError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if self.position is not None:
+            _json_int(self.position, "position")
         if self.source not in ("kb", "memory"):
             raise ValidationError(f"unknown passage source {self.source!r}")
         key = np.array(self.key, float, order="C")  # contiguous, as a key matrix row is
@@ -53,7 +58,7 @@ class PassageStore:
     """Fixed-dimension collection of passages with exact top-k lookup."""
 
     def __init__(self, dim: int, passages: Sequence[Passage] = ()):
-        if dim < 1:
+        if _json_int(dim, "dim") < 1:
             raise ValidationError("store dimension must be >= 1")
         self.dim = dim
         self._passages: list[Passage] = []
@@ -263,13 +268,10 @@ def read_passages(path) -> PassageStore:
     integers, `id`, `source` and `payload` strings, and `key` and
     `token_dist` arrays of JSON numbers: nothing is converted."""
     _, store, lines = _header(path, content_lines(path), "passage",
-                              lambda header: PassageStore(dim=_json_int(header["dim"], "dim")))
+                              lambda header: PassageStore(dim=header["dim"]))
     for line_no, raw in lines:
         try:
             obj = json.loads(raw)
-            for name in ("id", "source", "payload"):
-                if type(obj[name]) is not str:
-                    raise ValidationError(f"{name} must be a string, got {obj[name]!r}")
             store.add(Passage(
                 id=obj["id"], key=_floats(_json_numbers(obj["key"], "key")),
                 payload=obj["payload"], source=obj["source"],

@@ -1124,6 +1124,43 @@ def test_annotation_rejects_unknown_token(tmp_path):
         read_annotations(path)
 
 
+_S = (Judgment.SAME,)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AnnotationSet("s", {"a\tb": _S}),
+     "annotator id must be a string with no tab, CR or LF, got 'a\\tb'"),
+    (lambda: AnnotationSet("s", {"a": _S, "b\n": _S}),
+     "annotator id must be a string with no tab, CR or LF, got 'b\\n'"),
+    (lambda: AnnotationSet("s", {"a\r": _S}),
+     "annotator id must be a string with no tab, CR or LF, got 'a\\r'"),
+    (lambda: AnnotationSet("s", {3: _S}),
+     "annotator id must be a string with no tab, CR or LF, got 3"),
+    (lambda: AnnotationSet("s", {"a": (Judgment.SAME, "S")}),
+     "annotator 'a': 'S' is not a Judgment"),
+    (lambda: AnnotationSet("s", [("a", _S)]), "annotators must be a mapping, got [('a', "),
+    (lambda: AnnotationSet("s", {"a": 5}), "annotator 'a': judgments must be iterable, got 5"),
+    (lambda: ContinuationSet(1, None), "continuation samples must be iterable, got None"),
+    (lambda: ContinuationSet(1, (np.ones(2),)),
+     "continuation sample must be a ContinuationSample, got array("),
+    (lambda: GoldLabels("salience", None), "salient indices must be iterable, got None"),
+    (lambda: GoldLabels("turning_points", tp_positions=5), "tp_positions must be iterable, got 5"),
+    (lambda: GoldLabels("turning_points", tp_positions=(1, 2, 3, 4, 5), tp_windows=5),
+     "tp_windows must be iterable, got 5"),
+    (lambda: GoldLabels("turning_points", tp_positions=(1, 2, 3, 4, 5),
+                        tp_windows=((0, 2), (1, 3), (2, 4), (3, 5), 4)),
+     "a turning-point window must be iterable, got 4"),
+    (lambda: GoldLabels("turning_points", tp_positions=(1, 2, 3, 4, 5),
+                        tp_windows=((0, 2), (1, 3), (2, 4), (3, 5), (4,))),
+     "a turning-point window must be a (lo, hi) pair")])
+def test_label_constructors_refuse_what_their_file_cannot_hold(make, message):
+    """An annotator id that would break its line, a judgment that is no
+    Judgment and a collection of the wrong kind are refused when built,
+    not when written or read."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()
+
+
 def test_annotation_rejects_length_mismatch():
     with pytest.raises(ValidationError):
         AnnotationSet(story_id="s", annotators={

@@ -98,6 +98,25 @@ def test_passage_rejects_bad_source_and_dist():
             _passage("p", [1.0], token_dist=np.array(bad))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PassageStore(dim=2.0), "dim must be an integer, got 2.0"),
+    (lambda: PassageStore(dim=True), "dim must be an integer, got True"),
+    (lambda: PassageStore(dim="2"), "dim must be an integer, got '2'"),
+    (lambda: PassageStore(dim=None), "dim must be an integer, got None"),
+    (lambda: _passage("p", [1.0], position=1.5), "position must be an integer, got 1.5"),
+    (lambda: _passage("p", [1.0], position=True), "position must be an integer, got True"),
+    (lambda: Passage(id=3, key=[1.0], payload="x", source="kb"), "id must be a string, got 3"),
+    (lambda: Passage(id="p", key=[1.0], payload="x", source=["kb"]),
+     "source must be a string, got ['kb']"),
+    (lambda: Passage(id="p", key=[1.0], payload=None, source="kb"),
+     "payload must be a string, got None")])
+def test_passage_and_store_refuse_what_their_file_cannot_hold(make, message):
+    """Refused when built, with the reader's rule and message, and not
+    first written to a file that the reader then refuses."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()
+
+
 # --- merging and weights ------------------------------------------------------------
 
 def test_topk_merge_ordering():
@@ -342,6 +361,8 @@ _BAD_PASSAGE_FILES = {
                         "line 2: malformed passage: position must be an integer, got '3'"),
     "position_fraction": ({"dim": 2}, {**_PASSAGE, "position": 1.5},
                           "line 2: malformed passage: position must be an integer, got 1.5"),
+    "position_null": ({"dim": 2}, {**_PASSAGE, "position": None},
+                      "line 2: malformed passage: position must be an integer, got None"),
 }
 
 
